@@ -19,6 +19,8 @@ from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_ATOL = 1e-9        # constructor accepts rows this far from 1
 VALUE_ATOL = 1e-12         # tolerance quoted in the public contracts
+DRIFT_ATOL = 1e-12         # per-step renormalization drift allowed in a walk
+_TV_CHUNK = 1 << 14        # elements per block of row differences in tv_between_rows
 
 
 class ReducibleKernelError(ValueError):
@@ -63,10 +65,6 @@ class StateSpace:
             raise ValueError("labels length must equal size")
         if len(set(self.labels)) != self.size:
             raise ValueError("labels must be unique")
-
-    @classmethod
-    def of_size(cls, n: int) -> "StateSpace":
-        return cls(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +255,6 @@ class KernelSequence:
         word = self.word if self.kind == "cyclic" else tuple(range(len(self.kernels)))
         return self.kernels[word[(i - 1) % len(word)]]
 
-    def explicit_length(self) -> int | None:
-        return len(self.kernels) if self.kind == "explicit" else None
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -288,6 +283,34 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
         k = seq.kernel_at(i)
         acc = compose(acc, k) if order == "forward" else compose(k, acc)
     return acc
+
+
+def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
+    """Accumulate ``K_i`` for ``i`` in ``indices``, starting from the identity.
+
+    ``forward`` multiplies each kernel on the right (``P K_i``) and
+    ``backward`` on the left (``K_i P``). Rows are renormalized after every
+    multiply; yields ``(i, P, drift)`` with the largest row-sum deviation
+    from 1 seen before that renormalization. The yielded matrix is replaced,
+    never mutated, by later steps.
+
+    Raises
+    ------
+    ArithmeticError
+        If a step's drift exceeds ``DRIFT_ATOL``.
+    """
+    if order not in ("forward", "backward"):
+        raise ValueError(f"unknown order {order!r}")
+    p = np.eye(seq.space.size)
+    for i in indices:
+        k = seq.kernel_at(i).entries
+        p = p @ k if order == "forward" else k @ p
+        sums = p.sum(axis=1)
+        drift = float(np.abs(sums - 1.0).max())
+        if drift > DRIFT_ATOL:
+            raise ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
+        p = p / sums[:, None]
+        yield i, p, drift
 
 
 def evolve(mu0: ProbMeasure, seq: KernelSequence, n: int) -> list[ProbMeasure]:
@@ -460,23 +483,28 @@ def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(mu) - np.asarray(nu)).sum())
 
 
+def tv_between_rows(matrix: np.ndarray) -> float:
+    """Largest total-variation distance between two rows.
+
+    Each block of rows is compared with every row after the block's first,
+    with the block sized so the difference array stays near ``_TV_CHUNK``
+    elements.
+    """
+    n = matrix.shape[0]
+    rows = max(1, _TV_CHUNK // (n * n))
+    best = 0.0
+    for i in range(0, n - 1, rows):
+        d = np.abs(matrix[i:i + rows, None, :] - matrix[None, i + 1:, :]).sum(axis=-1)
+        best = max(best, float(d.max()))
+    return 0.5 * best
+
+
 def contraction_coefficient(k: StochasticKernel) -> float:
     """Dobrushin coefficient: the largest TV distance between two rows.
 
     Submultiplicative under composition, hence a merging upper bound.
     """
-    e = k.entries
-    n = e.shape[0]
-    if n <= 1:
-        return 0.0
-    if n <= 128:
-        best = float((0.5 * np.abs(e[:, None, :] - e[None, :, :]).sum(axis=-1)).max())
-    else:
-        best = 0.0
-        for i in range(n - 1):
-            d = 0.5 * np.abs(e[i + 1:] - e[i]).sum(axis=1)
-            best = max(best, float(d.max()))
-    return min(best, 1.0)
+    return min(tv_between_rows(k.entries), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 Distances are computed from the full iterated-kernel matrix, never from
 sampled trajectories, so the reported values are exact at desk scale.
-The extremal-pair reduction applies throughout: the worst pair of Dirac
-starting points realizes the supremum over all pairs of starting
-distributions, both for total variation and for the relative-sup
-statistic.
+Every walk over time accumulates that matrix through
+:func:`~mclab.chain_core.walk`, which renormalizes rows per step and raises
+when a step drifts by more than ``DRIFT_ATOL``; :func:`product` is the
+literal compose fold the walk is checked against. The worst-pair total
+variation and the Dobrushin coefficient share one kernel,
+:func:`~mclab.chain_core.tv_between_rows`. The extremal-pair reduction
+applies throughout: the worst pair of Dirac starting points realizes the
+supremum over all pairs of starting distributions, both for total
+variation and for the relative-sup statistic.
 """
 
 from __future__ import annotations
@@ -21,25 +26,9 @@ from .chain_core import (
     KernelSequence,
     contraction_coefficient,
     product,
+    tv_between_rows,
+    walk,
 )
-
-#: per-step renormalization drift allowed while accumulating products
-DRIFT_ATOL = 1e-12
-
-
-def tv_between_rows(matrix: np.ndarray) -> float:
-    """Largest total-variation distance between two rows."""
-    n = matrix.shape[0]
-    if n <= 1:
-        return 0.0
-    if n <= 128:
-        diffs = 0.5 * np.abs(matrix[:, None, :] - matrix[None, :, :]).sum(axis=-1)
-        return float(diffs.max())
-    best = 0.0
-    for i in range(n - 1):
-        d = 0.5 * np.abs(matrix[i + 1:] - matrix[i]).sum(axis=1)
-        best = max(best, float(d.max()))
-    return best
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -57,19 +46,6 @@ def relsup_between_rows(matrix: np.ndarray) -> float:
     if not live.any():
         return 0.0
     return float((mx[live] / mn[live]).max() - 1.0)
-
-
-def _accumulate(seq: KernelSequence, n: int):
-    """Yield ``(i, K_{0,i})`` for ``i = 0..n`` with per-row renormalization."""
-    p = np.eye(seq.space.size)
-    yield 0, p
-    for i in range(1, n + 1):
-        p = p @ seq.kernel_at(i).entries
-        sums = p.sum(axis=1)
-        if np.abs(sums - 1.0).max() > DRIFT_ATOL:
-            raise ArithmeticError(f"row-sum drift {np.abs(sums - 1.0).max():.2e} at step {i}")
-        p = p / sums[:, None]
-        yield i, p
 
 
 def pairwise_distances(seq: KernelSequence, n: int) -> tuple[float, float]:
@@ -94,9 +70,7 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     p = np.eye(seq.space.size)
     hit: int | None = 0 if measure(p) <= epsilon else None
     if hit is None:
-        for i in range(1, n_max + 1):
-            p = p @ seq.kernel_at(i).entries
-            p = p / p.sum(axis=1)[:, None]
+        for i, p, _ in walk(seq, range(1, n_max + 1)):
             if measure(p) <= epsilon:
                 hit = i
                 break
@@ -188,6 +162,7 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
         raise ValueError("relsup epsilon must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    block_traj = _block_trajectory(seq, n_max, block)  # validates block before the walk
 
     tv = np.empty(n_max + 1)
     rs = np.empty(n_max + 1)
@@ -195,14 +170,8 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
     p = np.eye(seq.space.size)
     tv[0] = tv_between_rows(p)
     rs[0] = relsup_between_rows(p)
-    for i in range(1, n_max + 1):
-        p = p @ seq.kernel_at(i).entries
-        sums = p.sum(axis=1)
-        step_drift = float(np.abs(sums - 1.0).max())
-        if step_drift > DRIFT_ATOL:
-            raise ArithmeticError(f"row-sum drift {step_drift:.2e} at step {i}")
+    for i, p, step_drift in walk(seq, range(1, n_max + 1)):
         drift = max(drift, step_drift)
-        p = p / sums[:, None]
         tv[i] = tv_between_rows(p)
         rs[i] = relsup_between_rows(p)
 
@@ -219,7 +188,7 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
         tv_time=first_time(tv),
         relsup_time=first_time(rs),
         doeblin_trajectory=np.concatenate(([1.0], cert.cumulative_bound)),
-        block_trajectory=_block_trajectory(seq, n_max, block),
+        block_trajectory=block_traj,
         renorm_drift=drift,
     )
 
@@ -259,6 +228,8 @@ def doeblin_bound(seq: KernelSequence, n: int, divergence_threshold: float = 50.
 def _block_trajectory(seq: KernelSequence, n: int, block: int) -> np.ndarray:
     # traj[i] = product of block coefficients over complete blocks ending
     # at or before i; valid because tv distances are non-increasing.
+    if block < 1:
+        raise ValueError("block must be >= 1")
     traj = np.ones(n + 1)
     running = 1.0
     for j in range(n // block):
@@ -274,13 +245,7 @@ def block_contraction_bound(seq: KernelSequence, n: int, block: int) -> float:
     Valid as an upper bound on the exact pairwise TV distance at the last
     complete block boundary (and beyond, distances being non-increasing).
     """
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    bound = 1.0
-    for j in range(n // block):
-        q = product(seq, j * block, (j + 1) * block, "forward")
-        bound *= contraction_coefficient(q)
-    return bound
+    return float(_block_trajectory(seq, n, block)[n])
 
 
 @dataclass(frozen=True)
@@ -340,12 +305,7 @@ def backward_envelopes(seq: KernelSequence, n: int) -> tuple[np.ndarray, np.ndar
     p = np.eye(size)
     lo[0] = p.min(axis=0)
     hi[0] = p.max(axis=0)
-    for i in range(1, n + 1):
-        p = seq.kernel_at(i).entries @ p
-        sums = p.sum(axis=1)
-        if np.abs(sums - 1.0).max() > DRIFT_ATOL:
-            raise ArithmeticError(f"row-sum drift at step {i}")
-        p = p / sums[:, None]
+    for i, p, _ in walk(seq, range(1, n + 1), "backward"):
         lo[i] = p.min(axis=0)
         hi[i] = p.max(axis=0)
     return lo, hi

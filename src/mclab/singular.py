@@ -11,6 +11,7 @@ invariant measure.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .chain_core import (
     StochasticKernel,
     evolve,
     stationary_measure,
+    walk,
 )
 
 #: measures consistent with the kernel step must match to this tolerance
@@ -169,11 +171,8 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
     relsup_bound = np.empty((n + 1, size, size))
     relsup_exact = np.empty((n + 1, size, size))
 
-    p = np.eye(size)
-    for t in range(n + 1):
-        if t > 0:
-            p = p @ seq.kernel_at(t).entries
-            p = p / p.sum(axis=1)[:, None]
+    steps = itertools.chain([(0, np.eye(size), 0.0)], walk(seq, range(1, n + 1)))
+    for t, p, _ in steps:
         w = mus[t].weights
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
         relsup_exact[t] = np.abs(p / w[None, :] - 1.0)

@@ -155,6 +155,7 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     rate = 1.0 - rhs
     bound = prefactor * np.power(rate, np.arange(n_max + 1))
     exact = np.empty(n_max + 1)
+    # plain power, not chain_core.walk: renormalizing slows certify ~21%, moves values ~2e-13
     p = np.eye(graph.n_vertices)
     exact[0] = np.abs(p / pi.weights[None, :] - 1.0).max()
     for n in range(1, n_max + 1):

@@ -22,6 +22,7 @@ from .chain_core import (
     StochasticKernel,
     classify_structure,
     stationary_measure,
+    walk,
 )
 from .rng import substream
 
@@ -354,12 +355,9 @@ def limit_row_estimate(seq: KernelSequence, n: int, m_min: int) -> LimitRowEstim
     """Estimate the limit row of backward windows ``K_{m,n}`` as m decreases."""
     if m_min >= n:
         raise ValueError("m_min must be < n")
-    size = seq.space.size
-    p = np.eye(size)
     spreads = np.empty(n - m_min)
-    for j, m in enumerate(range(n - 1, m_min - 1, -1)):
-        p = seq.kernel_at(m + 1).entries @ p
-        p = p / p.sum(axis=1)[:, None]
+    # K_{m+1} joins on the left as m runs down from n - 1 to m_min
+    for j, (_, p, _) in enumerate(walk(seq, range(n, m_min, -1), "backward")):
         spreads[j] = float((p.max(axis=0) - p.min(axis=0)).max())
     measure = ProbMeasure.from_weights(seq.space, p.mean(axis=0))
     return LimitRowEstimate(

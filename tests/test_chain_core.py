@@ -24,10 +24,13 @@ from mclab import (
     total_variation,
 )
 from mclab.chain_core import (
+    DRIFT_ATOL,
     kernel_from_json,
     kernel_to_json,
     sequence_from_json,
     sequence_to_json,
+    tv_between_rows,
+    walk,
 )
 
 from conftest import random_kernel
@@ -129,6 +132,39 @@ class TestProduct:
         seq = KernelSequence.explicit([random_kernel(rng, 3)])
         with pytest.raises(ValueError):
             product(seq, 2, 1)
+
+
+def three_kinds_of_sequence(rng, kind):
+    kernels = [random_kernel(rng, 5, zero_prob=0.3) for _ in range(3)]
+    if kind == "explicit":
+        return KernelSequence.explicit(kernels)
+    if kind == "cyclic":
+        return KernelSequence.cyclic(kernels, word=[2, 0, 1, 1])
+    return KernelSequence.iid(kernels, seed=11)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("kind", ["explicit", "cyclic", "iid"])
+    def test_equals_product_fold_bitwise(self, rng, kind, order):
+        seq = three_kinds_of_sequence(rng, kind)
+        steps = list(walk(seq, range(1, 13), order))
+        assert [i for i, _, _ in steps] == list(range(1, 13))
+        for i, p, drift in steps:
+            assert np.array_equal(p, product(seq, 0, i, order).entries)
+            assert 0.0 <= drift <= DRIFT_ATOL
+
+    @pytest.mark.parametrize("kind", ["explicit", "cyclic", "iid"])
+    def test_descending_backward_walk_is_forward_window(self, rng, kind):
+        # the limit-row order: K_i joins on the left as i runs down to -9
+        seq = three_kinds_of_sequence(rng, kind)
+        for i, p, _ in walk(seq, range(3, -10, -1), "backward"):
+            assert np.allclose(p, product(seq, i - 1, 3, "forward").entries, rtol=0, atol=1e-15)
+
+    def test_rejects_unknown_order(self, rng):
+        seq = three_kinds_of_sequence(rng, "explicit")
+        with pytest.raises(ValueError):
+            next(walk(seq, range(1, 3), "sideways"))
 
 
 class TestEvolve:
@@ -290,6 +326,15 @@ class TestContraction:
             lhs = contraction_coefficient(compose(k1, k2))
             rhs = contraction_coefficient(k1) * contraction_coefficient(k2)
             assert lhs <= rhs + 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 17, 33, 65, 129, 257])
+    def test_tv_kernel_matches_all_pairs_oracle(self, rng, n):
+        k = random_kernel(rng, n, zero_prob=0.3)
+        e = k.entries
+        oracle = max((total_variation(e[i], e[j]) for i in range(n) for j in range(i + 1, n)),
+                     default=0.0)
+        assert tv_between_rows(e) == oracle
+        assert contraction_coefficient(k) == min(tv_between_rows(e), 1.0)
 
 
 class TestSequences:

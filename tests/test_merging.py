@@ -13,6 +13,7 @@ from mclab import (
     doeblin_bound,
     graph_kernel,
     lazy_stick,
+    limit_row_estimate,
     merging_time,
     pairwise_distances,
     product,
@@ -141,6 +142,23 @@ class TestMergingTime:
         assert obj["horizon"] == 4 and len(obj["tv"]) == 5
 
 
+def drifting_sequence():
+    # rows sum to 1 + 1e-10, which only the unchecked constructor admits
+    m = np.full((3, 3), (1 + 1e-10) / 3)
+    return KernelSequence.constant(StochasticKernel._unchecked(StateSpace(3), m))
+
+
+@pytest.mark.parametrize("run", [
+    lambda seq: first_passage(seq, 1e-3, "tv", 5),
+    lambda seq: limit_row_estimate(seq, n=0, m_min=-5),
+    lambda seq: merging_time(seq, 0.5, "tv", 5),
+    lambda seq: backward_envelopes(seq, 5),
+], ids=["first_passage", "limit_row_estimate", "merging_time", "backward_envelopes"])
+def test_walks_raise_on_row_sum_drift(run):
+    with pytest.raises(ArithmeticError, match="row-sum drift"):
+        run(drifting_sequence())
+
+
 class TestDoeblin:
     def test_row_constant_epsilon(self):
         row = np.array([0.2, 0.5, 0.3])
@@ -195,6 +213,14 @@ class TestBlockContraction:
             boundary = (horizon // block) * block
             exact = exact_tv_trajectory(seq, boundary)[-1] if boundary else 1.0
             assert exact <= bound + 1e-12
+
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_rejects_nonpositive_block(self, rng, block):
+        seq = KernelSequence.explicit([random_kernel(rng, 3)])
+        with pytest.raises(ValueError, match="block"):
+            merging_time(seq, 0.25, "tv", 20, block=block)
+        with pytest.raises(ValueError, match="block"):
+            block_contraction_bound(seq, 20, block)
 
 
 class TestUniformConditions:

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import mclab
 from mclab import KernelSequence, run_scenario
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
@@ -202,3 +205,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "uniform-bd-probe.csv").exists()
         assert (tmp_path / "uniform-bd-probe.json").exists()
+
+
+def test_benchmark_tracer_sites_resolve():
+    # perfbench/tracer.py wraps mclab names where callers look them up; a
+    # refactor that drops one must fail here, not in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    original = mclab.merging.tv_between_rows
+    try:
+        tracer.install(mclab)
+        assert mclab.merging.tv_between_rows is not original
+    finally:
+        tracer.uninstall()
+    assert mclab.merging.tv_between_rows is original
