@@ -248,12 +248,17 @@ class KernelSequence:
             self._draw_cache[block] = draws
         return int(draws[offset])
 
+    def index_at(self, i: int) -> int:
+        """Position of ``K_i`` in ``kernels``; defined for every integer ``i``."""
+        if self.kind == "iid":
+            return self._iid_index(i)
+        if self.kind == "cyclic":
+            return self.word[(i - 1) % len(self.word)]
+        return (i - 1) % len(self.kernels)
+
     def kernel_at(self, i: int) -> StochasticKernel:
         """Kernel ``K_i``; defined for every integer ``i`` (see class docs)."""
-        if self.kind == "iid":
-            return self.kernels[self._iid_index(i)]
-        word = self.word if self.kind == "cyclic" else tuple(range(len(self.kernels)))
-        return self.kernels[word[(i - 1) % len(word)]]
+        return self.kernels[self.index_at(i)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Every walk over time accumulates that matrix through
 when a step drifts by more than ``DRIFT_ATOL``; :func:`product` is the
 literal compose fold the walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
-:func:`~mclab.chain_core.tv_between_rows`. The extremal-pair reduction
+:func:`~mclab.chain_core.tv_between_rows`. The Doeblin and block
+certificates are computed once per distinct kernel window and reused
+wherever the window recurs. The extremal-pair reduction
 applies throughout: the worst pair of Dirac starting points realizes the
 supremum over all pairs of starting distributions, both for total
 variation and for the relative-sup statistic.
@@ -68,13 +70,17 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
         raise ValueError(f"unknown metric {metric!r}")
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     p = np.eye(seq.space.size)
-    hit: int | None = 0 if measure(p) <= epsilon else None
+    value = measure(p)
+    hit: int | None = 0 if value <= epsilon else None
     if hit is None:
         for i, p, _ in walk(seq, range(1, n_max + 1)):
-            if measure(p) <= epsilon:
+            value = measure(p)
+            if value <= epsilon:
                 hit = i
                 break
-    return hit, tv_between_rows(p), relsup_between_rows(p)
+    if metric == "tv":
+        return hit, value, relsup_between_rows(p)
+    return hit, tv_between_rows(p), value
 
 
 @dataclass(frozen=True)
@@ -214,9 +220,7 @@ def doeblin_bound(seq: KernelSequence, n: int, divergence_threshold: float = 50.
     """Doeblin coupling certificate over the first ``n`` steps."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eps = np.empty(n)
-    for i in range(1, n + 1):
-        eps[i - 1] = seq.kernel_at(i).entries.min(axis=0).max()
+    eps = _window_coefficients(seq, n, 1, lambda m, k: seq.kernel_at(k).entries.min(axis=0).max())
     return DoeblinCertificate(
         epsilons=eps,
         cumulative_bound=np.cumprod(1.0 - eps),
@@ -225,17 +229,33 @@ def doeblin_bound(seq: KernelSequence, n: int, divergence_threshold: float = 50.
     )
 
 
+def _window_coefficients(seq: KernelSequence, n: int, block: int, coefficient) -> np.ndarray:
+    """``coefficient(m, m + block)`` for each complete window ``(m, m + block]`` up to ``n``.
+
+    A window's coefficient depends only on its kernel word, the alphabet
+    indices ``K_{m+1} ... K_{m+block}``, so it is computed once per distinct
+    word and reused wherever that word recurs; values are unchanged.
+    """
+    memo: dict[tuple[int, ...], float] = {}
+    out = np.empty(n // block)
+    for j in range(out.size):
+        m = j * block
+        word = tuple(seq.index_at(i) for i in range(m + 1, m + block + 1))
+        if word not in memo:
+            memo[word] = coefficient(m, m + block)
+        out[j] = memo[word]
+    return out
+
+
 def _block_trajectory(seq: KernelSequence, n: int, block: int) -> np.ndarray:
     # traj[i] = product of block coefficients over complete blocks ending
     # at or before i; valid because tv distances are non-increasing.
     if block < 1:
         raise ValueError("block must be >= 1")
+    coeffs = _window_coefficients(
+        seq, n, block, lambda m, k: contraction_coefficient(product(seq, m, k, "forward")))
     traj = np.ones(n + 1)
-    running = 1.0
-    for j in range(n // block):
-        q = product(seq, j * block, (j + 1) * block, "forward")
-        running *= contraction_coefficient(q)
-        traj[(j + 1) * block:] = running
+    traj[block:] = np.repeat(np.cumprod(coeffs), block)[:n + 1 - block]
     return traj
 
 

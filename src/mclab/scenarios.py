@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product as iter_product
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -62,7 +63,6 @@ SCENARIO_SCHEMA: dict = {
                 "metric": {"enum": ["tv", "relsup"]},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "n_max": {"type": "integer", "minimum": 1},
-                "block": {"type": "integer", "minimum": 1},
                 "n": {"type": "integer", "minimum": 0},
                 "b": {"type": "number", "minimum": 1},
             },
@@ -199,6 +199,7 @@ def _gen_lazy_stick_weights(params: dict, point: dict, rng) -> tuple[KernelSeque
 
 
 def _gen_sequence_file(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
+    # run_scenario has already resolved a relative path against the scenario file
     with open(params["path"], "r", encoding="utf-8") as fh:
         return sequence_from_json(json.load(fh)), {}
 
@@ -282,18 +283,20 @@ def builtin_scenario_names() -> list[str]:
     return sorted(p.name.removesuffix(".json") for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_scenario(source) -> tuple[dict, bytes]:
-    """Load a scenario from a path or a built-in name; returns (config, bytes)."""
-    text: bytes | None = None
+def _locate_scenario(source):
+    """The built-in config named ``source`` if there is one, else ``source`` as a path."""
     candidate = importlib.resources.files("mclab") / "scenario_configs" / f"{source}.json"
     try:
         if candidate.is_file():
-            text = candidate.read_bytes()
+            return candidate
     except (TypeError, OSError):
-        text = None
-    if text is None:
-        with open(source, "rb") as fh:
-            text = fh.read()
+        pass
+    return Path(source)
+
+
+def load_scenario(source) -> tuple[dict, bytes]:
+    """Load a scenario from a path or a built-in name; returns (config, bytes)."""
+    text = _locate_scenario(source).read_bytes()
     config = json.loads(text.decode("utf-8"))
     jsonschema.validate(config, SCENARIO_SCHEMA)
     if config["generator"]["family"] not in GENERATORS:
@@ -353,15 +356,21 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     """Execute a scenario (path or built-in name) and return its results.
 
     ``seed`` overrides the config seed. Grid points may run concurrently;
-    output is independent of the schedule.
+    output is independent of the schedule. ``scenario_hash`` is the
+    SHA-256 of the effective config (after the override) as canonical
+    JSON. A relative ``sequence_file`` path is read from the scenario
+    file's directory.
     """
-    config, raw = load_scenario(source)
+    config, _ = load_scenario(source)
     if seed is not None:
         config = dict(config, seed=int(seed))
     base_seed = int(config["seed"])
-    digest = hashlib.sha256(raw).hexdigest()
-    generate = GENERATORS[config["generator"]["family"]]
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    family = config["generator"]["family"]
+    generate = GENERATORS[family]
     params = config["generator"].get("params", {})
+    if family == "sequence_file":
+        params = dict(params, path=str(Path(_locate_scenario(source)).parent / params["path"]))
     analyze = ANALYSES[config["analysis"]["kind"]]
     options = config["analysis"]
     points = _grid_points(config)

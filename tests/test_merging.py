@@ -21,7 +21,8 @@ from mclab import (
     total_variation,
     uniform_conditions_certificate,
 )
-from mclab.merging import first_passage, relsup_between_rows, tv_between_rows
+from mclab import merging
+from mclab.merging import _block_trajectory, first_passage, relsup_between_rows, tv_between_rows
 
 from conftest import random_kernel
 
@@ -130,6 +131,18 @@ class TestMergingTime:
         assert t == rep.tv_time
         assert tv == pytest.approx(rep.tv_trajectory[t], abs=1e-14)
 
+    @pytest.mark.parametrize("metric,epsilon,n_max", [
+        ("tv", 0.01, 50), ("relsup", 0.05, 50), ("tv", 1e-9, 3), ("relsup", 1e-9, 0)])
+    def test_first_passage_values_are_the_trajectory_at_the_stop(self, rng, metric, epsilon,
+                                                                 n_max):
+        seq = KernelSequence.iid([random_kernel(rng, 5) for _ in range(2)], seed=9)
+        rep = merging_time(seq, epsilon, metric, max(n_max, 1))
+        t, tv, relsup = first_passage(seq, epsilon, metric, n_max)
+        stop = n_max if t is None else t
+        assert t == rep.time(metric)
+        assert tv == rep.tv_trajectory[stop]
+        assert relsup == rep.relsup_trajectory[stop]
+
     def test_report_serialization(self, rng, tmp_path):
         seq = KernelSequence.explicit([random_kernel(rng, 3) for _ in range(4)])
         rep = merging_time(seq, 0.5, "tv", 4, block=2)
@@ -221,6 +234,69 @@ class TestBlockContraction:
             merging_time(seq, 0.25, "tv", 20, block=block)
         with pytest.raises(ValueError, match="block"):
             block_contraction_bound(seq, 20, block)
+
+
+def window_sequences(rng):
+    """A cyclic word with repeats, an i.i.d. rule and an explicit list."""
+    alphabet = [random_kernel(rng, 5, zero_prob=0.2) for _ in range(3)]
+    return {
+        "cyclic": KernelSequence.cyclic(alphabet, word=[0, 1, 0, 0, 2, 1]),
+        "iid": KernelSequence.iid(alphabet, probs=[0.5, 0.3, 0.2], seed=4),
+        "explicit": KernelSequence.explicit([random_kernel(rng, 5) for _ in range(5)]),
+    }
+
+
+class TestWindowMemo:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_block_trajectory_matches_uncached_fold(self, rng, block):
+        for name, seq in window_sequences(rng).items():
+            for n in (5, 47):
+                expected = np.ones(n + 1)
+                running = 1.0
+                for j in range(n // block):
+                    running *= contraction_coefficient(
+                        product(seq, j * block, (j + 1) * block, "forward"))
+                    expected[(j + 1) * block:] = running
+                assert np.array_equal(_block_trajectory(seq, n, block), expected), (name, n)
+
+    def test_doeblin_matches_per_step_minima(self, rng):
+        for name, seq in window_sequences(rng).items():
+            eps = np.array([seq.kernel_at(i).entries.min(axis=0).max() for i in range(1, 48)])
+            cert = doeblin_bound(seq, 47)
+            assert np.array_equal(cert.epsilons, eps), name
+            assert np.array_equal(cert.cumulative_bound, np.cumprod(1.0 - eps)), name
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_product_runs_once_per_distinct_window(self, rng, monkeypatch, block):
+        calls = []
+
+        def counting_product(seq, m, n, order="forward"):
+            calls.append((m, n))
+            return product(seq, m, n, order)
+
+        monkeypatch.setattr(merging, "product", counting_product)
+        for name, seq in window_sequences(rng).items():
+            calls.clear()
+            horizon = 200
+            _block_trajectory(seq, horizon, block)
+            windows = {tuple(id(seq.kernel_at(i)) for i in range(m + 1, m + block + 1))
+                       for m in range(0, horizon - block + 1, block)}
+            assert len(calls) == len(windows), name
+            if block == 1:
+                assert len(calls) <= len(seq.kernels)
+
+    def test_index_at_agrees_with_kernel_at(self, rng):
+        seqs = window_sequences(rng)
+        word = seqs["cyclic"].word
+        n_explicit = len(seqs["explicit"].kernels)
+        for i in range(-20, 30):
+            for seq in seqs.values():
+                assert seq.kernels[seq.index_at(i)] is seq.kernel_at(i)
+            assert seqs["cyclic"].index_at(i) == word[(i - 1) % len(word)]
+            assert seqs["explicit"].index_at(i) == (i - 1) % n_explicit
+        fresh = KernelSequence.iid(seqs["iid"].kernels, probs=seqs["iid"].probs, seed=4)
+        assert ([fresh.index_at(i) for i in range(-2000, 2000)]
+                == [seqs["iid"].index_at(i) for i in range(-2000, 2000)])
 
 
 class TestUniformConditions:

@@ -10,6 +10,7 @@ import mclab
 from mclab import KernelSequence, run_scenario
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
+from mclab.merging import first_passage
 from mclab.scenarios import ResultSet, builtin_scenario_names, emit, load_scenario
 
 from conftest import random_kernel
@@ -103,6 +104,60 @@ class TestScenarioRunner:
         result = run_scenario(path)
         assert result.passed
         assert all(row["gap_margin"] >= -1e-12 for row in result.rows)
+
+    def test_hash_is_of_effective_config(self, tmp_path):
+        cfg = {
+            "name": "hash-demo",
+            "seed": 5,
+            "generator": {"family": "mirrored_bd_pair",
+                          "params": {"p": 0.54, "q": 0.36, "r": 0.1}},
+            "analysis": {"kind": "merging_time", "metric": "tv",
+                         "epsilon": 0.25, "n_max": 50},
+            "grid": {"N": [4]},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(json.dumps(dict(reversed(list(cfg.items()))), indent=4))
+        reseeded = tmp_path / "reseeded.json"
+        reseeded.write_text(json.dumps(dict(cfg, seed=6)))
+        base = run_scenario(path).scenario_hash
+        assert run_scenario(path).scenario_hash == base
+        assert run_scenario(reordered).scenario_hash == base
+        assert run_scenario(path, seed=5).scenario_hash == base
+        assert run_scenario(reseeded).scenario_hash != base
+        assert run_scenario(path, seed=6).scenario_hash == run_scenario(reseeded).scenario_hash
+
+    def test_sequence_file_resolves_against_scenario_dir(self, tmp_path, rng, monkeypatch):
+        scenario_dir = tmp_path / "scenario"
+        scenario_dir.mkdir()
+        seq = KernelSequence.cyclic([random_kernel(rng, 3) for _ in range(2)])
+        (scenario_dir / "seq.json").write_text(json.dumps(sequence_to_json(seq)))
+        cfg = {
+            "name": "file-demo",
+            "seed": 1,
+            "generator": {"family": "sequence_file", "params": {"path": "seq.json"}},
+            "analysis": {"kind": "merging_time", "metric": "tv",
+                         "epsilon": 0.01, "n_max": 200},
+            "grid": {"case": [0]},
+        }
+        (scenario_dir / "cfg.json").write_text(json.dumps(cfg))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        row = run_scenario(scenario_dir / "cfg.json").rows[0]
+        t, _, _ = first_passage(seq, 0.01, "tv", 200)
+        assert row["t_merge"] == t
+        monkeypatch.chdir(tmp_path)
+        assert run_scenario("scenario/cfg.json").rows[0] == row
+
+    def test_schema_rejects_block_option(self, tmp_path):
+        cfg = {"name": "x", "seed": 1, "generator": {"family": "bd_ratio_set"},
+               "analysis": {"kind": "merging_time", "block": 2}, "grid": {"N": [4]}}
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(jsonschema.ValidationError):
+            load_scenario(path)
 
 
 class TestEmit:
