@@ -17,6 +17,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .rng import substream
+
 ROW_SUM_ATOL = 1e-9        # constructor accepts rows this far from 1
 VALUE_ATOL = 1e-12         # tolerance quoted in the public contracts
 DRIFT_ATOL = 1e-12         # per-step renormalization drift allowed in a walk
@@ -237,8 +239,6 @@ class KernelSequence:
         return cls("iid", tuple(kernels), probs=tuple(probs) if probs is not None else (), seed=seed)
 
     def _iid_index(self, i: int) -> int:
-        from .rng import substream
-
         block, offset = divmod(i, self._BLOCK)
         draws = self._draw_cache.get(block)
         if draws is None:

@@ -32,6 +32,10 @@ from .chain_core import (
     walk,
 )
 
+_PASSAGE_STRIDE = 16    # first_passage evaluates its metric every this many steps
+_PASSAGE_SLACK = 1e-9   # rise of a computed distance ruled out over one stride
+_PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
+
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
     """Relative-sup statistic ``max_y (max_x M(x,y)) / (min_x M(x,y)) - 1``.
@@ -63,24 +67,89 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     """First ``n`` with pairwise distance <= epsilon, walking incrementally.
 
     Stops as soon as the chosen metric reaches the threshold; returns
-    ``(time or None, tv, relsup)`` evaluated at the stopping step. Cheaper
-    than :func:`merging_time` when only the passage time is needed.
+    ``(time or None, tv, relsup)`` evaluated at the stopping step (``n_max``
+    when the threshold is not reached). Cheaper than :func:`merging_time`
+    when only the passage time is needed.
+
+    Every step goes through :func:`~mclab.chain_core.walk`, but the metric
+    is evaluated only at checkpoints: every ``_PASSAGE_STRIDE`` steps and
+    at ``n_max``. The matrices walked since the last checkpoint are kept.
+    A checkpoint value above ``epsilon + _PASSAGE_SLACK * (1 + epsilon)``
+    rules them all out; otherwise they are evaluated in order and the first
+    one at or below ``epsilon`` is the hit. The result is the one a
+    step-by-step evaluation gives, bit for bit, because the same matrices
+    are measured by the same kernels. A drift error from the walk is
+    likewise raised only when no kept step before it is a hit.
+
+    Skipping is sound because both statistics are non-increasing under
+    right multiplication by a stochastic kernel (TV by Dobrushin's
+    contraction, relative-sup by the mediant inequality), so a computed
+    value can rise only by rounding. Per step, the multiply of non-negative
+    matrices moves each entry by at most ``γ_N = N·u / (1 - N·u)``
+    relative (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1, with ``u = 2^-53``), and the renormalization divides each row by
+    a sum the walk's drift check keeps within ``DRIFT_ATOL`` of 1. TV
+    compares two rows and relative-sup divides a column maximum by a
+    column minimum, so the computed value rises by at most about
+    ``2·DRIFT_ATOL + γ_N`` per step (plus the few ulps of evaluating it):
+    absolute for TV, relative to ``1 + value`` for relative-sup. Over one
+    stride at ``N <= 512`` that is below 4e-11, which leaves 25x headroom
+    under ``_PASSAGE_SLACK``.
+
+    The relative bound assumes the entries stay in the normal
+    floating-point range. For relative-sup, once a checkpoint matrix holds
+    a positive entry below ``_PASSAGE_TINY``, the matrices kept up to it
+    are all evaluated and every later step is checked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
+    band = epsilon + _PASSAGE_SLACK * (1.0 + epsilon)
+    stride = _PASSAGE_STRIDE
     p = np.eye(seq.space.size)
     value = measure(p)
     hit: int | None = 0 if value <= epsilon else None
-    if hit is None:
-        for i, p, _ in walk(seq, range(1, n_max + 1)):
-            value = measure(p)
-            if value <= epsilon:
-                hit = i
+    kept: list[tuple[int, np.ndarray, float | None]] = []
+    found = None
+    try:
+        for i, step, _ in walk(seq, range(1, n_max + 1)) if hit is None else ():
+            if i % stride and i != n_max:
+                kept.append((i, step, None))
+                continue
+            p, value = step, measure(step)
+            kept.append((i, step, value))
+            if metric == "relsup" and stride > 1 and ((step > 0) & (step < _PASSAGE_TINY)).any():
+                stride = 1
+            elif value > band:
+                kept.clear()
+                continue
+            found = _first_at_or_below(kept, measure, epsilon)
+            if found is not None:
                 break
+            kept.clear()
+    except ArithmeticError:
+        # the stepwise walk stops at a hit before the step that drifted
+        found = _first_at_or_below(kept, measure, epsilon)
+        if found is None:
+            raise
+    if found is not None:
+        hit, p, value = found
     if metric == "tv":
         return hit, value, relsup_between_rows(p)
     return hit, tv_between_rows(p), value
+
+
+def _first_at_or_below(kept, measure, epsilon):
+    """First ``(i, matrix, value)`` in ``kept`` with value <= epsilon, or None.
+
+    ``kept`` holds ``(i, matrix, value or None)``; missing values are
+    measured in order, up to the first hit.
+    """
+    for i, matrix, value in kept:
+        value = measure(matrix) if value is None else value
+        if value <= epsilon:
+            return i, matrix, value
+    return None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain_core import KernelSequence, ProbMeasure, sequence_from_json
@@ -104,6 +105,7 @@ class ResultSet:
     violations: list[str]
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     report_only: bool = False
+    provenance: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -119,6 +121,7 @@ class ResultSet:
             "summary": self.summary,
             "violations": self.violations,
             "report_only": self.report_only,
+            "provenance": self.provenance,
         }
 
 
@@ -358,19 +361,23 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     ``seed`` overrides the config seed. Grid points may run concurrently;
     output is independent of the schedule. ``scenario_hash`` is the
     SHA-256 of the effective config (after the override) as canonical
-    JSON. A relative ``sequence_file`` path is read from the scenario
-    file's directory.
+    JSON, followed for ``sequence_file`` by the SHA-256 of the data file's
+    bytes. A relative ``sequence_file`` path is read from the scenario
+    file's directory. ``provenance`` records the effective seed and the
+    numpy and scipy versions.
     """
     config, _ = load_scenario(source)
     if seed is not None:
         config = dict(config, seed=int(seed))
     base_seed = int(config["seed"])
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8"))
     family = config["generator"]["family"]
     generate = GENERATORS[family]
     params = config["generator"].get("params", {})
     if family == "sequence_file":
-        params = dict(params, path=str(Path(_locate_scenario(source)).parent / params["path"]))
+        data = Path(_locate_scenario(source)).parent / params["path"]
+        params = dict(params, path=str(data))
+        digest.update(hashlib.sha256(data.read_bytes()).digest())
     analyze = ANALYSES[config["analysis"]["kind"]]
     options = config["analysis"]
     points = _grid_points(config)
@@ -405,7 +412,7 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
             pass
     return ResultSet(
         name=config["name"],
-        scenario_hash=digest,
+        scenario_hash=digest.hexdigest(),
         tool_version=__version__,
         columns=columns,
         rows=rows,
@@ -413,6 +420,7 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
         violations=violations,
         series=series,
         report_only=bool(config.get("report_only", False)),
+        provenance={"seed": base_seed, "numpy": np.__version__, "scipy": scipy.__version__},
     )
 
 
@@ -433,16 +441,18 @@ def _format_cell(value) -> str:
 def emit(fmt: str, result: ResultSet, path) -> None:
     """Write a result set as ``csv``, ``json`` or ``plotdata``.
 
-    CSV starts with comment lines (scenario, hash, tool version, and a
-    timestamp, the single non-deterministic line) followed by a stable
-    header and one row per grid point. Plotdata is two-column ``x y``
-    blocks separated by blank lines, one block per labeled series.
+    CSV starts with comment lines (scenario, hash, tool version, the
+    provenance entries, and a timestamp, the single non-deterministic
+    line) followed by a stable header and one row per grid point.
+    Plotdata is two-column ``x y`` blocks separated by blank lines, one
+    block per labeled series.
     """
     if fmt == "csv":
         lines = [
             f"# scenario: {result.name}",
             f"# hash: {result.scenario_hash}",
             f"# tool_version: {result.tool_version}",
+            *(f"# {key}: {value}" for key, value in result.provenance.items()),
             f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
             ",".join(result.columns),
         ]

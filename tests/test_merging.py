@@ -22,7 +22,9 @@ from mclab import (
     uniform_conditions_certificate,
 )
 from mclab import merging
+from mclab.chain_core import walk
 from mclab.merging import _block_trajectory, first_passage, relsup_between_rows, tv_between_rows
+from mclab.zoo import constant_rate_bd
 
 from conftest import random_kernel
 
@@ -170,6 +172,158 @@ def drifting_sequence():
 def test_walks_raise_on_row_sum_drift(run):
     with pytest.raises(ArithmeticError, match="row-sum drift"):
         run(drifting_sequence())
+
+
+def stepwise_passage(seq, epsilon, metric, n_max):
+    """Reference first passage: the walk with the metric evaluated at every step."""
+    measure = tv_between_rows if metric == "tv" else relsup_between_rows
+    p = np.eye(seq.space.size)
+    hit = 0 if measure(p) <= epsilon else None
+    if hit is None:
+        for i, p, _ in walk(seq, range(1, n_max + 1)):
+            if measure(p) <= epsilon:
+                hit = i
+                break
+    return hit, tv_between_rows(p), relsup_between_rows(p)
+
+
+def metric_trajectory(seq, metric, n):
+    measure = tv_between_rows if metric == "tv" else relsup_between_rows
+    return [measure(np.eye(seq.space.size))] + [measure(p) for _, p, _ in
+                                                walk(seq, range(1, n + 1))]
+
+
+def bd_kernels(rates, n=8):
+    return [constant_rate_bd(n, p, q, 1.0 - p - q) for p, q in rates]
+
+
+PASSAGE_SEQUENCES = {
+    "explicit": lambda: KernelSequence.explicit(
+        bd_kernels([(0.3, 0.2), (0.25, 0.35), (0.4, 0.3), (0.2, 0.2), (0.35, 0.3)])),
+    "cyclic": lambda: KernelSequence.cyclic(bd_kernels([(0.54, 0.36), (0.36, 0.54)]),
+                                            word=[0, 1, 1, 0]),
+    "iid": lambda: KernelSequence.iid(bd_kernels([(0.5, 0.3), (0.3, 0.5), (0.45, 0.25)]),
+                                      seed=11),
+}
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("kind", sorted(PASSAGE_SEQUENCES))
+class TestStridedFirstPassage:
+    """``first_passage`` against the stepwise reference, bit for bit."""
+
+    N_MAX = 200
+
+    def test_threshold_at_a_computed_value(self, kind, metric):
+        seq = PASSAGE_SEQUENCES[kind]()
+        traj = metric_trajectory(seq, metric, self.N_MAX)
+        first_finite = next(n for n, v in enumerate(traj) if math.isfinite(v))
+        if metric == "relsup":
+            assert first_finite > 3  # the kernels are tridiagonal: relsup starts at inf
+        stride = merging._PASSAGE_STRIDE
+        # mid-stride, just before a checkpoint, at a checkpoint, first finite value
+        for step in (5 * stride + 7, 6 * stride - 1, 5 * stride, first_finite):
+            epsilon = traj[step]
+            got = first_passage(seq, epsilon, metric, self.N_MAX)
+            assert got == stepwise_passage(seq, epsilon, metric, self.N_MAX)
+            assert got[0] == step
+
+    def test_threshold_inside_the_slack_band(self, kind, metric):
+        seq = PASSAGE_SEQUENCES[kind]()
+        checkpoint = 5 * merging._PASSAGE_STRIDE
+        value = metric_trajectory(seq, metric, checkpoint)[checkpoint]
+        epsilon = value - 0.5 * merging._PASSAGE_SLACK
+        assert epsilon < value <= epsilon + merging._PASSAGE_SLACK * (1 + epsilon)
+        got = first_passage(seq, epsilon, metric, self.N_MAX)
+        assert got == stepwise_passage(seq, epsilon, metric, self.N_MAX)
+        assert got[0] > checkpoint
+
+    @pytest.mark.parametrize("n_max", [0, 1, 15, 37, 90])
+    def test_horizons_off_the_stride(self, kind, metric, n_max):
+        seq = PASSAGE_SEQUENCES[kind]()
+        traj = metric_trajectory(seq, metric, n_max)
+        never = 0.5 * min(traj[-1], 1.0)
+        assert first_passage(seq, never, metric, n_max)[0] is None
+        # not reached, and reached in the last partial stride
+        for epsilon in [never] + traj[-3:-2]:
+            assert first_passage(seq, epsilon, metric, n_max) == \
+                stepwise_passage(seq, epsilon, metric, n_max)
+
+    def test_hit_at_step_zero(self, kind, metric):
+        seq = PASSAGE_SEQUENCES[kind]()
+        epsilon = math.inf if metric == "relsup" else 1.0
+        got = first_passage(seq, epsilon, metric, self.N_MAX)
+        assert got == stepwise_passage(seq, epsilon, metric, self.N_MAX)
+        assert got[0] == 0
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_rounding_rise_inside_a_stride(rng, metric):
+    # at the rounding floor a computed value can rise after its first passage;
+    # the slack keeps the checkpoint ending that stride from ruling it out
+    seq = KernelSequence.iid([random_kernel(rng, 6) for _ in range(3)], seed=25)
+    traj = metric_trajectory(seq, metric, 160)
+    stride = merging._PASSAGE_STRIDE
+    step = next(j for j in range(1, 160)
+                if j % stride and min(traj[:j]) > traj[j] < traj[(j // stride + 1) * stride])
+    got = first_passage(seq, traj[step], metric, 160)
+    assert got == stepwise_passage(seq, traj[step], metric, 160)
+    assert got[0] == step
+
+
+@pytest.mark.parametrize("reached", [True, False])
+def test_first_passage_measures_once_per_stride(monkeypatch, reached):
+    seq = PASSAGE_SEQUENCES["explicit"]()
+    n_max = 400
+    traj = metric_trajectory(seq, "relsup", n_max)
+    epsilon = traj[390] if reached else 0.5 * traj[n_max]
+    expected = stepwise_passage(seq, epsilon, "relsup", n_max)
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return relsup_between_rows(matrix)
+
+    monkeypatch.setattr(merging, "relsup_between_rows", counted)
+    assert first_passage(seq, epsilon, "relsup", n_max) == expected
+    assert expected[0] == (390 if reached else None)
+    assert len(calls) <= n_max / merging._PASSAGE_STRIDE + merging._PASSAGE_STRIDE + 2
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_tiny_entries_make_relsup_stepwise(monkeypatch, metric):
+    # last-column entries near 1e-295 lie below the cut-off of the relative rounding bound
+    k = np.array([[0.9, 0.1, 1e-295], [0.1, 0.9, 2e-295], [0.5, 0.5, 3e-295]])
+    seq = KernelSequence.constant(StochasticKernel(StateSpace(3), k))
+    epsilon = metric_trajectory(seq, metric, 60)[60]
+    expected = stepwise_passage(seq, epsilon, metric, 200)
+    assert expected[0] == 60
+    measured = {"tv": tv_between_rows, "relsup": relsup_between_rows}[metric]
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return measured(matrix)
+
+    monkeypatch.setattr(merging, f"{metric}_between_rows", counted)
+    assert first_passage(seq, epsilon, metric, 200) == expected
+    if metric == "relsup":
+        assert len(calls) == 1 + 60  # every step once the checkpoint at 16 holds tiny entries
+    else:
+        assert len(calls) < 1 + 60
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_first_passage_stops_before_a_later_drift(metric):
+    # the walk reaches the drifting kernel at step 6, inside the stride that
+    # holds the hit at step 1; a stepwise evaluation never gets there
+    space = StateSpace(3)
+    merged = StochasticKernel(space, np.full((3, 3), 1 / 3))
+    drifting = StochasticKernel._unchecked(space, np.full((3, 3), (1 + 1e-10) / 3))
+    seq = KernelSequence.explicit([merged] * 5 + [drifting])
+    got = first_passage(seq, 0.5, metric, 40)
+    assert got == stepwise_passage(seq, 0.5, metric, 40)
+    assert got[0] == 1
 
 
 class TestDoeblin:

@@ -5,9 +5,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 
 import mclab
-from mclab import KernelSequence, run_scenario
+from mclab import KernelSequence, StateSpace, StochasticKernel, run_scenario
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
 from mclab.merging import first_passage
@@ -150,6 +151,41 @@ class TestScenarioRunner:
         assert row["t_merge"] == t
         monkeypatch.chdir(tmp_path)
         assert run_scenario("scenario/cfg.json").rows[0] == row
+
+    def test_hash_covers_sequence_file_data(self, tmp_path):
+        cfg = {
+            "name": "data-hash",
+            "seed": 1,
+            "generator": {"family": "sequence_file", "params": {"path": "seq.json"}},
+            "analysis": {"kind": "merging_time", "metric": "tv",
+                         "epsilon": 0.01, "n_max": 50},
+            "grid": {"case": [0]},
+        }
+        results = {}
+        for name, a in (("first", 0.3), ("same", 0.3), ("other", 0.45)):
+            directory = tmp_path / name
+            directory.mkdir()
+            kernel = np.array([[1 - a, a], [a, 1 - a]])
+            seq = KernelSequence.constant(StochasticKernel(StateSpace(2), kernel))
+            (directory / "seq.json").write_text(json.dumps(sequence_to_json(seq)))
+            (directory / "cfg.json").write_text(json.dumps(cfg))
+            results[name] = run_scenario(directory / "cfg.json")
+        assert results["first"].rows != results["other"].rows
+        assert results["first"].scenario_hash != results["other"].scenario_hash
+        assert results["first"].scenario_hash == results["same"].scenario_hash
+
+    def test_provenance_in_outputs(self, tmp_path):
+        result = run_scenario("mirrored-pair", seed=7)
+        expected = {"seed": 7, "numpy": np.__version__, "scipy": scipy.__version__}
+        assert result.provenance == expected
+        emit("json", result, tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["provenance"] == expected
+        emit("csv", result, tmp_path / "r.csv")
+        comments = [line for line in (tmp_path / "r.csv").read_text().splitlines()
+                    if line.startswith("#")]
+        assert comments[3:6] == ["# seed: 7", f"# numpy: {np.__version__}",
+                                 f"# scipy: {scipy.__version__}"]
+        assert comments[-1].startswith("# timestamp:")
 
     def test_schema_rejects_block_option(self, tmp_path):
         cfg = {"name": "x", "seed": 1, "generator": {"family": "bd_ratio_set"},
