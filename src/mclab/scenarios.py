@@ -92,6 +92,12 @@ SCENARIO_SCHEMA: dict = {
 }
 
 
+def _blas_version() -> str:
+    """Name and version of the BLAS numpy was built against, e.g. ``scipy-openblas 0.3.31``."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 @dataclass
 class ResultSet:
     """Rows, grouped summary, and itemized invariant violations of one run."""
@@ -106,6 +112,7 @@ class ResultSet:
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     report_only: bool = False
     provenance: dict = field(default_factory=dict)
+    blas: str = field(default_factory=_blas_version)
 
     @property
     def passed(self) -> bool:
@@ -122,6 +129,7 @@ class ResultSet:
             "violations": self.violations,
             "report_only": self.report_only,
             "provenance": self.provenance,
+            "blas": self.blas,
         }
 
 
@@ -364,7 +372,7 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     JSON, followed for ``sequence_file`` by the SHA-256 of the data file's
     bytes. A relative ``sequence_file`` path is read from the scenario
     file's directory. ``provenance`` records the effective seed and the
-    numpy and scipy versions.
+    numpy and scipy versions; ``blas`` names the BLAS numpy was built with.
     """
     config, _ = load_scenario(source)
     if seed is not None:
@@ -442,8 +450,9 @@ def emit(fmt: str, result: ResultSet, path) -> None:
     """Write a result set as ``csv``, ``json`` or ``plotdata``.
 
     CSV starts with comment lines (scenario, hash, tool version, the
-    provenance entries, and a timestamp, the single non-deterministic
-    line) followed by a stable header and one row per grid point.
+    provenance entries, the BLAS, and a timestamp, the single
+    non-deterministic line) followed by a stable header and one row per
+    grid point.
     Plotdata is two-column ``x y`` blocks separated by blank lines, one
     block per labeled series.
     """
@@ -453,6 +462,7 @@ def emit(fmt: str, result: ResultSet, path) -> None:
             f"# hash: {result.scenario_hash}",
             f"# tool_version: {result.tool_version}",
             *(f"# {key}: {value}" for key, value in result.provenance.items()),
+            f"# blas: {result.blas}",
             f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
             ",".join(result.columns),
         ]

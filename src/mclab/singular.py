@@ -86,34 +86,53 @@ class MeasureTrajectory:
         return np.stack([mu.weights for mu in self.measures])
 
 
+def _relsup_bound_tensor(trajectory: MeasureTrajectory, sigma_product: np.ndarray) -> np.ndarray:
+    """The ``(n+1, N, N)`` relative-sup bound ``prod sigma_i [mu_0(x) mu_t(y)]^(-1/2)``.
+
+    Elementwise the same operations, in the same order, as the per-time
+    matrices :func:`singular_value_bounds` reduces, so bit-identical to them.
+    """
+    inv_sqrt_mu0 = 1.0 / np.sqrt(trajectory.measures[0].weights)
+    roots = np.sqrt(trajectory.as_matrix())
+    return sigma_product[:, None, None] * inv_sqrt_mu0[None, :, None] / roots[:, None, :]
+
+
 @dataclass(frozen=True)
 class SingularBoundReport:
     """Singular-value bounds against exact distances along one trajectory.
 
     Index conventions: ``sigmas[i-1]`` belongs to step ``i``;
-    ``sigma_product[t] = prod_{i<=t} sigma_i``; bound and exact arrays are
-    indexed by time ``t = 0..n`` first, then by starting state ``x`` (and
-    target state ``y`` for the relative-sup family).
+    ``sigma_product[t] = prod_{i<=t} sigma_i``; the total-variation arrays
+    are indexed by time ``t = 0..n`` first, then by starting state ``x``.
+
+    The relative-sup family (start ``x``, target ``y``) is reduced as the
+    walk goes: the report keeps its per-time maxima over ``(x, y)`` and the
+    largest ``exact - bound`` over all ``t, x, y``, so it holds O(n·N)
+    numbers rather than two ``(n+1)·N·N`` tensors. ``relsup_bound`` is the
+    closed-form bound tensor, recomputed on access.
     """
 
     trajectory: MeasureTrajectory
     sigmas: np.ndarray
     sigma_product: np.ndarray
-    tv_bound: np.ndarray        # (n+1, N)
-    tv_exact: np.ndarray        # (n+1, N)
-    relsup_bound: np.ndarray    # (n+1, N, N)
-    relsup_exact: np.ndarray    # (n+1, N, N)
+    tv_bound: np.ndarray             # (n+1, N)
+    tv_exact: np.ndarray             # (n+1, N)
+    relsup_bound_max: np.ndarray     # (n+1,): max over (x, y) of the bound at time t
+    relsup_exact_max: np.ndarray     # (n+1,): max over (x, y) of the exact value
+    relsup_violation: float          # max over (t, x, y) of exact - bound
 
     @property
     def horizon(self) -> int:
         return len(self.sigmas)
 
+    @property
+    def relsup_bound(self) -> np.ndarray:
+        """``(n+1, N, N)`` bound ``[mu_0(x) mu_t(y)]^(-1/2) prod sigma_i``, built on access."""
+        return _relsup_bound_tensor(self.trajectory, self.sigma_product)
+
     def max_violation(self) -> float:
         """Largest ``exact - bound`` over both families (negative when dominated)."""
-        return max(
-            float((self.tv_exact - self.tv_bound).max()),
-            float((self.relsup_exact - self.relsup_bound).max()),
-        )
+        return max(float((self.tv_exact - self.tv_bound).max()), self.relsup_violation)
 
     def gap_rows(self) -> list[dict]:
         rows = []
@@ -124,8 +143,8 @@ class SingularBoundReport:
                 "sigma_product": float(self.sigma_product[t]),
                 "max_tv_bound": float(self.tv_bound[t].max()),
                 "max_tv_exact": float(self.tv_exact[t].max()),
-                "max_relsup_bound": float(self.relsup_bound[t].max()),
-                "max_relsup_exact": float(self.relsup_exact[t].max()),
+                "max_relsup_bound": float(self.relsup_bound_max[t]),
+                "max_relsup_exact": float(self.relsup_exact_max[t]),
             })
         return rows
 
@@ -150,7 +169,9 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
 
     The exact left-hand sides are evaluated from the accumulated product
     matrix and reported next to the bounds; the reported gap is always the
-    difference ``bound - exact``, never a ratio.
+    difference ``bound - exact``, never a ratio. The ``N x N`` relative-sup
+    matrices of each step are reduced to their maxima before the next step,
+    so memory stays O(N² + n·N).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -168,23 +189,29 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
     inv_sqrt_mu0 = 1.0 / np.sqrt(mu0.weights)
     tv_bound = sigma_product[:, None] * inv_sqrt_mu0[None, :]
     tv_exact = np.empty((n + 1, size))
-    relsup_bound = np.empty((n + 1, size, size))
-    relsup_exact = np.empty((n + 1, size, size))
+    relsup_bound_max = np.empty(n + 1)
+    relsup_exact_max = np.empty(n + 1)
+    relsup_violation = -np.inf
 
     steps = itertools.chain([(0, np.eye(size), 0.0)], walk(seq, range(1, n + 1)))
     for t, p, _ in steps:
         w = mus[t].weights
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
-        relsup_exact[t] = np.abs(p / w[None, :] - 1.0)
-        relsup_bound[t] = sigma_product[t] * inv_sqrt_mu0[:, None] / np.sqrt(w)[None, :]
+        exact = np.abs(p / w[None, :] - 1.0)
+        bound = sigma_product[t] * inv_sqrt_mu0[:, None] / np.sqrt(w)[None, :]
+        relsup_exact_max[t] = exact.max()
+        relsup_bound_max[t] = bound.max()
+        # np.maximum, not max(): a NaN gap must propagate as it would through .max()
+        relsup_violation = np.maximum(relsup_violation, (exact - bound).max())
     return SingularBoundReport(
         trajectory=trajectory,
         sigmas=sigmas,
         sigma_product=sigma_product,
         tv_bound=tv_bound,
         tv_exact=tv_exact,
-        relsup_bound=relsup_bound,
-        relsup_exact=relsup_exact,
+        relsup_bound_max=relsup_bound_max,
+        relsup_exact_max=relsup_exact_max,
+        relsup_violation=float(relsup_violation),
     )
 
 
@@ -196,20 +223,28 @@ class HomogeneousBoundReport:
     measure from the running trajectory ``mu_t = mu_0 K^t``, using only
     quantities observable along the trajectory (no invariant measure enters
     the bound; it is reported for the exact comparison only).
+
+    The pointwise family is reduced during the walk, as in
+    :class:`SingularBoundReport`: only its largest ``exact - bound`` is
+    kept, and ``pointwise_bound`` is the closed-form tensor, built on access.
     """
 
     trajectory: MeasureTrajectory
     sigmas: np.ndarray
     sigma_product: np.ndarray
-    pointwise_bound: np.ndarray      # (n+1, N, N), target indexed last
-    pointwise_exact: np.ndarray
+    pointwise_violation: float       # max over (t, x, y) of exact - bound
     invariant_bound: np.ndarray      # (n+1, N): bound on |pi(y)/mu_t(y) - 1|
     invariant_exact: np.ndarray
     mu0_star: float
 
+    @property
+    def pointwise_bound(self) -> np.ndarray:
+        """``(n+1, N, N)`` bound on ``|K^t(x, y)/mu_t(y) - 1|``, target indexed last."""
+        return _relsup_bound_tensor(self.trajectory, self.sigma_product)
+
     def max_violation(self) -> float:
         return max(
-            float((self.pointwise_exact - self.pointwise_bound).max()),
+            self.pointwise_violation,
             float((self.invariant_exact - self.invariant_bound).max()),
         )
 
@@ -231,8 +266,7 @@ def homogeneous_bounds(k: StochasticKernel, mu0: ProbMeasure, n: int) -> Homogen
         trajectory=report.trajectory,
         sigmas=report.sigmas,
         sigma_product=report.sigma_product,
-        pointwise_bound=report.relsup_bound,
-        pointwise_exact=report.relsup_exact,
+        pointwise_violation=report.relsup_violation,
         invariant_bound=invariant_bound,
         invariant_exact=invariant_exact,
         mu0_star=mu0_star,

@@ -140,6 +140,8 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     ratio and is validated otherwise. With ``n_max > 0`` the exact
     deviations of the weighted chain are tracked for ``n <= n_max``.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     graph = g if weights is None else g.with_weights(weights)
     ratio = graph.weight_ratio
     if b is None:

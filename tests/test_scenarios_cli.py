@@ -187,6 +187,19 @@ class TestScenarioRunner:
                                  f"# scipy: {scipy.__version__}"]
         assert comments[-1].startswith("# timestamp:")
 
+    def test_blas_in_outputs(self, tmp_path):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expected = f"{blas['name']} {blas['version']}"
+        result = run_scenario("mirrored-pair", seed=7)
+        assert result.blas == expected
+        emit("json", result, tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["blas"] == expected
+        emit("csv", result, tmp_path / "r.csv")
+        comments = [line for line in (tmp_path / "r.csv").read_text().splitlines()
+                    if line.startswith("#")]
+        assert comments[-2:-1] == [f"# blas: {expected}"]
+        assert comments[-1].startswith("# timestamp:")
+
     def test_schema_rejects_block_option(self, tmp_path):
         cfg = {"name": "x", "seed": 1, "generator": {"family": "bd_ratio_set"},
                "analysis": {"kind": "merging_time", "block": 2}, "grid": {"N": [4]}}
@@ -290,6 +303,13 @@ class TestCli:
                          "--b", "2.0", "--n-max", "20", "--out", str(out)]) == 0
         report = json.loads((tmp_path / "spec.json").read_text())
         assert report["gap_holds"] is True
+
+    def test_spectral_command_rejects_negative_n_max(self, tmp_path):
+        graph_path = tmp_path / "stick.json"
+        cli_main(["zoo", "emit", "lazy_stick", "-P", "N=6", "--out", str(graph_path)])
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            cli_main(["spectral", "--graph", str(graph_path), "--n-max", "-5",
+                      "--out", str(tmp_path / "spec")])
 
     def test_run_command_writes_outputs(self, tmp_path):
         code = cli_main(["run", "uniform-bd-probe", "--out", str(tmp_path)])

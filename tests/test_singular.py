@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from mclab import (
     step_sigma,
     singular_value_bounds,
 )
+
+from mclab.chain_core import walk
 
 from conftest import random_kernel, random_reversible_kernel
 
@@ -194,3 +198,81 @@ class TestStickPairBounds:
         assert rep.max_violation() <= 1e-12
         assert (rep.sigmas <= 1.0 + 1e-12).all()
         assert (np.diff(rep.sigma_product) <= 1e-15).all()
+
+
+def full_tensor_reference(seq, report):
+    """Gap rows, largest violation and both relsup tensors, each ``(n+1, N, N)``.
+
+    Walks the product separately with ``chain_core.walk`` and keeps every
+    per-step matrix, as the report did before it was reduced on the fly.
+    """
+    mus = report.trajectory.as_matrix()
+    size = mus.shape[1]
+    inv_sqrt_mu0 = 1.0 / np.sqrt(mus[0])
+    products = [np.eye(size)] + [p for _, p, _ in walk(seq, range(1, report.horizon + 1))]
+    tv_exact = np.stack([0.5 * np.abs(p - w[None, :]).sum(axis=1)
+                         for p, w in zip(products, mus)])
+    tv_bound = report.sigma_product[:, None] * inv_sqrt_mu0[None, :]
+    exact = np.stack([np.abs(p / w[None, :] - 1.0) for p, w in zip(products, mus)])
+    bound = np.stack([sp * inv_sqrt_mu0[:, None] / np.sqrt(w)[None, :]
+                      for sp, w in zip(report.sigma_product, mus)])
+    rows = [{
+        "n": t,
+        "sigma_n": float(report.sigmas[t - 1]) if t >= 1 else "",
+        "sigma_product": float(report.sigma_product[t]),
+        "max_tv_bound": float(tv_bound[t].max()),
+        "max_tv_exact": float(tv_exact[t].max()),
+        "max_relsup_bound": float(bound[t].max()),
+        "max_relsup_exact": float(exact[t].max()),
+    } for t in range(report.horizon + 1)]
+    violation = max(float((tv_exact - tv_bound).max()), float((exact - bound).max()))
+    return rows, violation, exact, bound
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    @pytest.mark.parametrize("kind", ["explicit", "cyclic", "iid"])
+    def test_bit_equal_to_full_tensor_reference(self, rng, kind, n):
+        size = 6
+        if kind == "explicit":
+            seq = KernelSequence.explicit([random_kernel(rng, size) for _ in range(max(n, 1))])
+        elif kind == "cyclic":
+            seq = KernelSequence.cyclic([random_kernel(rng, size) for _ in range(3)],
+                                        word=[2, 0, 1, 1])
+        else:
+            seq = KernelSequence.iid([random_kernel(rng, size) for _ in range(3)], seed=5)
+        mu0 = ProbMeasure(seq.space, rng.dirichlet(np.full(size, 2.0)))
+        rep = singular_value_bounds(seq, mu0, n)
+        rows, violation, _, bound = full_tensor_reference(seq, rep)
+        assert rep.gap_rows() == rows
+        assert rep.max_violation() == violation
+        assert rep.relsup_bound.shape == (n + 1, size, size)
+        assert np.array_equal(rep.relsup_bound, bound)
+
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_homogeneous_violation_matches_reference(self, rng, n):
+        k = random_reversible_kernel(rng, 5)
+        mu0 = ProbMeasure(k.space, rng.dirichlet(np.full(5, 3.0)))
+        rep = homogeneous_bounds(k, mu0, n)
+        seq = KernelSequence.constant(k)
+        _, _, exact, bound = full_tensor_reference(seq, singular_value_bounds(seq, mu0, n))
+        expected = max(float((exact - bound).max()),
+                       float((rep.invariant_exact - rep.invariant_bound).max()))
+        assert rep.max_violation() == expected
+        assert np.array_equal(rep.pointwise_bound, bound)
+
+    def test_peak_memory_is_quadratic_in_states(self):
+        # full (n+1)·N·N tensors would take 2 x 13.6 MB here
+        size, n = 65, 400
+        kernels = [constant_rate_bd(size, ratio * (0.8 / (1 + ratio)), 0.8 / (1 + ratio), 0.2)
+                   for ratio in (1.3, 1.8, 1.5)]
+        seq = KernelSequence.iid(kernels, seed=2)
+        mu0 = ProbMeasure.uniform(seq.space)
+        tracemalloc.start()
+        try:
+            rep = singular_value_bounds(seq, mu0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.horizon == n
+        assert peak < 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -143,3 +143,8 @@ class TestComparisonCheck:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,bound,exact_max"
         assert len(lines) == 8
+
+    @pytest.mark.parametrize("n_max", [-1, -2, -5])
+    def test_negative_horizon_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            comparison_check(lazy_stick(4), None, b=1.0, n_max=n_max)
