@@ -49,7 +49,6 @@ from .stability import (
     LimitRowEstimate,
     StabilityReport,
     envelope_summary_csv,
-    WordEnumeration,
     limit_row_estimate,
     product_invariant_criterion,
     ratio_envelope,

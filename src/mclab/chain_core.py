@@ -7,6 +7,7 @@ dense ``float64``; the intended scale is a few thousand states at most.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
@@ -577,3 +578,15 @@ def dump_json(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, names: list[str], rows: Iterable[dict]) -> None:
+    """Write ``rows`` under the header ``names`` with ``\\r\\n`` line ends.
+
+    The csv module writes a Python float as its ``repr``, so rows should hold
+    Python floats, not numpy scalars.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([row[k] for k in names] for row in rows)

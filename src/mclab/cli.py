@@ -28,7 +28,7 @@ from .chain_core import (
     sequence_to_json,
 )
 from .merging import merging_time
-from .scenarios import ResultSet, builtin_scenario_names, emit, run_scenario
+from .scenarios import builtin_scenario_names, emit, run_scenario, write_plotdata
 from .singular import singular_value_bounds
 from .spectral import comparison_check, srw_spectrum
 from .stability import DEFAULT_BUDGET_NODES, envelope_summary_csv, ratio_envelope
@@ -99,15 +99,10 @@ def _cmd_merge(args) -> int:
     report.to_csv(out.with_suffix(".csv"))
     report.to_json(out.with_suffix(".json"))
     if args.plotdata:
-        result = ResultSet(
-            name="merge", scenario_hash="", tool_version=__version__,
-            columns=[], rows=[], summary={}, violations=[],
-            series={
-                "tv": [(float(i), float(v)) for i, v in enumerate(report.tv_trajectory)],
-                "relsup": [(float(i), float(v)) for i, v in enumerate(report.relsup_trajectory)
-                           if np.isfinite(v)],
-            })
-        emit("plotdata", result, out.with_suffix(".plotdata"))
+        write_plotdata(out.with_suffix(".plotdata"), {
+            "tv": list(enumerate(report.tv_trajectory)),
+            "relsup": [(i, v) for i, v in enumerate(report.relsup_trajectory) if np.isfinite(v)],
+        })
     t = report.time(args.metric)
     print(f"{args.metric} merging time at epsilon={args.epsilon}: "
           f"{t if t is not None else 'not reached'}")
@@ -160,7 +155,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_scenario(args.scenario, seed=args.seed, threads=args.threads)
+    result = run_scenario(args.scenario, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit("csv", result, out_dir / f"{result.name}.csv")
@@ -233,15 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario",
                      help=f"scenario JSON path or one of: {', '.join(builtin_scenario_names())}")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; grid points run in order")
     run.add_argument("--out", default="results")
     run.set_defaults(func=_cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a ``ValueError`` from it exits with a usage message and status 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ variation and for the relative-sup statistic.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -30,11 +29,13 @@ from .chain_core import (
     product,
     tv_between_rows,
     walk,
+    write_csv,
 )
 
 _PASSAGE_STRIDE = 16    # first_passage evaluates its metric every this many steps
 _PASSAGE_SLACK = 1e-9   # rise of a computed distance ruled out over one stride
 _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
+_DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -193,12 +194,7 @@ class MergingReport:
         return rows
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "tv", "relsup", "doeblin_bound", "block_bound"])
-            writer.writeheader()
-            for row in self.to_rows():
-                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                                 for k, v in row.items()})
+        write_csv(path, ["n", "tv", "relsup", "doeblin_bound", "block_bound"], self.to_rows())
 
     def to_json(self, path=None):
         obj = {
@@ -275,7 +271,7 @@ class DoeblinCertificate:
     ``epsilons[i-1]`` is ``max_y min_x K_i(x, y)``; the cumulative bound
     ``prod (1 - eps_i)`` dominates the exact total-variation pairwise
     distance. ``diverges`` records whether the partial sum of the epsilons
-    exceeded ``divergence_threshold`` over the horizon, the numerical
+    exceeded ``divergence_threshold`` (50) over the horizon, the numerical
     stand-in for an infinite sum.
     """
 
@@ -285,7 +281,7 @@ class DoeblinCertificate:
     divergence_threshold: float
 
 
-def doeblin_bound(seq: KernelSequence, n: int, divergence_threshold: float = 50.0) -> DoeblinCertificate:
+def doeblin_bound(seq: KernelSequence, n: int) -> DoeblinCertificate:
     """Doeblin coupling certificate over the first ``n`` steps."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -293,8 +289,8 @@ def doeblin_bound(seq: KernelSequence, n: int, divergence_threshold: float = 50.
     return DoeblinCertificate(
         epsilons=eps,
         cumulative_bound=np.cumprod(1.0 - eps),
-        diverges=bool(eps.sum() > divergence_threshold),
-        divergence_threshold=divergence_threshold,
+        diverges=bool(eps.sum() > _DIVERGENCE_THRESHOLD),
+        divergence_threshold=_DIVERGENCE_THRESHOLD,
     )
 
 

@@ -2,9 +2,9 @@
 
 A scenario is a JSON document naming a kernel-family generator, a
 parameter grid, one analysis, and optional threshold checks on the grouped
-medians. Randomness is drawn from counter-based substreams keyed by
-``(seed, grid index)``, so results are identical however the grid points
-are scheduled; rows are canonicalized by grid index. Scenarios marked
+medians. Grid points run in order. Randomness is drawn from
+counter-based substreams keyed by ``(seed, grid index)``, so each point's
+result depends only on the seed and its index. Scenarios marked
 ``report_only`` never fail, matching the open problems they probe.
 """
 
@@ -14,7 +14,6 @@ import hashlib
 import importlib.resources
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product as iter_product
@@ -239,7 +238,7 @@ GENERATORS = {
 # analyses
 
 
-def _run_merging(seq: KernelSequence, meta: dict, options: dict, rng) -> tuple[dict, list[str]]:
+def _run_merging(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
     metric = options.get("metric", "tv")
     t, tv, relsup = first_passage(seq, float(options.get("epsilon", 0.25)), metric,
                                   int(options.get("n_max", 1000)))
@@ -251,7 +250,7 @@ def _run_merging(seq: KernelSequence, meta: dict, options: dict, rng) -> tuple[d
     return row, []
 
 
-def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict, rng) -> tuple[dict, list[str]]:
+def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
     mu0 = ProbMeasure.uniform(seq.space)
     report = singular_value_bounds(seq, mu0, int(options.get("n", 100)))
     worst = report.max_violation()
@@ -262,7 +261,7 @@ def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict, rng
     return row, violations
 
 
-def _run_spectral(seq: KernelSequence, meta: dict, options: dict, rng) -> tuple[dict, list[str]]:
+def _run_spectral(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
     graph: WeightedGraph | None = meta.get("graph")
     if graph is None:
         raise ValueError("spectral_comparison needs a graph-backed generator family")
@@ -366,13 +365,14 @@ def _apply_checks(config: dict, rows: list[dict]) -> tuple[dict, list[str]]:
 def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet:
     """Execute a scenario (path or built-in name) and return its results.
 
-    ``seed`` overrides the config seed. Grid points may run concurrently;
-    output is independent of the schedule. ``scenario_hash`` is the
-    SHA-256 of the effective config (after the override) as canonical
-    JSON, followed for ``sequence_file`` by the SHA-256 of the data file's
-    bytes. A relative ``sequence_file`` path is read from the scenario
-    file's directory. ``provenance`` records the effective seed and the
-    numpy and scipy versions; ``blas`` names the BLAS numpy was built with.
+    ``seed`` overrides the config seed. Grid points run in order;
+    ``threads`` is accepted for compatibility and selects nothing.
+    ``scenario_hash`` is the SHA-256 of the effective config (after the
+    override) as canonical JSON, followed for ``sequence_file`` by the
+    SHA-256 of the data file's bytes. A relative ``sequence_file`` path is
+    read from the scenario file's directory. ``provenance`` records the
+    effective seed and the numpy and scipy versions; ``blas`` names the BLAS
+    numpy was built with.
     """
     config, _ = load_scenario(source)
     if seed is not None:
@@ -390,23 +390,12 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     options = config["analysis"]
     points = _grid_points(config)
 
-    def run_point(index_point):
-        index, point = index_point
-        rng = substream(base_seed, fold_path(index))
-        seq, meta = generate(params, point, rng)
-        row, violations = analyze(seq, meta, options, rng)
-        return index, {**point, **row}, violations
-
+    rows: list[dict] = []
     violations: list[str] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_point, enumerate(points)))
-    else:
-        outcomes = [run_point(ip) for ip in enumerate(points)]
-    outcomes.sort(key=lambda item: item[0])
-    rows = []
-    for index, row, point_violations in outcomes:
-        rows.append(row)
+    for index, point in enumerate(points):
+        seq, meta = generate(params, point, substream(base_seed, fold_path(index)))
+        row, point_violations = analyze(seq, meta, options)
+        rows.append({**point, **row})
         violations.extend(f"grid[{index}]: {v}" for v in point_violations)
 
     summary, check_violations = _apply_checks(config, rows)
@@ -446,15 +435,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def write_plotdata(path, series: dict[str, list[tuple[float, float]]]) -> None:
+    """Write two-column ``x y`` blocks separated by blank lines, one per labeled series."""
+    blocks = []
+    for label, pairs in series.items():
+        rows = "\n".join(f"{float(x)!r} {float(y)!r}" for x, y in pairs)
+        blocks.append(f"# series: {label}\n{rows}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n\n".join(blocks) + "\n")
+
+
 def emit(fmt: str, result: ResultSet, path) -> None:
     """Write a result set as ``csv``, ``json`` or ``plotdata``.
 
     CSV starts with comment lines (scenario, hash, tool version, the
     provenance entries, the BLAS, and a timestamp, the single
     non-deterministic line) followed by a stable header and one row per
-    grid point.
-    Plotdata is two-column ``x y`` blocks separated by blank lines, one
-    block per labeled series.
+    grid point. Plotdata is :func:`write_plotdata` of ``result.series``.
     """
     if fmt == "csv":
         lines = [
@@ -475,11 +472,6 @@ def emit(fmt: str, result: ResultSet, path) -> None:
             json.dump(result.to_json_obj(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif fmt == "plotdata":
-        blocks = []
-        for label, pairs in result.series.items():
-            rows = "\n".join(f"{_format_cell(float(x))} {_format_cell(float(y))}" for x, y in pairs)
-            blocks.append(f"# series: {label}\n{rows}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n\n".join(blocks) + "\n")
+        write_plotdata(path, result.series)
     else:
         raise ValueError(f"unknown emit format {fmt!r}")

@@ -10,7 +10,6 @@ invariant measure.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .chain_core import (
     evolve,
     stationary_measure,
     walk,
+    write_csv,
 )
 
 #: measures consistent with the kernel step must match to this tolerance
@@ -151,12 +151,7 @@ class SingularBoundReport:
     def to_csv(self, path) -> None:
         names = ["n", "sigma_n", "sigma_product", "max_tv_bound", "max_tv_exact",
                  "max_relsup_bound", "max_relsup_exact"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=names)
-            writer.writeheader()
-            for row in self.gap_rows():
-                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                                 for k, v in row.items()})
+        write_csv(path, names, self.gap_rows())
 
 
 def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> SingularBoundReport:

@@ -10,15 +10,15 @@ convergence bound for each such chain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_core import ProbMeasure, StochasticKernel
+from .chain_core import ProbMeasure, StochasticKernel, write_csv
 from .zoo import WeightedGraph, graph_kernel
 
 GAP_SLACK = 1e-12
+_BOUND_SLACK = 1e-12  # dominates() allows the exact deviation this far above the bound
 
 
 def reversible_eigenvalues(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndarray:
@@ -121,15 +121,13 @@ class ComparisonReport:
     bound: np.ndarray
     exact: np.ndarray
 
-    def dominates(self, slack: float = 1e-12) -> bool:
-        return bool((self.exact <= self.bound + slack).all())
+    def dominates(self) -> bool:
+        return bool((self.exact <= self.bound + _BOUND_SLACK).all())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "bound", "exact_max"])
-            for n, (bd, ex) in enumerate(zip(self.bound, self.exact)):
-                writer.writerow([n, repr(float(bd)), repr(float(ex))])
+        write_csv(path, ["n", "bound", "exact_max"],
+                  ({"n": n, "bound": bd, "exact_max": ex}
+                   for n, (bd, ex) in enumerate(zip(self.bound.tolist(), self.exact.tolist()))))
 
 
 def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,

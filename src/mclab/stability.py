@@ -28,6 +28,8 @@ from .rng import substream
 
 DEFAULT_BUDGET_NODES = 1 << 20
 _CHUNK_ROWS = 1 << 15
+_MAX_WITNESSES = 10     # product_invariant_criterion stops after this many failing words
+_SEARCH_PASSES = 40     # coordinate sweeps per start in search_stable_measure
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -47,12 +49,8 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-def _tree_nodes(alphabet: int, depth: int) -> int:
-    return sum(alphabet ** d for d in range(depth + 1))
-
-
 def _check_budget(alphabet: int, depth: int, budget: int) -> None:
-    nodes = _tree_nodes(alphabet, depth)
+    nodes = sum(alphabet ** d for d in range(depth + 1))
     if nodes > budget:
         raise EnumerationBudgetError(nodes, budget)
 
@@ -83,21 +81,6 @@ def envelope_summary_csv(reports, path) -> None:
         fh.write("depth,c_estimate\n")
         for report in reports:
             fh.write(f"{report.depth},{float(report.c_estimate)!r}\n")
-
-
-@dataclass(frozen=True)
-class WordEnumeration:
-    """Exhaustive lexicographic enumeration plan over a kernel alphabet."""
-
-    alphabet: int
-    depth: int
-
-    def words(self):
-        for d in range(self.depth + 1):
-            yield from itertools.product(range(self.alphabet), repeat=d)
-
-    def count(self) -> int:
-        return _tree_nodes(self.alphabet, self.depth)
 
 
 def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray, depth: int,
@@ -195,8 +178,8 @@ class CriterionWitness:
 
 
 def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
-                                budget_nodes: int = DEFAULT_BUDGET_NODES,
-                                max_witnesses: int = 10) -> tuple[bool, list[CriterionWitness]]:
+                                budget_nodes: int = DEFAULT_BUDGET_NODES
+                                ) -> tuple[bool, list[CriterionWitness]]:
     """Check every word product up to ``depth`` for the stability criterion.
 
     For each non-empty word ``w``, the product ``P_w`` must be irreducible
@@ -204,7 +187,7 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
     ``pi/c <= pi_w <= c pi`` entrywise. This is a necessary condition for
     ``c``-stability of a merging set, and it is reported as a criterion,
     not as a proof. Witnesses list the first failing words in lexicographic
-    order, capped at ``max_witnesses``.
+    order, at most ten of them.
     """
     kernels = list(kernels)
     if depth < 1:
@@ -217,7 +200,7 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
     witnesses: list[CriterionWitness] = []
 
     def visit(word: tuple[int, ...], matrix: np.ndarray) -> None:
-        if len(witnesses) >= max_witnesses:
+        if len(witnesses) >= _MAX_WITNESSES:
             return
         k = StochasticKernel(pi.space, matrix)
         structure = classify_structure(k)
@@ -237,7 +220,7 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
     mats = [k.entries for k in kernels]
 
     def dfs(word: tuple[int, ...], matrix: np.ndarray) -> None:
-        if len(witnesses) >= max_witnesses:
+        if len(witnesses) >= _MAX_WITNESSES:
             return
         for j, m in enumerate(mats):
             child = matrix @ m
@@ -251,7 +234,7 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
 
 def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
                           budget_nodes: int = DEFAULT_BUDGET_NODES,
-                          seed: int = 0, max_passes: int = 40) -> tuple[ProbMeasure, float]:
+                          seed: int = 0) -> tuple[ProbMeasure, float]:
     """Heuristic search for a starting measure minimizing the envelope.
 
     Minimizes ``F(mu0) = max_w max_x |log(mu_w(x)/pi(x))|`` by coordinate
@@ -288,7 +271,7 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
         w = start.copy()
         f = objective(w)
         step = 0.25
-        for _ in range(max_passes):
+        for _ in range(_SEARCH_PASSES):
             improved = False
             for x in rng.permutation(size):
                 for factor in (1.0 + step, 1.0 / (1.0 + step)):

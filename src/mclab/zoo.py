@@ -17,10 +17,34 @@ from .chain_core import ProbMeasure, StateSpace, StochasticKernel
 from .rng import substream
 
 DETAILED_BALANCE_ATOL = 1e-12
+_REGULAR_GRAPH_TRIES = 2000  # pairing-model draws before random_regular_graph gives up
+
+
+def _check_detailed_balance(kernel: StochasticKernel, pi: ProbMeasure, what: str) -> None:
+    flow = pi.weights[:, None] * kernel.entries
+    if np.abs(flow - flow.T).max() > DETAILED_BALANCE_ATOL:
+        raise ArithmeticError(f"{what} failed its detailed balance check")
 
 
 # ---------------------------------------------------------------------------
 # birth-death chains on {0, ..., N}
+
+
+def _tridiagonal(up, down, hold) -> StochasticKernel:
+    """Birth-death kernel on ``{0, ..., N}`` with ``N = len(hold) - 1``.
+
+    ``x -> x+1`` with ``up[x]``, ``x -> x-1`` with ``down[x]``, holding
+    ``hold[x]``; ``up[N]`` and ``down[0]`` are not read.
+    """
+    n = len(hold) - 1
+    k = np.zeros((n + 1, n + 1))
+    for x in range(n + 1):
+        if x < n:
+            k[x, x + 1] = up[x]
+        if x > 0:
+            k[x, x - 1] = down[x]
+        k[x, x] = hold[x]
+    return StochasticKernel(StateSpace(n + 1), k)
 
 
 def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
@@ -34,16 +58,8 @@ def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
         raise ValueError("N must be >= 1")
     if min(p, q, r) < 0 or abs(p + q + r - 1.0) > 1e-12:
         raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}")
-    k = np.zeros((N + 1, N + 1))
-    for x in range(N + 1):
-        if x < N:
-            k[x, x + 1] = p
-        if x > 0:
-            k[x, x - 1] = q
-        k[x, x] = r
-    k[0, 0] += q
-    k[N, N] += p
-    return StochasticKernel(StateSpace(N + 1), k)
+    # lists, not arrays: indexing a Python list is the cheaper per-site read
+    return _tridiagonal([p] * N, [q] * (N + 1), [r + q] + [r] * (N - 1) + [r + p])
 
 
 @dataclass(frozen=True)
@@ -85,22 +101,13 @@ def general_bd(N: int, up, down, hold=None) -> BirthDeathSpec:
         raise ValueError("per-site rates must form probability triples")
     if up[:N].min() <= 0 or down[1:].min() <= 0:
         raise ValueError("interior up and down rates must be positive (irreducible chain)")
-    k = np.zeros((N + 1, N + 1))
-    for x in range(N + 1):
-        if x < N:
-            k[x, x + 1] = up[x]
-        if x > 0:
-            k[x, x - 1] = down[x]
-        k[x, x] = hold[x]
-    kernel = StochasticKernel(StateSpace(N + 1), k)
+    kernel = _tridiagonal(up, down, hold)
 
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:N]) - np.log(down[1:]))))
     log_pi -= log_pi.max()
     pi = np.exp(log_pi)
     measure = ProbMeasure(kernel.space, pi / pi.sum())
-    residual = measure.weights[:, None] * kernel.entries
-    if np.abs(residual - residual.T).max() > DETAILED_BALANCE_ATOL:
-        raise ArithmeticError("detailed balance residual out of tolerance")
+    _check_detailed_balance(kernel, measure, "birth-death kernel")
 
     entries = kernel.entries
     active = entries[np.abs(np.subtract.outer(np.arange(N + 1), np.arange(N + 1))) <= 1]
@@ -153,9 +160,7 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
     q1 = build(p, q, eta1)
     q2 = build(q, p, eta2)
     for kern, pi in zip((q1, q2), stick_pair_measures(N, p, q, r, eta1, eta2)):
-        flow = pi.weights[:, None] * kern.entries
-        if np.abs(flow - flow.T).max() > DETAILED_BALANCE_ATOL:
-            raise ArithmeticError("stick kernel failed its detailed balance check")
+        _check_detailed_balance(kern, pi, "stick kernel")
     return q1, q2
 
 
@@ -225,36 +230,8 @@ def closed_form_invariant(N: int, p: float, q: float, eta1: float, eta2: float) 
 # small counterexample kernels
 
 
-def _srw_kernel(n: int, edges, loops) -> StochasticKernel:
-    degree = np.zeros(n)
-    for x, y in edges:
-        degree[x] += 1
-        degree[y] += 1
-    for x in loops:
-        degree[x] += 1
-    k = np.zeros((n, n))
-    for x, y in edges:
-        k[x, y] += 1.0 / degree[x]
-        k[y, x] += 1.0 / degree[y]
-    for x in loops:
-        k[x, x] += 1.0 / degree[x]
-    return StochasticKernel(StateSpace(n), k)
-
-
-def _default_shift_kernel() -> StochasticKernel:
-    # 0 -> 1 -> 2 deterministically, 2 splits back to {0, 1}: irreducible,
-    # aperiodic, not reversible, and sharing-a-successor fails to connect
-    # state 1 to the others, so the kernel composed with its adjoint is
-    # reducible.
-    return StochasticKernel(StateSpace(3), np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.5, 0.5, 0.0],
-    ]))
-
-
-def small_example(name: str, a: float | None = None, b: float | None = None,
-                  base: StochasticKernel | None = None) -> tuple[StochasticKernel, ...]:
+def small_example(name: str, a: float | None = None,
+                  b: float | None = None) -> tuple[StochasticKernel, ...]:
     """Named small kernel sets.
 
     ``two_point(a, b)``
@@ -269,8 +246,8 @@ def small_example(name: str, a: float | None = None, b: float | None = None,
         them splits mass between two oscillating traps, so even total
         variation merging fails.
     ``adjoint_pair``
-        ``(K, K*)`` for a non-reversible base kernel (default: a 3-state
-        shift with a split return) whose composition ``K K*`` is reducible.
+        ``(K, K*)`` for a non-reversible 3-state shift ``K`` with a split
+        return, whose composition ``K K*`` is reducible.
     """
     if name == "two_point":
         if a is None or b is None or not (0 < a < 1 and 0 < b < 1):
@@ -280,22 +257,32 @@ def small_example(name: str, a: float | None = None, b: float | None = None,
             StochasticKernel(space, np.array([[0.0, 1.0], [1.0 - a, a]])),
             StochasticKernel(space, np.array([[b, 1.0 - b], [1.0, 0.0]])),
         )
-    if name == "five_point":
+    walks = {
         # left vertex 0 loops and hangs off a degree-3 hub; the second graph
         # swaps labels 1<->2 and 3<->4 of the first
-        q0 = _srw_kernel(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)], [0])
-        q1 = _srw_kernel(5, [(0, 2), (2, 1), (2, 4), (1, 3), (4, 3)], [0])
-        return q0, q1
-    if name == "seven_point":
+        "five_point": (5, [((0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (3, 4)),
+                           ((0, 0), (0, 2), (1, 2), (2, 4), (1, 3), (3, 4))]),
         # path into a looped middle vertex, then a diamond to the far end;
         # the second graph swaps labels 0<->1, 3<->4, 5<->6 of the first
-        q0 = _srw_kernel(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], [2])
-        q1 = _srw_kernel(7, [(1, 0), (0, 2), (2, 4), (4, 3), (4, 6), (3, 5), (6, 5)], [2])
-        return q0, q1
+        "seven_point": (7, [((2, 2), (0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)),
+                            ((2, 2), (0, 1), (0, 2), (2, 4), (3, 4), (4, 6), (3, 5), (5, 6))]),
+    }
+    if name in walks:
+        n, edge_sets = walks[name]
+        return tuple(graph_kernel(WeightedGraph(StateSpace(n), edges, np.ones(len(edges))))[0]
+                     for edges in edge_sets)
     if name == "adjoint_pair":
         from .chain_core import adjoint_kernel, stationary_measure
 
-        k = base if base is not None else _default_shift_kernel()
+        # 0 -> 1 -> 2 deterministically, 2 splits back to {0, 1}: irreducible,
+        # aperiodic, not reversible, and sharing-a-successor fails to connect
+        # state 1 to the others, so the kernel composed with its adjoint is
+        # reducible.
+        k = StochasticKernel(StateSpace(3), np.array([
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.5, 0.5, 0.0],
+        ]))
         return k, adjoint_kernel(k, stationary_measure(k))
     raise ValueError(f"unknown example {name!r}")
 
@@ -357,12 +344,8 @@ class WeightedGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_vertices, dtype=int)
-        for x, y in self.edges:
-            d[x] += 1
-            if y != x:
-                d[y] += 1
-        return d
+        """Edges at each vertex, loops counted once."""
+        return self.incident_weight(np.ones(len(self.edges))).astype(int)
 
     @property
     def max_degree(self) -> int:
@@ -438,9 +421,7 @@ def graph_kernel(g: WeightedGraph) -> tuple[StochasticKernel, ProbMeasure]:
             k[y, x] += w / s[y]
     kernel = StochasticKernel(g.space, k)
     pi = ProbMeasure(g.space, s / s.sum())
-    flow = pi.weights[:, None] * kernel.entries
-    if np.abs(flow - flow.T).max() > DETAILED_BALANCE_ATOL:
-        raise ArithmeticError("graph kernel failed its detailed balance check")
+    _check_detailed_balance(kernel, pi, "graph kernel")
     return kernel, pi
 
 
@@ -513,8 +494,7 @@ def lazy_stick(N: int) -> WeightedGraph:
     return WeightedGraph(StateSpace(N + 1), tuple(edges), np.ones(len(edges)))
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 2000,
-                         with_loops: bool = False) -> WeightedGraph:
+def random_regular_graph(n: int, d: int, seed: int, with_loops: bool = False) -> WeightedGraph:
     """Random simple ``d``-regular graph by the pairing model with rejection.
 
     Stubs are matched uniformly; matchings with self-pairs or repeated
@@ -527,7 +507,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 2000,
         raise ValueError("need 2 <= d < n")
     rng = substream(seed, 0x3E6)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_GRAPH_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         edges = set()
@@ -547,4 +527,4 @@ def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 2000,
             return WeightedGraph(StateSpace(n), tuple(edge_list), np.ones(len(edge_list)))
         except ValueError:
             continue  # disconnected draw
-    raise RuntimeError(f"no simple connected {d}-regular graph found in {max_tries} tries")
+    raise RuntimeError(f"no simple connected {d}-regular graph found in {_REGULAR_GRAPH_TRIES} tries")

@@ -153,6 +153,11 @@ class TestMergingTime:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "n,tv,relsup,doeblin_bound,block_bound"
         assert len(lines) == 1 + 5
+        # \r\n line ends and repr floats, byte for byte
+        assert csv_path.read_bytes().decode() == lines[0] + "\r\n" + "".join(
+            f"{i},{float(rep.tv_trajectory[i])!r},{float(rep.relsup_trajectory[i])!r},"
+            f"{float(rep.doeblin_trajectory[i])!r},{float(rep.block_trajectory[i])!r}\r\n"
+            for i in range(5))
         obj = rep.to_json(tmp_path / "report.json")
         assert obj["horizon"] == 4 and len(obj["tv"]) == 5
 

@@ -11,7 +11,7 @@ import mclab
 from mclab import KernelSequence, StateSpace, StochasticKernel, run_scenario
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
-from mclab.merging import first_passage
+from mclab.merging import first_passage, merging_time
 from mclab.scenarios import ResultSet, builtin_scenario_names, emit, load_scenario
 
 from conftest import random_kernel
@@ -259,6 +259,23 @@ class TestCli:
         tv_block = [b for b in blocks if b.startswith("# series: tv")][0]
         assert len(tv_block.splitlines()) - 1 == 51  # horizon + 1 rows
 
+    def test_merge_plotdata_matches_report(self, tmp_path):
+        seq_path = tmp_path / "pair.json"
+        cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
+                  "-P", "q=0.4", "--out", str(seq_path)])
+        assert cli_main(["merge", "--sequence", str(seq_path), "--n-max", "60", "--plotdata",
+                         "--out", str(tmp_path / "m")]) == 0
+        report = merging_time(sequence_from_json(load_json(seq_path)), 0.25, "tv", 60)
+        blocks = (tmp_path / "m.plotdata").read_text().split("\n\n")
+        assert [b.splitlines()[0] for b in blocks] == ["# series: tv", "# series: relsup"]
+        tv = [f"{float(i)!r} {float(v)!r}" for i, v in enumerate(report.tv_trajectory)]
+        relsup = [f"{float(i)!r} {float(v)!r}" for i, v in enumerate(report.relsup_trajectory)
+                  if np.isfinite(v)]
+        assert blocks[0].splitlines()[1:] == tv
+        assert blocks[1].splitlines()[1:] == relsup
+        # the infinite head of the relsup trajectory is left out
+        assert 0 < len(relsup) < len(tv)
+
     def test_csv_cells_are_plain_numbers(self, tmp_path):
         seq_path = tmp_path / "pair.json"
         cli_main(["zoo", "emit", "two_point", "-P", "a=0.4", "-P", "b=0.6",
@@ -304,12 +321,28 @@ class TestCli:
         report = json.loads((tmp_path / "spec.json").read_text())
         assert report["gap_holds"] is True
 
-    def test_spectral_command_rejects_negative_n_max(self, tmp_path):
+    def test_spectral_command_rejects_negative_n_max(self, tmp_path, capsys):
+        # a library ValueError becomes a usage error with exit status 2
         graph_path = tmp_path / "stick.json"
+        seq_path = tmp_path / "pair.json"
         cli_main(["zoo", "emit", "lazy_stick", "-P", "N=6", "--out", str(graph_path)])
-        with pytest.raises(ValueError, match="n_max must be >= 0"):
-            cli_main(["spectral", "--graph", str(graph_path), "--n-max", "-5",
-                      "--out", str(tmp_path / "spec")])
+        cli_main(["zoo", "emit", "two_point", "-P", "a=0.4", "-P", "b=0.6",
+                  "--out", str(seq_path)])
+        cases = [
+            (["spectral", "--graph", str(graph_path), "--n-max", "-5",
+              "--out", str(tmp_path / "spec")], "n_max must be >= 0"),
+            (["bound", "--sequence", str(seq_path), "--n", "-1",
+              "--out", str(tmp_path / "b.csv")], "n must be >= 0"),
+            (["merge", "--sequence", str(seq_path), "--block", "0",
+              "--out", str(tmp_path / "m")], "block must be >= 1"),
+        ]
+        capsys.readouterr()
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: mclab") and f"error: {message}" in err
 
     def test_run_command_writes_outputs(self, tmp_path):
         code = cli_main(["run", "uniform-bd-probe", "--out", str(tmp_path)])

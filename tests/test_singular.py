@@ -152,6 +152,12 @@ class TestSingularValueBounds:
         header = path.read_text().splitlines()[0]
         assert header == ("n,sigma_n,sigma_product,max_tv_bound,max_tv_exact,"
                           "max_relsup_bound,max_relsup_exact")
+        # \r\n line ends and repr floats, byte for byte; sigma_n is empty at n = 0
+        assert path.read_bytes().decode() == header + "\r\n" + "".join(
+            f"{t},{'' if t == 0 else repr(float(rep.sigmas[t - 1]))},"
+            f"{float(rep.sigma_product[t])!r},{float(rep.tv_bound[t].max())!r},"
+            f"{float(rep.tv_exact[t].max())!r},{float(rep.relsup_bound_max[t])!r},"
+            f"{float(rep.relsup_exact_max[t])!r}\r\n" for t in range(6))
 
 
 class TestHomogeneousBounds:

@@ -143,6 +143,9 @@ class TestComparisonCheck:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,bound,exact_max"
         assert len(lines) == 8
+        # \r\n line ends and repr floats, byte for byte
+        assert path.read_bytes().decode() == lines[0] + "\r\n" + "".join(
+            f"{n},{float(report.bound[n])!r},{float(report.exact[n])!r}\r\n" for n in range(7))
 
     @pytest.mark.parametrize("n_max", [-1, -2, -5])
     def test_negative_horizon_rejected(self, n_max):

@@ -21,7 +21,7 @@ from mclab import (
     stationary_measure,
     two_point_classify,
 )
-from mclab.stability import WordEnumeration, envelope_summary_csv
+from mclab.stability import envelope_summary_csv
 
 from conftest import random_kernel
 
@@ -110,12 +110,6 @@ class TestRatioEnvelope:
         envelope_summary_csv(reports, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "depth,c_estimate" and len(lines) == 3
-
-    def test_word_enumeration_counts(self):
-        enum = WordEnumeration(alphabet=2, depth=3)
-        words = list(enum.words())
-        assert len(words) == enum.count() == 1 + 2 + 4 + 8
-        assert len(set(words)) == len(words)
 
 
 class TestProductInvariantCriterion:

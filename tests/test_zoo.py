@@ -72,6 +72,20 @@ class TestConstantRateBD:
         with pytest.raises(ValueError):
             constant_rate_bd(5, 0.5, 0.4, 0.4)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("p, q, r", [(0.4, 0.3, 0.3), (0.0, 0.7, 0.3), (0.6, 0.0, 0.4)])
+    def test_matches_explicit_loop(self, n, p, q, r):
+        k = np.zeros((n + 1, n + 1))
+        for x in range(n + 1):
+            if x < n:
+                k[x, x + 1] = p
+            if x > 0:
+                k[x, x - 1] = q
+            k[x, x] = r
+        k[0, 0] += q
+        k[n, n] += p
+        assert constant_rate_bd(n, p, q, r).entries.tobytes() == k.tobytes()
+
 
 class TestGeneralBD:
     def test_constant_rates_agree_with_constant_constructor(self):
@@ -192,6 +206,19 @@ class TestSmallExamples:
             flow = pi[:, None] * k.entries
             assert np.abs(flow - flow.T).max() <= 1e-15
 
+    @pytest.mark.parametrize("name, n, edge_sets", [
+        ("five_point", 5, [[(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+                           [(0, 0), (0, 2), (2, 1), (2, 4), (1, 3), (4, 3)]]),
+        ("seven_point", 7, [[(2, 2), (0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
+                            [(2, 2), (1, 0), (0, 2), (2, 4), (4, 3), (4, 6), (3, 5), (6, 5)]]),
+    ])
+    def test_walks_are_degree_normalized_adjacency(self, name, n, edge_sets):
+        for kernel, edges in zip(small_example(name), edge_sets, strict=True):
+            a = np.zeros((n, n))
+            for x, y in edges:
+                a[x, y] = a[y, x] = 1.0
+            assert kernel.entries.tobytes() == (a / a.sum(axis=1)[:, None]).tobytes()
+
     def test_seven_point_supports_oscillate(self):
         q0, q1 = small_example("seven_point")
         # chain driven by q1, q0, q1, ... starting in the right diamond
@@ -225,6 +252,10 @@ class TestWeightedGraph:
     def test_degree_and_ratio(self):
         g = lazy_stick(4)
         assert g.degrees.tolist() == [2, 3, 3, 3, 2]
+        # loops count once and weights are ignored
+        loopy = WeightedGraph(StateSpace(4), ((0, 0), (0, 1), (1, 2), (2, 2), (2, 3)),
+                              np.array([1.0, 2.0, 0.5, 3.0, 1.5]))
+        assert loopy.degrees.tolist() == [2, 2, 3, 1] and loopy.degrees.dtype.kind == "i"
         assert g.weight_ratio == 1.0
         assert g.has_all_loops
 
