@@ -574,19 +574,44 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
+def _null_nonfinite(obj):
+    """``obj`` with every non-finite float replaced by ``None`` (JSON ``null``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_nonfinite(v) for v in obj]
+    return obj
+
+
 def dump_json(obj: dict, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and ``null`` for non-finite floats."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_null_nonfinite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def write_csv(path, names: list[str], rows: Iterable[dict]) -> None:
+def write_csv(path, names: list[str], rows: Iterable[dict], comments: Iterable[str] = ()) -> None:
     """Write ``rows`` under the header ``names`` with ``\\r\\n`` line ends.
 
-    The csv module writes a Python float as its ``repr``, so rows should hold
-    Python floats, not numpy scalars.
+    Each of ``comments`` is written first as a ``# `` line. Cells holding a
+    comma, quote or line break are quoted. The csv module writes a Python
+    float as its ``repr``, so rows should hold Python floats, not numpy
+    scalars.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\r\n" for line in comments)
         writer = csv.writer(fh)
         writer.writerow(names)
         writer.writerows([row[k] for k in names] for row in rows)
+
+
+def write_plotdata(path, series: dict[str, list[tuple[float, float]]]) -> None:
+    """Write two-column ``x y`` blocks separated by blank lines, one per labeled series."""
+    blocks = []
+    for label, pairs in series.items():
+        rows = "\n".join(f"{float(x)!r} {float(y)!r}" for x, y in pairs)
+        blocks.append(f"# series: {label}\n{rows}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n\n".join(blocks) + "\n")

@@ -17,7 +17,6 @@ variation and for the relative-sup statistic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from .chain_core import (
     KernelSequence,
     contraction_coefficient,
+    dump_json,
     product,
     tv_between_rows,
     walk,
@@ -197,22 +197,20 @@ class MergingReport:
         write_csv(path, ["n", "tv", "relsup", "doeblin_bound", "block_bound"], self.to_rows())
 
     def to_json(self, path=None):
+        """The report as a JSON object; with ``path``, also written there by ``dump_json``."""
         obj = {
             "horizon": self.horizon,
             "epsilon": self.epsilon,
             "tv_time": self.tv_time,
             "relsup_time": self.relsup_time,
             "tv": self.tv_trajectory.tolist(),
-            "relsup": [None if math.isinf(v) else v for v in self.relsup_trajectory],
+            "relsup": self.relsup_trajectory.tolist(),
             "doeblin_bound": self.doeblin_trajectory.tolist(),
             "block_bound": self.block_trajectory.tolist(),
             "renorm_drift": self.renorm_drift,
         }
-        if path is None:
-            return obj
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        if path is not None:
+            dump_json(obj, path)
         return obj
 
 

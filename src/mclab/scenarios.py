@@ -24,7 +24,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chain_core import KernelSequence, ProbMeasure, sequence_from_json
+from .chain_core import (
+    KernelSequence,
+    ProbMeasure,
+    dump_json,
+    load_json,
+    sequence_from_json,
+    write_csv,
+    write_plotdata,
+)
 from .merging import first_passage
 from .rng import fold_path, substream
 from .singular import singular_value_bounds
@@ -210,8 +218,7 @@ def _gen_lazy_stick_weights(params: dict, point: dict, rng) -> tuple[KernelSeque
 
 def _gen_sequence_file(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
     # run_scenario has already resolved a relative path against the scenario file
-    with open(params["path"], "r", encoding="utf-8") as fh:
-        return sequence_from_json(json.load(fh)), {}
+    return sequence_from_json(load_json(params["path"])), {}
 
 
 def _gen_inline_sequence(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
@@ -255,7 +262,7 @@ def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict) -> 
     report = singular_value_bounds(seq, mu0, int(options.get("n", 100)))
     worst = report.max_violation()
     violations = []
-    if worst > 1e-12:
+    if not report.dominates():
         violations.append(f"singular-value bound violated by {worst:.3e}")
     row = {"max_violation": worst, "sigma_product_final": float(report.sigma_product[-1])}
     return row, violations
@@ -425,52 +432,28 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
 # emit
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    if value is None:
-        return ""
-    return str(value)
-
-
-def write_plotdata(path, series: dict[str, list[tuple[float, float]]]) -> None:
-    """Write two-column ``x y`` blocks separated by blank lines, one per labeled series."""
-    blocks = []
-    for label, pairs in series.items():
-        rows = "\n".join(f"{float(x)!r} {float(y)!r}" for x, y in pairs)
-        blocks.append(f"# series: {label}\n{rows}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
-
-
 def emit(fmt: str, result: ResultSet, path) -> None:
     """Write a result set as ``csv``, ``json`` or ``plotdata``.
 
     CSV starts with comment lines (scenario, hash, tool version, the
     provenance entries, the BLAS, and a timestamp, the single
     non-deterministic line) followed by a stable header and one row per
-    grid point. Plotdata is :func:`write_plotdata` of ``result.series``.
+    grid point. JSON is :func:`~mclab.chain_core.dump_json` of
+    ``result.to_json_obj()``. Plotdata is
+    :func:`~mclab.chain_core.write_plotdata` of ``result.series``.
     """
     if fmt == "csv":
-        lines = [
-            f"# scenario: {result.name}",
-            f"# hash: {result.scenario_hash}",
-            f"# tool_version: {result.tool_version}",
-            *(f"# {key}: {value}" for key, value in result.provenance.items()),
-            f"# blas: {result.blas}",
-            f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
-            ",".join(result.columns),
+        comments = [
+            f"scenario: {result.name}",
+            f"hash: {result.scenario_hash}",
+            f"tool_version: {result.tool_version}",
+            *(f"{key}: {value}" for key, value in result.provenance.items()),
+            f"blas: {result.blas}",
+            f"timestamp: {datetime.now(timezone.utc).isoformat()}",
         ]
-        for row in result.rows:
-            lines.append(",".join(_format_cell(row.get(c)) for c in result.columns))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, result.columns, result.rows, comments)
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(result.to_json_obj(), path)
     elif fmt == "plotdata":
         write_plotdata(path, result.series)
     else:

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_core import (
+    VALUE_ATOL,
     KernelSequence,
     ProbMeasure,
     StochasticKernel,
+    classify_structure,
     evolve,
     stationary_measure,
     walk,
@@ -134,6 +136,10 @@ class SingularBoundReport:
         """Largest ``exact - bound`` over both families (negative when dominated)."""
         return max(float((self.tv_exact - self.tv_bound).max()), self.relsup_violation)
 
+    def dominates(self) -> bool:
+        """Whether both bounds hold everywhere, to ``VALUE_ATOL``."""
+        return self.max_violation() <= VALUE_ATOL
+
     def gap_rows(self) -> list[dict]:
         rows = []
         for t in range(self.horizon + 1):
@@ -246,8 +252,6 @@ class HomogeneousBoundReport:
 
 def homogeneous_bounds(k: StochasticKernel, mu0: ProbMeasure, n: int) -> HomogeneousBoundReport:
     """Time-homogeneous specialization with per-step recomputed sigmas."""
-    from .chain_core import classify_structure
-
     structure = classify_structure(k)
     if not (structure.irreducible and structure.aperiodic):
         raise ValueError("homogeneous bounds need an irreducible aperiodic kernel")

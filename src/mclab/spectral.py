@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_core import ProbMeasure, StochasticKernel, write_csv
+from .chain_core import VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
 from .zoo import WeightedGraph, graph_kernel
 
 GAP_SLACK = 1e-12
-_BOUND_SLACK = 1e-12  # dominates() allows the exact deviation this far above the bound
 
 
 def reversible_eigenvalues(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndarray:
@@ -122,7 +121,7 @@ class ComparisonReport:
     exact: np.ndarray
 
     def dominates(self) -> bool:
-        return bool((self.exact <= self.bound + _BOUND_SLACK).all())
+        return bool((self.exact <= self.bound + VALUE_ATOL).all())
 
     def to_csv(self, path) -> None:
         write_csv(path, ["n", "bound", "exact_max"],

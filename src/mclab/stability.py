@@ -11,7 +11,6 @@ sampling can only under-estimate it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .chain_core import (
     classify_structure,
     stationary_measure,
     walk,
+    write_csv,
 )
 from .rng import substream
 
@@ -69,22 +69,20 @@ class StabilityReport:
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "c_estimate": None if math.isinf(self.c_estimate) else self.c_estimate,
+            "c_estimate": self.c_estimate,
             "witness_word": list(self.witness_word),
             "criterion_pass": self.criterion_pass,
         }
 
 
 def envelope_summary_csv(reports, path) -> None:
-    """Write one ``depth,c_estimate`` line per report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("depth,c_estimate\n")
-        for report in reports:
-            fh.write(f"{report.depth},{float(report.c_estimate)!r}\n")
+    """Write one ``depth,c_estimate`` row per report with :func:`~mclab.chain_core.write_csv`."""
+    write_csv(path, ["depth", "c_estimate"],
+              ({"depth": r.depth, "c_estimate": float(r.c_estimate)} for r in reports))
 
 
-def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray, depth: int,
-                   want_witness: bool = True) -> tuple[float, tuple[int, ...]]:
+def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,
+                   depth: int) -> tuple[float, tuple[int, ...]]:
     """Max of ``max_x |log(mu_w(x)/pi(x))|`` over all words ``|w| <= depth``.
 
     Exact depth-first traversal. Subtrees whose leaf count fits a chunk are
@@ -109,7 +107,7 @@ def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray, depth: int,
         top = int(scores.argmax())
         if scores[top] > best:
             best = float(scores[top])
-            best_word = words(top) if want_witness else ()
+            best_word = words(top)
 
     # proper prefixes (words shorter than prefix_depth), walked one by one
     for d in range(prefix_depth):
@@ -252,7 +250,7 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     size = pi.space.size
 
     def objective(w: np.ndarray) -> float:
-        value, _ = _walk_envelope(mats, w, log_pi, depth, want_witness=False)
+        value, _ = _walk_envelope(mats, w, log_pi, depth)
         return value
 
     starts = [pi.weights, np.full(size, 1.0 / size)]

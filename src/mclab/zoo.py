@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .chain_core import ProbMeasure, StateSpace, StochasticKernel
+from .chain_core import (
+    ProbMeasure,
+    StateSpace,
+    StochasticKernel,
+    adjoint_kernel,
+    space_from_json,
+    space_to_json,
+    stationary_measure,
+)
 from .rng import substream
 
 DETAILED_BALANCE_ATOL = 1e-12
@@ -141,21 +149,10 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
         raise ValueError("eta parameters must lie in [0, 1)")
 
     def build(up_even: float, down_even: float, eta: float) -> StochasticKernel:
-        n = (N - 1) // 2
-        k = np.zeros((N + 1, N + 1))
-        for x in range(0, n + 1):
-            k[2 * x, 2 * x + 1] = up_even
-        for x in range(1, n + 1):
-            k[2 * x, 2 * x - 1] = down_even
-            k[2 * x - 1, 2 * x] = down_even
-        for x in range(0, n):
-            k[2 * x + 1, 2 * x] = up_even
-        for x in range(1, N):
-            k[x, x] = r
-        k[0, 0] = down_even + r
-        k[N, N] = eta
-        k[N, N - 1] = 1.0 - eta
-        return StochasticKernel(StateSpace(N + 1), k)
+        # even sites move up with up_even, odd sites with down_even; the top leaves with 1 - eta
+        up = [up_even, down_even] * ((N + 1) // 2)
+        down = [down_even, up_even] * ((N - 1) // 2) + [down_even, 1.0 - eta]
+        return _tridiagonal(up, down, [down_even + r] + [r] * (N - 1) + [eta])
 
     q1 = build(p, q, eta1)
     q2 = build(q, p, eta2)
@@ -272,8 +269,6 @@ def small_example(name: str, a: float | None = None,
         return tuple(graph_kernel(WeightedGraph(StateSpace(n), edges, np.ones(len(edges))))[0]
                      for edges in edge_sets)
     if name == "adjoint_pair":
-        from .chain_core import adjoint_kernel, stationary_measure
-
         # 0 -> 1 -> 2 deterministically, 2 splits back to {0, 1}: irreducible,
         # aperiodic, not reversible, and sharing-a-successor fails to connect
         # state 1 to the others, so the kernel composed with its adjoint is
@@ -388,8 +383,6 @@ class WeightedGraph:
         return self.with_weights(np.ones(len(self.edges)))
 
     def to_json(self) -> dict:
-        from .chain_core import space_to_json
-
         return {
             "space": space_to_json(self.space),
             "edges": [list(e) for e in self.edges],
@@ -398,8 +391,6 @@ class WeightedGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedGraph":
-        from .chain_core import space_from_json
-
         return cls(
             space_from_json(obj["space"]),
             tuple((min(x, y), max(x, y)) for x, y in obj["edges"]),

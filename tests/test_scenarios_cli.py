@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +10,16 @@ import pytest
 import scipy
 
 import mclab
-from mclab import KernelSequence, StateSpace, StochasticKernel, run_scenario
+from mclab import (
+    KernelSequence,
+    ProbMeasure,
+    StateSpace,
+    StochasticKernel,
+    envelope_summary_csv,
+    ratio_envelope,
+    run_scenario,
+    small_example,
+)
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
 from mclab.merging import first_passage, merging_time
@@ -233,6 +244,40 @@ class TestEmit:
         assert back["summary"] == json.loads(json.dumps(result.summary))
         assert back["rows"] == json.loads(json.dumps(result.rows))
 
+    def test_one_dialect_per_format(self, tmp_path):
+        # a grid value with a comma, and a relative-sup that never becomes finite
+        kernels = small_example("two_point", a=0.4, b=0.6)
+        cfg = {"name": "dialect", "seed": 1,
+               "generator": {"family": "inline_sequence",
+                             "params": {"sequence": sequence_to_json(KernelSequence.cyclic(kernels))}},
+               "analysis": {"kind": "merging_time", "metric": "tv", "epsilon": 0.25, "n_max": 20},
+               "grid": {"N": [2], "tag": ["a,b"]}}
+        (tmp_path / "dialect.json").write_text(json.dumps(cfg))
+        result = run_scenario(tmp_path / "dialect.json")
+        assert math.isinf(result.rows[0]["relsup_final"])
+
+        emit("csv", result, tmp_path / "r.csv")
+        text = (tmp_path / "r.csv").read_bytes().decode()
+        assert text.count("\n") == text.count("\r\n")
+        rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+        assert rows[0] == result.columns and len(rows) == 2
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert rows[1][rows[0].index("tag")] == "a,b"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        emit("json", result, tmp_path / "r.json")
+        obj = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        assert obj["rows"][0]["relsup_final"] is None
+
+        uniform = ProbMeasure.uniform(kernels[0].space)
+        envelope_summary_csv([ratio_envelope(kernels, uniform, uniform, depth=2)],
+                             tmp_path / "summary.csv")
+        summary = (tmp_path / "summary.csv").read_bytes().decode()
+        assert summary.startswith("depth,c_estimate\r\n") and summary.endswith("\r\n")
+        assert summary.count("\n") == summary.count("\r\n") == 2
+
     def test_unknown_format(self, tmp_path):
         empty = ResultSet("x", "00", "0.0", [], [], {}, [])
         with pytest.raises(ValueError):
@@ -343,6 +388,7 @@ class TestCli:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert err.startswith("usage: mclab") and f"error: {message}" in err
+            assert err.startswith(f"usage: mclab {argv[0]} ")
 
     def test_run_command_writes_outputs(self, tmp_path):
         code = cli_main(["run", "uniform-bd-probe", "--out", str(tmp_path)])
