@@ -147,11 +147,6 @@ class StochasticKernel:
         return self.space.size
 
     @classmethod
-    def from_matrix(cls, matrix, space: StateSpace | None = None) -> "StochasticKernel":
-        m = np.asarray(matrix, dtype=float)
-        return cls(space if space is not None else StateSpace(m.shape[0]), m)
-
-    @classmethod
     def identity(cls, space: StateSpace) -> "StochasticKernel":
         return cls(space, np.eye(space.size))
 
@@ -319,6 +314,12 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
         yield i, p, drift
 
 
+def walk_from_start(seq: KernelSequence, n: int, order: str = "forward"):
+    """``(0, I, 0.0)`` for time 0, then :func:`walk` over ``1..n``."""
+    yield 0, np.eye(seq.space.size), 0.0
+    yield from walk(seq, range(1, n + 1), order)
+
+
 def evolve(mu0: ProbMeasure, seq: KernelSequence, n: int) -> list[ProbMeasure]:
     """Distributions ``mu_0, ..., mu_n`` with ``mu_i = mu_{i-1} K_i``.
 
@@ -387,17 +388,16 @@ def stationary_measure(k: StochasticKernel) -> ProbMeasure:
     residual = pi @ k.entries - pi
     # relative residual per state: catches solutions whose small entries
     # are garbage even when the absolute residual looks fine
-    entrywise_ok = pi.min() > 0 and np.max(np.abs(residual) / np.maximum(pi, 1e-300)) <= 1e-12
+    entrywise_ok = pi.min() > 0 and np.max(np.abs(residual) / np.maximum(pi, 1e-300)) <= VALUE_ATOL
     if not entrywise_ok:
         pi = _gth_stationary(k.entries)
         residual = pi @ k.entries - pi
     if np.abs(residual).max() > VALUE_ATOL:
-        raise ArithmeticError(f"stationary solve residual {np.abs(residual).max():.2e} exceeds 1e-12")
+        raise ArithmeticError(f"stationary solve residual {np.abs(residual).max():.2e} exceeds {VALUE_ATOL:g}")
     return ProbMeasure(k.space, pi)
 
 
-def _recurrent_classes(support: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    n = support.shape[0]
+def _recurrent_classes(support: np.ndarray) -> list[list[int]]:
     n_comp, comp = connected_components(csr_matrix(support), directed=True, connection="strong")
     leaves = np.zeros(n_comp, dtype=bool)
     for c in range(n_comp):
@@ -406,7 +406,7 @@ def _recurrent_classes(support: np.ndarray) -> tuple[list[list[int]], np.ndarray
         leaves[c] = not outside.any()
     classes = [sorted(np.nonzero(comp == c)[0].tolist()) for c in range(n_comp) if leaves[c]]
     classes.sort()
-    return classes, comp
+    return classes
 
 
 def _class_period(support: np.ndarray, members: list[int]) -> int:
@@ -451,7 +451,7 @@ def classify_structure(k: StochasticKernel) -> StructureReport:
     kernel converging to a row-constant matrix.
     """
     support = k.entries > 0
-    classes, _ = _recurrent_classes(support)
+    classes = _recurrent_classes(support)
     periods = [_class_period(support, members) for members in classes]
     aperiodic = all(p == 1 for p in periods)
     period = periods[0] if len(periods) == 1 else math.gcd(*periods) if periods else 1

@@ -28,7 +28,7 @@ from .chain_core import (
     dump_json,
     product,
     tv_between_rows,
-    walk,
+    walk_from_start,
     write_csv,
 )
 
@@ -73,9 +73,9 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     when only the passage time is needed.
 
     Every step goes through :func:`~mclab.chain_core.walk`, but the metric
-    is evaluated only at checkpoints: every ``_PASSAGE_STRIDE`` steps and
-    at ``n_max``. The matrices walked since the last checkpoint are kept.
-    A checkpoint value above ``epsilon + _PASSAGE_SLACK * (1 + epsilon)``
+    is evaluated only at checkpoints: time 0, every ``_PASSAGE_STRIDE``
+    steps and ``n_max``. The matrices walked since the last checkpoint are
+    kept. A checkpoint value above ``epsilon + _PASSAGE_SLACK * (1 + epsilon)``
     rules them all out; otherwise they are evaluated in order and the first
     one at or below ``epsilon`` is the hit. The result is the one a
     step-by-step evaluation gives, bit for bit, because the same matrices
@@ -107,13 +107,10 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     band = epsilon + _PASSAGE_SLACK * (1.0 + epsilon)
     stride = _PASSAGE_STRIDE
-    p = np.eye(seq.space.size)
-    value = measure(p)
-    hit: int | None = 0 if value <= epsilon else None
     kept: list[tuple[int, np.ndarray, float | None]] = []
     found = None
     try:
-        for i, step, _ in walk(seq, range(1, n_max + 1)) if hit is None else ():
+        for i, step, _ in walk_from_start(seq, n_max):
             if i % stride and i != n_max:
                 kept.append((i, step, None))
                 continue
@@ -133,6 +130,7 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
         found = _first_at_or_below(kept, measure, epsilon)
         if found is None:
             raise
+    hit = None
     if found is not None:
         hit, p, value = found
     if metric == "tv":
@@ -236,10 +234,7 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
     tv = np.empty(n_max + 1)
     rs = np.empty(n_max + 1)
     drift = 0.0
-    p = np.eye(seq.space.size)
-    tv[0] = tv_between_rows(p)
-    rs[0] = relsup_between_rows(p)
-    for i, p, step_drift in walk(seq, range(1, n_max + 1)):
+    for i, p, step_drift in walk_from_start(seq, n_max):
         drift = max(drift, step_drift)
         tv[i] = tv_between_rows(p)
         rs[i] = relsup_between_rows(p)
@@ -385,10 +380,7 @@ def backward_envelopes(seq: KernelSequence, n: int) -> tuple[np.ndarray, np.ndar
     size = seq.space.size
     lo = np.empty((n + 1, size))
     hi = np.empty((n + 1, size))
-    p = np.eye(size)
-    lo[0] = p.min(axis=0)
-    hi[0] = p.max(axis=0)
-    for i, p, _ in walk(seq, range(1, n + 1), "backward"):
+    for i, p, _ in walk_from_start(seq, n, "backward"):
         lo[i] = p.min(axis=0)
         hi[i] = p.max(axis=0)
     return lo, hi

@@ -14,7 +14,7 @@ import hashlib
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import product as iter_product
 from pathlib import Path
@@ -126,18 +126,8 @@ class ResultSet:
         return self.report_only or not self.violations
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "scenario_hash": self.scenario_hash,
-            "tool_version": self.tool_version,
-            "columns": self.columns,
-            "rows": self.rows,
-            "summary": self.summary,
-            "violations": self.violations,
-            "report_only": self.report_only,
-            "provenance": self.provenance,
-            "blas": self.blas,
-        }
+        """Every field but ``series``, which goes to plotdata."""
+        return {k: v for k, v in asdict(self).items() if k != "series"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ invariant measure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .chain_core import (
     classify_structure,
     evolve,
     stationary_measure,
-    walk,
+    walk_from_start,
     write_csv,
 )
 
@@ -74,15 +73,11 @@ class MeasureTrajectory:
     """A strictly positive reference trajectory ``mu_0, ..., mu_n``."""
 
     measures: tuple[ProbMeasure, ...]
-    source: KernelSequence | None = None
 
     def __post_init__(self):
         for mu in self.measures:
             if mu.weights.min() <= POSITIVITY_FLOOR:
                 raise ValueError("trajectory measures must be strictly positive")
-
-    def __len__(self) -> int:
-        return len(self.measures)
 
     def as_matrix(self) -> np.ndarray:
         return np.stack([mu.weights for mu in self.measures])
@@ -179,8 +174,7 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
     if not mu0.positive:
         raise ValueError("mu0 must be strictly positive")
     mus = evolve(mu0, seq, n)
-    trajectory = MeasureTrajectory(tuple(mus), seq)
-    size = seq.space.size
+    trajectory = MeasureTrajectory(tuple(mus))
 
     sigmas = np.empty(n)
     for i in range(1, n + 1):
@@ -189,13 +183,12 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
 
     inv_sqrt_mu0 = 1.0 / np.sqrt(mu0.weights)
     tv_bound = sigma_product[:, None] * inv_sqrt_mu0[None, :]
-    tv_exact = np.empty((n + 1, size))
+    tv_exact = np.empty((n + 1, seq.space.size))
     relsup_bound_max = np.empty(n + 1)
     relsup_exact_max = np.empty(n + 1)
     relsup_violation = -np.inf
 
-    steps = itertools.chain([(0, np.eye(size), 0.0)], walk(seq, range(1, n + 1)))
-    for t, p, _ in steps:
+    for t, p, _ in walk_from_start(seq, n):
         w = mus[t].weights
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
         exact = np.abs(p / w[None, :] - 1.0)

@@ -10,14 +10,12 @@ convergence bound for each such chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chain_core import VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
 from .zoo import WeightedGraph, graph_kernel
-
-GAP_SLACK = 1e-12
 
 
 def reversible_eigenvalues(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndarray:
@@ -45,14 +43,7 @@ class SpectralReport:
     degree_min: int
 
     def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "gap": self.gap,
-            "beta_top": self.beta_top,
-            "beta_bottom": self.beta_bottom,
-            "degree_total": self.degree_total,
-            "degree_min": self.degree_min,
-        }
+        return asdict(self)
 
 
 def srw_spectrum(g: WeightedGraph) -> SpectralReport:
@@ -143,7 +134,7 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     ratio = graph.weight_ratio
     if b is None:
         b = ratio
-    elif ratio > b * (1 + 1e-12):
+    elif ratio > b * (1 + VALUE_ATOL):
         raise ValueError(f"weight ratio {ratio:.6g} exceeds the declared b={b}")
     unit = srw_spectrum(g)
     kernel, pi = graph_kernel(graph)
@@ -164,7 +155,7 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
         b=b,
         sigma_unit=unit.sigma,
         sigma_w=sigma_w,
-        gap_holds=bool(lhs >= rhs - GAP_SLACK),
+        gap_holds=bool(lhs >= rhs - VALUE_ATOL),
         gap_margin=float(lhs - rhs),
         bound=bound,
         exact=exact,

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_core import (
+    VALUE_ATOL,
     KernelSequence,
     ProbMeasure,
     StochasticKernel,
+    _require_same_space,
     classify_structure,
     stationary_measure,
     walk,
@@ -49,10 +51,24 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(alphabet: int, depth: int, budget: int) -> None:
-    nodes = sum(alphabet ** d for d in range(depth + 1))
+def _tree_matrices(kernels, depth: int, budget: int, *measures: ProbMeasure) -> list[np.ndarray]:
+    """Entry checks of the word-tree functions, in order; returns the kernel matrices.
+
+    A non-empty kernel set on the measures' space, ``depth >= 1`` and strictly
+    positive measures (else ``ValueError``), then a tree within ``budget`` nodes.
+    """
+    kernels = list(kernels)
+    if not kernels:
+        raise ValueError("kernel set must be non-empty")
+    _require_same_space(*kernels, *measures)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not all(mu.positive for mu in measures):
+        raise ValueError("measures must be strictly positive")
+    nodes = sum(len(kernels) ** d for d in range(depth + 1))
     if nodes > budget:
         raise EnumerationBudgetError(nodes, budget)
+    return [k.entries for k in kernels]
 
 
 @dataclass(frozen=True)
@@ -85,9 +101,12 @@ def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,
                    depth: int) -> tuple[float, tuple[int, ...]]:
     """Max of ``max_x |log(mu_w(x)/pi(x))|`` over all words ``|w| <= depth``.
 
-    Exact depth-first traversal. Subtrees whose leaf count fits a chunk are
-    expanded level-by-level as one vectorized block; longer prefixes are
-    walked explicitly. Zero measure entries produce an infinite envelope.
+    Exact traversal. Prefixes of length ``0..prefix_depth`` are walked one
+    by one in (length, lexicographic) order; each of full length roots a
+    vectorized block of the ``sub_depth`` levels below it that fit a chunk,
+    scored level by level with rows in lexicographic order. The witness is
+    the first word visited that attains the maximum. Zero measure entries
+    produce an infinite envelope.
     """
     q = len(mats)
     size = mu0.shape[0]
@@ -99,42 +118,21 @@ def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,
 
     best = -np.inf
     best_word: tuple[int, ...] = ()
-
-    def consider(level: np.ndarray, words) -> None:
-        nonlocal best, best_word
-        with np.errstate(divide="ignore"):
-            scores = np.abs(np.log(level) - log_pi[None, :]).max(axis=1)
-        top = int(scores.argmax())
-        if scores[top] > best:
-            best = float(scores[top])
-            best_word = words(top)
-
-    # proper prefixes (words shorter than prefix_depth), walked one by one
-    for d in range(prefix_depth):
-        for word in itertools.product(range(q), repeat=d):
+    for d in range(prefix_depth + 1):
+        for prefix in itertools.product(range(q), repeat=d):
             mu = mu0
-            for letter in word:
+            for letter in prefix:
                 mu = mu @ mats[letter]
-            consider(mu[None, :], lambda _i, w=word: w)
-
-    # each prefix of full length roots one vectorized subtree
-    for prefix in itertools.product(range(q), repeat=prefix_depth):
-        mu = mu0
-        for letter in prefix:
-            mu = mu @ mats[letter]
-        level = mu[None, :]
-        consider(level, lambda _i, w=prefix: w)
-        for extra in range(1, sub_depth + 1):
-            level = np.stack([level @ m for m in mats], axis=1).reshape(-1, size)
-
-            def decode(i: int, w=prefix, t=extra) -> tuple[int, ...]:
-                letters = []
-                for _ in range(t):
-                    letters.append(i % q)
-                    i //= q
-                return w + tuple(reversed(letters))
-
-            consider(level, decode)
+            level = mu[None, :]
+            for extra in range(sub_depth + 1 if d == prefix_depth else 1):
+                if extra:
+                    level = np.stack([level @ m for m in mats], axis=1).reshape(-1, size)
+                with np.errstate(divide="ignore"):
+                    scores = np.abs(np.log(level) - log_pi[None, :]).max(axis=1)
+                top = int(scores.argmax())
+                if scores[top] > best:
+                    best = float(scores[top])
+                    best_word = prefix + tuple(map(int, np.unravel_index(top, (q,) * extra)))
     return best, best_word
 
 
@@ -149,14 +147,8 @@ def ratio_envelope(kernels, mu0: ProbMeasure, pi: ProbMeasure, depth: int,
     When ``c_threshold`` is given, ``criterion_pass`` records whether the
     envelope stayed at or below it.
     """
-    kernels = list(kernels)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not (mu0.positive and pi.positive):
-        raise ValueError("mu0 and pi must be strictly positive")
-    _check_budget(len(kernels), depth, budget_nodes)
-    log_best, word = _walk_envelope(
-        [k.entries for k in kernels], mu0.weights, np.log(pi.weights), depth)
+    mats = _tree_matrices(kernels, depth, budget_nodes, mu0, pi)
+    log_best, word = _walk_envelope(mats, mu0.weights, np.log(pi.weights), depth)
     c = float(np.exp(log_best))
     return StabilityReport(
         candidate_pi=pi,
@@ -187,47 +179,37 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
     not as a proof. Witnesses list the first failing words in lexicographic
     order, at most ten of them.
     """
-    kernels = list(kernels)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not pi.positive:
-        raise ValueError("pi must be strictly positive")
-    _check_budget(len(kernels), depth, budget_nodes)
+    mats = _tree_matrices(kernels, depth, budget_nodes, pi)
     lo = pi.weights / c
     hi = pi.weights * c
     witnesses: list[CriterionWitness] = []
-
-    def visit(word: tuple[int, ...], matrix: np.ndarray) -> None:
-        if len(witnesses) >= _MAX_WITNESSES:
-            return
+    for word, matrix in _preorder_products(mats, (), np.eye(pi.space.size), depth):
         k = StochasticKernel(pi.space, matrix)
         structure = classify_structure(k)
         if not (structure.irreducible and structure.aperiodic):
             reason = "reducible" if not structure.irreducible else "periodic"
             witnesses.append(CriterionWitness(word, reason,
                                               f"recurrent classes {structure.recurrent_classes}"))
-            return
-        pw = stationary_measure(k).weights
-        slack = 1e-12
-        if (pw < lo - slack).any() or (pw > hi + slack).any():
-            state = int(np.argmax(np.maximum(lo - pw, pw - hi)))
-            witnesses.append(CriterionWitness(
-                word, "band",
-                f"state {state}: pi_w={pw[state]:.6g} outside [{lo[state]:.6g}, {hi[state]:.6g}]"))
-
-    mats = [k.entries for k in kernels]
-
-    def dfs(word: tuple[int, ...], matrix: np.ndarray) -> None:
+        else:
+            pw = stationary_measure(k).weights
+            if (pw < lo - VALUE_ATOL).any() or (pw > hi + VALUE_ATOL).any():
+                state = int(np.argmax(np.maximum(lo - pw, pw - hi)))
+                witnesses.append(CriterionWitness(
+                    word, "band",
+                    f"state {state}: pi_w={pw[state]:.6g} outside [{lo[state]:.6g}, {hi[state]:.6g}]"))
         if len(witnesses) >= _MAX_WITNESSES:
-            return
-        for j, m in enumerate(mats):
-            child = matrix @ m
-            visit(word + (j,), child)
-            if len(word) + 1 < depth:
-                dfs(word + (j,), child)
-
-    dfs((), np.eye(pi.space.size))
+            break
     return len(witnesses) == 0, witnesses
+
+
+def _preorder_products(mats, word: tuple[int, ...], matrix: np.ndarray, depth: int):
+    """``(word + w, matrix @ P_w)`` in preorder, for each non-empty ``w`` with
+    ``|word + w| <= depth``."""
+    for j, m in enumerate(mats):
+        child = matrix @ m
+        yield word + (j,), child
+        if len(word) + 1 < depth:
+            yield from _preorder_products(mats, word + (j,), child, depth)
 
 
 def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
@@ -242,10 +224,7 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     evidence, not proof: a failed search does not certify instability.
     """
     kernels = list(kernels)
-    if not pi.positive:
-        raise ValueError("pi must be strictly positive")
-    _check_budget(len(kernels), depth, budget_nodes)
-    mats = [k.entries for k in kernels]
+    mats = _tree_matrices(kernels, depth, budget_nodes, pi)
     log_pi = np.log(pi.weights)
     size = pi.space.size
 

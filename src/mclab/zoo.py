@@ -14,6 +14,7 @@ import numpy as np
 from mpmath import mp
 
 from .chain_core import (
+    VALUE_ATOL,
     ProbMeasure,
     StateSpace,
     StochasticKernel,
@@ -24,13 +25,12 @@ from .chain_core import (
 )
 from .rng import substream
 
-DETAILED_BALANCE_ATOL = 1e-12
 _REGULAR_GRAPH_TRIES = 2000  # pairing-model draws before random_regular_graph gives up
 
 
 def _check_detailed_balance(kernel: StochasticKernel, pi: ProbMeasure, what: str) -> None:
     flow = pi.weights[:, None] * kernel.entries
-    if np.abs(flow - flow.T).max() > DETAILED_BALANCE_ATOL:
+    if np.abs(flow - flow.T).max() > VALUE_ATOL:
         raise ArithmeticError(f"{what} failed its detailed balance check")
 
 
@@ -64,7 +64,7 @@ def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > 1e-12:
+    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > VALUE_ATOL:
         raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}")
     # lists, not arrays: indexing a Python list is the cheaper per-site read
     return _tridiagonal([p] * N, [q] * (N + 1), [r + q] + [r] * (N - 1) + [r + p])
@@ -105,7 +105,7 @@ def general_bd(N: int, up, down, hold=None) -> BirthDeathSpec:
     if up[N] != 0 or down[0] != 0:
         raise ValueError("up[N] and down[0] must be 0")
     hold = 1.0 - up - down if hold is None else np.asarray(hold, dtype=float)
-    if np.abs(up + down + hold - 1.0).max() > 1e-12 or min(up.min(), down.min(), hold.min()) < 0:
+    if np.abs(up + down + hold - 1.0).max() > VALUE_ATOL or min(up.min(), down.min(), hold.min()) < 0:
         raise ValueError("per-site rates must form probability triples")
     if up[:N].min() <= 0 or down[1:].min() <= 0:
         raise ValueError("interior up and down rates must be positive (irreducible chain)")
@@ -143,7 +143,7 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
     """
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be odd and >= 3")
-    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > 1e-12:
+    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > VALUE_ATOL:
         raise ValueError("p, q, r must be a probability triple")
     if not (0 <= eta1 < 1 and 0 <= eta2 < 1):
         raise ValueError("eta parameters must lie in [0, 1)")
@@ -199,7 +199,7 @@ def closed_form_invariant(N: int, p: float, q: float, eta1: float, eta2: float) 
     decades already for moderate ``N`` and the terms combine with mixed
     signs.
     """
-    if abs(p + q - 1.0) > 1e-12:
+    if abs(p + q - 1.0) > VALUE_ATOL:
         raise ValueError("closed form needs r = 0, so p + q = 1")
     if p == q:
         raise ValueError("closed form degenerates at p = q")
@@ -416,6 +416,12 @@ def graph_kernel(g: WeightedGraph) -> tuple[StochasticKernel, ProbMeasure]:
     return kernel, pi
 
 
+def _target_band(g: WeightedGraph, pi_target: ProbMeasure) -> float:
+    """Band ``a``: the largest ratio, either way, of ``pi_target`` to the degree measure."""
+    delta = g.degree_measure.weights
+    return max(float((pi_target.weights / delta).max()), float((delta / pi_target.weights).max()))
+
+
 def metropolis_reweight(g: WeightedGraph, pi_target: ProbMeasure,
                         a_max: float | None = None) -> np.ndarray:
     """Edge weights whose walk has ``pi_target`` as reversible measure.
@@ -435,9 +441,7 @@ def metropolis_reweight(g: WeightedGraph, pi_target: ProbMeasure,
         raise ValueError("measure lives on a different space")
     if not pi_target.positive:
         raise ValueError("pi_target must be strictly positive")
-    delta = g.degree_measure.weights
-    ratio_band = max(float((pi_target.weights / delta).max()),
-                     float((delta / pi_target.weights).max()))
+    ratio_band = _target_band(g, pi_target)
     if a_max is not None and ratio_band > a_max:
         raise ValueError(f"pi_target sits in the a={ratio_band:.4g} band, beyond a_max={a_max}")
     c_v = g.total_weight
@@ -462,8 +466,7 @@ def metropolis_reweight(g: WeightedGraph, pi_target: ProbMeasure,
 
 def metropolis_ratio_bound(g: WeightedGraph, pi_target: ProbMeasure) -> float:
     """The guaranteed weight-ratio bound ``a^2 (b^3 + b D)`` for the reweight."""
-    delta = g.degree_measure.weights
-    a = max(float((pi_target.weights / delta).max()), float((delta / pi_target.weights).max()))
+    a = _target_band(g, pi_target)
     b = g.weight_ratio
     return a * a * (b ** 3 + b * g.max_degree)
 

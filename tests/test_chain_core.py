@@ -31,6 +31,7 @@ from mclab.chain_core import (
     sequence_to_json,
     tv_between_rows,
     walk,
+    walk_from_start,
 )
 
 from conftest import random_kernel
@@ -165,6 +166,16 @@ class TestWalk:
         seq = three_kinds_of_sequence(rng, "explicit")
         with pytest.raises(ValueError):
             next(walk(seq, range(1, 3), "sideways"))
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_walk_from_start_prepends_time_zero(self, rng, order, n):
+        seq = three_kinds_of_sequence(rng, "iid")
+        steps = list(walk_from_start(seq, n, order))
+        assert [i for i, _, _ in steps] == list(range(n + 1))
+        assert np.array_equal(steps[0][1], np.eye(seq.space.size)) and steps[0][2] == 0.0
+        for (i, p, drift), (j, q, d) in zip(steps[1:], walk(seq, range(1, n + 1), order)):
+            assert (i, drift) == (j, d) and np.array_equal(p, q)
 
 
 class TestEvolve:

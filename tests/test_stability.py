@@ -21,6 +21,7 @@ from mclab import (
     stationary_measure,
     two_point_classify,
 )
+from mclab import stability
 from mclab.stability import envelope_summary_csv
 
 from conftest import random_kernel
@@ -246,3 +247,88 @@ class TestLimitRow:
         seq = KernelSequence.explicit([random_kernel(rng, 3) for _ in range(3)])
         est = limit_row_estimate(seq, n=1, m_min=-10)
         assert est.extension_is_convention
+
+
+class TestWordTreeTraversal:
+    # at 4 states and 3 letters these chunks split depth 5 into walked
+    # prefixes of length 5, 4, 3 and 0 above the vectorized blocks
+    @pytest.mark.parametrize("chunk", [4, 16, 48, 1 << 15])
+    def test_split_tree_matches_bruteforce_oracle(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(stability, "_CHUNK_ROWS", chunk)
+        kernels = [random_kernel(rng, 4, zero_prob=0.2) for _ in range(3)]
+        mu0 = ProbMeasure(kernels[0].space, rng.dirichlet(np.full(4, 2.0)))
+        pi = ProbMeasure(kernels[0].space, rng.dirichlet(np.full(4, 3.0)))
+        rep = ratio_envelope(kernels, mu0, pi, depth=5)
+        oracle_c, oracle_word = envelope_oracle(kernels, mu0, pi, 5)
+        assert rep.c_estimate == pytest.approx(oracle_c, rel=1e-12)
+        assert rep.witness_word == oracle_word
+
+    @pytest.mark.parametrize("chunk", [3, 6, 12, 1 << 15])
+    def test_identical_kernels_witness_is_first_in_length_lex_order(self, monkeypatch, chunk):
+        # a 3-cycle permutation multiplies exactly, so all words of one
+        # length tie exactly; the ratio peaks at lengths 2 and 5
+        monkeypatch.setattr(stability, "_CHUNK_ROWS", chunk)
+        space = StateSpace(3)
+        cycle = StochasticKernel(space, np.roll(np.eye(3), 1, axis=1))
+        mu0 = ProbMeasure(space, np.array([0.2, 0.3, 0.5]))
+        pi = ProbMeasure(space, np.array([0.4, 0.2, 0.4]))
+        rep = ratio_envelope([cycle, cycle], mu0, pi, depth=6)
+        oracle_c, oracle_word = envelope_oracle([cycle, cycle], mu0, pi, 6)
+        assert rep.c_estimate == pytest.approx(oracle_c, rel=1e-12)
+        assert rep.witness_word == oracle_word == (0, 0)
+
+    @pytest.mark.parametrize("chunk", [8, 1 << 15])
+    def test_identical_random_kernels_match_oracle(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(stability, "_CHUNK_ROWS", chunk)
+        # starting at pi, the ratio grows with length as the walk drifts to
+        # the kernel's own invariant measure: all 64 words of length 6 tie
+        k = random_kernel(rng, 4, low=0.01)
+        pi = ProbMeasure(k.space, rng.dirichlet(np.ones(4)))
+        rep = ratio_envelope([k, k], pi, pi, depth=6)
+        oracle_c, oracle_word = envelope_oracle([k, k], pi, pi, 6)
+        assert rep.c_estimate == pytest.approx(oracle_c, rel=1e-12)
+        assert rep.witness_word == oracle_word == (0,) * 6
+
+
+def _entry_calls(kernels, pi, depth):
+    return [
+        lambda: ratio_envelope(kernels, pi, pi, depth),
+        lambda: product_invariant_criterion(kernels, pi, depth, c=2.0),
+        lambda: search_stable_measure(kernels, pi, depth),
+    ]
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("which", range(3))
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_below_one(self, rng, which, depth):
+        k = random_kernel(rng, 3)
+        with pytest.raises(ValueError, match="depth"):
+            _entry_calls([k], ProbMeasure.uniform(k.space), depth)[which]()
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_empty_kernel_set(self, which):
+        with pytest.raises(ValueError, match="non-empty"):
+            _entry_calls([], ProbMeasure.uniform(StateSpace(3)), 2)[which]()
+
+    @pytest.mark.parametrize("which", range(3))
+    @pytest.mark.parametrize("space", [StateSpace(4), StateSpace(3, ("a", "b", "c"))])
+    def test_mismatched_spaces(self, rng, which, space):
+        k = random_kernel(rng, 3)
+        with pytest.raises(ValueError, match="different state spaces"):
+            _entry_calls([k], ProbMeasure.uniform(space), 2)[which]()
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_measure_not_strictly_positive(self, rng, which):
+        k = random_kernel(rng, 3)
+        with pytest.raises(ValueError, match="strictly positive"):
+            _entry_calls([k], ProbMeasure.dirac(k.space, 0), 2)[which]()
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_value_checks_come_before_the_budget(self, rng, which):
+        kernels = [random_kernel(rng, 3) for _ in range(4)]
+        uniform = ProbMeasure.uniform(kernels[0].space)
+        with pytest.raises(ValueError, match="depth"):
+            _entry_calls(kernels * 8, uniform, 0)[which]()
+        with pytest.raises(EnumerationBudgetError):
+            _entry_calls(kernels, uniform, 40)[which]()
