@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .rng import substream
 
@@ -398,38 +396,31 @@ def stationary_measure(k: StochasticKernel) -> ProbMeasure:
 
 
 def _recurrent_classes(support: np.ndarray) -> list[list[int]]:
+    """Closed strongly connected components of a boolean digraph, each sorted, in order."""
+    # imported here, not at module level: scipy.sparse more than doubles the time of `import mclab`
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, comp = connected_components(csr_matrix(support), directed=True, connection="strong")
-    leaves = np.zeros(n_comp, dtype=bool)
-    for c in range(n_comp):
-        members = np.nonzero(comp == c)[0]
-        outside = support[np.ix_(members, np.nonzero(comp != c)[0])]
-        leaves[c] = not outside.any()
-    classes = [sorted(np.nonzero(comp == c)[0].tolist()) for c in range(n_comp) if leaves[c]]
-    classes.sort()
-    return classes
+    leaves = (support & (comp[:, None] != comp[None, :])).any(axis=1)
+    closed = np.bincount(comp[leaves], minlength=n_comp) == 0
+    return sorted(np.nonzero(comp == c)[0].tolist() for c in np.nonzero(closed)[0])
 
 
 def _class_period(support: np.ndarray, members: list[int]) -> int:
     # gcd of cycle lengths through a strongly connected class, via BFS
     # levels: every edge u -> v contributes level(u) + 1 - level(v).
-    sub = support[np.ix_(members, members)]
-    m = len(members)
-    level = np.full(m, -1)
+    sub = support[members][:, members]
+    level = np.full(len(members), -1)
     level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(sub[u])[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(m):
-        for v in np.nonzero(sub[u])[0]:
-            g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g) if g != 0 else 1
+    frontier = np.zeros(1, dtype=int)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(sub[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    u, v = np.nonzero(sub)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,18 @@ from .zoo import (
 )
 
 
+class _Params(dict):
+    """``-P`` values; reading one that was not given is an error naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing parameter {key!r}; pass -P {key}=<value>")
+
+
 def _parse_params(pairs: list[str]) -> dict:
-    out = {}
+    out = _Params()
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"bad parameter {pair!r}; expected key=value")
+            raise ValueError(f"bad parameter {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
         try:
             out[key] = json.loads(value)
@@ -88,7 +95,7 @@ def _cmd_zoo_emit(args) -> int:
         obj = kernel_to_json(kernel)
         obj["reversible_measure"] = measure_to_json(pi)["weights"]
     else:
-        raise SystemExit(f"unknown zoo name {name!r}")
+        raise ValueError(f"unknown zoo name {name!r}")
     dump_json(obj, args.out)
     return 0
 
@@ -237,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ``ValueError`` exits with the subcommand's usage and status 2."""
+    """Run one subcommand; a ``ValueError`` or ``OSError`` exits with the subcommand's usage and status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
 
 

@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 from itertools import product as iter_product
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -305,6 +304,9 @@ def load_scenario(source) -> tuple[dict, bytes]:
     """Load a scenario from a path or a built-in name; returns (config, bytes)."""
     text = _locate_scenario(source).read_bytes()
     config = json.loads(text.decode("utf-8"))
+    # imported here so that `import mclab` does not load jsonschema for this one check
+    import jsonschema
+
     jsonschema.validate(config, SCENARIO_SCHEMA)
     if config["generator"]["family"] not in GENERATORS:
         raise ValueError(f"unknown generator family {config['generator']['family']!r}; "

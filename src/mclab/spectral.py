@@ -76,16 +76,11 @@ def dirichlet_forms(g: WeightedGraph, f, weights=None) -> tuple[float, float, fl
     f = np.asarray(f, dtype=float)
     graph = g if weights is None else g.with_weights(weights)
     c_w = graph.total_weight
-    energy = 0.0
-    sums = 0.0
-    for (x, y), w in zip(graph.edges, graph.weights):
-        if x == y:
-            sums += 0.5 * (2.0 * f[x]) ** 2 * w
-        else:
-            energy += (f[x] - f[y]) ** 2 * w
-            sums += (f[x] + f[y]) ** 2 * w
-    energy /= c_w
-    sums /= c_w
+    # over ordered adjacent pairs, so a non-loop edge counts twice, halved
+    edge, end, other = graph._ends()
+    w = 0.5 * graph.weights[edge]
+    energy = float(((f[end] - f[other]) ** 2 * w).sum()) / c_w
+    sums = float(((f[end] + f[other]) ** 2 * w).sum()) / c_w
     _, pi = graph_kernel(graph)
     mean = float(pi.weights @ f)
     var = float(pi.weights @ (f - mean) ** 2)

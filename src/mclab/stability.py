@@ -222,6 +222,9 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     from ``pi``, the uniform measure, and the barycenter of the alphabet's
     stationary measures. Deterministic given the seed. The result is
     evidence, not proof: a failed search does not certify instability.
+
+    Cost: up to 3 starts x 40 sweeps x ``2N`` envelope walks on ``N``
+    states. ``budget_nodes`` caps each walk's word tree, not the search.
     """
     kernels = list(kernels)
     mats = _tree_matrices(kernels, depth, budget_nodes, pi)

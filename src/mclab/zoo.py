@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .chain_core import (
     VALUE_ATOL,
     ProbMeasure,
     StateSpace,
     StochasticKernel,
+    _recurrent_classes,
     adjoint_kernel,
     space_from_json,
     space_to_json,
@@ -90,13 +90,13 @@ class BirthDeathSpec:
     within_measure_band: bool
 
 
-def general_bd(N: int, up, down, hold=None) -> BirthDeathSpec:
+def general_bd(N: int, up, down) -> BirthDeathSpec:
     """Birth-death chain with per-site rates.
 
     ``up[x]`` and ``down[x]`` are the probabilities of ``x -> x+1`` and
-    ``x -> x-1``; ``up[N]`` and ``down[0]`` must be 0. Holding defaults to
-    the leftover mass. The reversible measure comes from the standard
-    product formula ``pi(x) proportional to prod_{j<x} up[j]/down[j+1]``.
+    ``x -> x-1``; ``up[N]`` and ``down[0]`` must be 0. Holding is the
+    leftover mass ``1 - up - down``. The reversible measure comes from the
+    standard product formula ``pi(x) proportional to prod_{j<x} up[j]/down[j+1]``.
     """
     up = np.asarray(up, dtype=float)
     down = np.asarray(down, dtype=float)
@@ -104,8 +104,8 @@ def general_bd(N: int, up, down, hold=None) -> BirthDeathSpec:
         raise ValueError("up and down must have length N+1")
     if up[N] != 0 or down[0] != 0:
         raise ValueError("up[N] and down[0] must be 0")
-    hold = 1.0 - up - down if hold is None else np.asarray(hold, dtype=float)
-    if np.abs(up + down + hold - 1.0).max() > VALUE_ATOL or min(up.min(), down.min(), hold.min()) < 0:
+    hold = 1.0 - up - down
+    if min(up.min(), down.min(), hold.min()) < 0:
         raise ValueError("per-site rates must form probability triples")
     if up[:N].min() <= 0 or down[1:].min() <= 0:
         raise ValueError("interior up and down rates must be positive (irreducible chain)")
@@ -203,6 +203,9 @@ def closed_form_invariant(N: int, p: float, q: float, eta1: float, eta2: float) 
         raise ValueError("closed form needs r = 0, so p + q = 1")
     if p == q:
         raise ValueError("closed form degenerates at p = q")
+    # imported here so that `import mclab` does not load mpmath for this one function
+    from mpmath import mp
+
     digits = 40 + int(2 * N * abs(np.log10(p / q))) + N
     with mp.workdps(digits):
         mp_p, mp_q = mp.mpf(p), mp.mpf(q)
@@ -315,23 +318,25 @@ class WeightedGraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if not self._connected():
+        _, end, other = self._ends()
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[end, other] = True
+        if len(_recurrent_classes(adjacency)) != 1:
             raise ValueError("graph must be connected")
 
-    def _connected(self) -> bool:
-        n = self.space.size
-        adj = [[] for _ in range(n)]
-        for x, y in self.edges:
-            adj[x].append(y)
-            adj[y].append(x)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nbr in adj[stack.pop()]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return len(seen) == n
+    def _ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(edge, end, other)`` index arrays, one entry per edge end, in edge order.
+
+        Edge ``i = (x, y)`` lists ``(i, x, y)`` and then ``(i, y, x)``; a
+        loop ``(x, x)`` is listed once, which is the rule that a loop
+        counts once.
+        """
+        xy = np.array(self.edges, dtype=int).reshape(-1, 2)
+        edge = np.arange(len(xy)).repeat(2)
+        end, other = xy.ravel(), xy[:, ::-1].ravel()
+        keep = np.ones(edge.size, dtype=bool)
+        keep[1::2] = xy[:, 0] != xy[:, 1]
+        return edge[keep], end[keep], other[keep]
 
     @property
     def n_vertices(self) -> int:
@@ -354,12 +359,8 @@ class WeightedGraph:
     def incident_weight(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Total weight at each vertex, loops counted once."""
         w = self.weights if weights is None else np.asarray(weights, dtype=float)
-        s = np.zeros(self.n_vertices)
-        for (x, y), we in zip(self.edges, w):
-            s[x] += we
-            if y != x:
-                s[y] += we
-        return s
+        edge, end, _ = self._ends()
+        return np.bincount(end, weights=w[edge], minlength=self.n_vertices)
 
     @property
     def total_weight(self) -> float:
@@ -405,11 +406,9 @@ def graph_kernel(g: WeightedGraph) -> tuple[StochasticKernel, ProbMeasure]:
     scaling all weights leaves both outputs unchanged.
     """
     s = g.incident_weight()
+    edge, end, other = g._ends()
     k = np.zeros((g.n_vertices, g.n_vertices))
-    for (x, y), w in zip(g.edges, g.weights):
-        k[x, y] += w / s[x]
-        if y != x:
-            k[y, x] += w / s[y]
+    k[end, other] = g.weights[edge] / s[end]
     kernel = StochasticKernel(g.space, k)
     pi = ProbMeasure(g.space, s / s.sum())
     _check_detailed_balance(kernel, pi, "graph kernel")
@@ -447,20 +446,17 @@ def metropolis_reweight(g: WeightedGraph, pi_target: ProbMeasure,
     c_v = g.total_weight
     pi_v = g.incident_weight() / c_v
     scale = pi_target.weights / pi_v
+    edge, end, other = g._ends()
+    loop = end == other
+    scaled = g.weights[edge] * np.minimum(scale[end], scale[other])
+    nonloop_sum = np.bincount(end[~loop], weights=scaled[~loop], minlength=g.n_vertices)
     new = np.empty(len(g.edges))
-    loop_index = {}
-    nonloop_sum = np.zeros(g.n_vertices)
-    for idx, ((x, y), w) in enumerate(zip(g.edges, g.weights)):
-        if x == y:
-            loop_index[x] = idx
-        else:
-            new[idx] = w * min(scale[x], scale[y])
-            nonloop_sum[x] += new[idx]
-            nonloop_sum[y] += new[idx]
-    for x, idx in loop_index.items():
-        new[idx] = c_v * pi_target.weights[x] - nonloop_sum[x]
-        if new[idx] <= 0:
-            raise ArithmeticError(f"loop weight at vertex {x} came out non-positive")
+    new[edge] = scaled
+    looped = end[loop]
+    new[edge[loop]] = c_v * pi_target.weights[looped] - nonloop_sum[looped]
+    bad = looped[new[edge[loop]] <= 0]
+    if bad.size:
+        raise ArithmeticError(f"loop weight at vertex {bad[0]} came out non-positive")
     return new
 
 
