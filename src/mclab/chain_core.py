@@ -481,11 +481,18 @@ def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
 
 
 def tv_between_rows(matrix: np.ndarray) -> float:
-    """Largest total-variation distance between two rows.
+    """Largest total-variation distance between two rows, capped at 1.
 
     Each block of rows is compared with every row after the block's first,
     with the block sized so the difference array stays near ``_TV_CHUNK``
-    elements.
+    elements. Between two probability rows the distance is at most 1, but
+    rounding can put the computed L1 difference above 2 (``1.0000000000000002``
+    after halving, as on every step of a chain that has not yet started to
+    merge). So the scan returns ``1.0`` at the first block whose largest L1
+    difference reaches 2.0 and skips the blocks after it. Halving is exact,
+    so the result equals ``min(all-pairs value, 1.0)`` bit for bit: values
+    below 1 are the ones the full scan gives, and values at or above 1 read
+    ``1.0``.
     """
     n = matrix.shape[0]
     rows = max(1, _TV_CHUNK // (n * n))
@@ -493,6 +500,8 @@ def tv_between_rows(matrix: np.ndarray) -> float:
     for i in range(0, n - 1, rows):
         d = np.abs(matrix[i:i + rows, None, :] - matrix[None, i + 1:, :]).sum(axis=-1)
         best = max(best, float(d.max()))
+        if best >= 2.0:
+            return 1.0
     return 0.5 * best
 
 
@@ -500,8 +509,9 @@ def contraction_coefficient(k: StochasticKernel) -> float:
     """Dobrushin coefficient: the largest TV distance between two rows.
 
     Submultiplicative under composition, hence a merging upper bound.
+    Capped at 1 by :func:`tv_between_rows`.
     """
-    return min(tv_between_rows(k.entries), 1.0)
+    return tv_between_rows(k.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +523,20 @@ def contraction_coefficient(k: StochasticKernel) -> float:
 #            "word": [...], "probs": [...], "seed": <u64>}
 
 
+def required_key(obj, key: str):
+    """``obj[key]``; a missing key, or an ``obj`` that is not a JSON object,
+    raises ``ValueError`` naming the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing required key {key!r}")
+    return obj[key]
+
+
 def space_to_json(space: StateSpace) -> dict:
     return {"labels": list(space.labels)}
 
 
 def space_from_json(obj: dict) -> StateSpace:
-    labels = obj["labels"]
+    labels = required_key(obj, "labels")
     return StateSpace(len(labels), tuple(labels))
 
 
@@ -527,7 +545,8 @@ def kernel_to_json(k: StochasticKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> StochasticKernel:
-    return StochasticKernel(space_from_json(obj["space"]), np.asarray(obj["matrix"], dtype=float))
+    return StochasticKernel(space_from_json(required_key(obj, "space")),
+                            np.asarray(required_key(obj, "matrix"), dtype=float))
 
 
 def measure_to_json(mu: ProbMeasure) -> dict:
@@ -535,7 +554,8 @@ def measure_to_json(mu: ProbMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> ProbMeasure:
-    return ProbMeasure(space_from_json(obj["space"]), np.asarray(obj["weights"], dtype=float))
+    return ProbMeasure(space_from_json(required_key(obj, "space")),
+                       np.asarray(required_key(obj, "weights"), dtype=float))
 
 
 def sequence_to_json(seq: KernelSequence) -> dict:
@@ -549,8 +569,8 @@ def sequence_to_json(seq: KernelSequence) -> dict:
 
 
 def sequence_from_json(obj: dict) -> KernelSequence:
-    kernels = [kernel_from_json(k) for k in obj["kernels"]]
-    kind = obj["kind"]
+    kernels = [kernel_from_json(k) for k in required_key(obj, "kernels")]
+    kind = required_key(obj, "kind")
     if kind == "explicit":
         return KernelSequence.explicit(kernels)
     if kind == "cyclic":

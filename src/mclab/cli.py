@@ -24,6 +24,7 @@ from .chain_core import (
     load_json,
     measure_from_json,
     measure_to_json,
+    required_key,
     sequence_from_json,
     sequence_to_json,
     write_plotdata,
@@ -149,7 +150,7 @@ def _cmd_spectral(args) -> int:
     elif args.weights.startswith("random:"):
         weights = random_weights(graph, args.b, int(args.weights.split(":", 1)[1]))
     else:
-        weights = np.asarray(load_json(args.weights)["weights"], dtype=float)
+        weights = np.asarray(required_key(load_json(args.weights), "weights"), dtype=float)
     spec = srw_spectrum(graph)
     report = comparison_check(graph, weights, args.b, args.n_max)
     out = Path(args.out)
@@ -243,13 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _schema_errors() -> tuple[type[Exception], ...]:
+    # jsonschema loads on a scenario's first validation, never with the package,
+    # so until it is in sys.modules no schema error can have been raised
+    jsonschema = sys.modules.get("jsonschema")
+    return (jsonschema.ValidationError,) if jsonschema is not None else ()
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; a ``ValueError`` or ``OSError`` exits with the subcommand's usage and status 2."""
+    """Run one subcommand; a ``ValueError``, an ``OSError`` or a scenario that
+    fails the schema exits with the subcommand's usage and status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
+    except _schema_errors() as exc:
+        where = ".".join(map(str, exc.absolute_path)) or "top level"
+        args.parser.error(f"scenario fails the schema ({where}): {exc.message}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,11 @@ Every walk over time accumulates that matrix through
 when a step drifts by more than ``DRIFT_ATOL``; :func:`product` is the
 literal compose fold the walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
-:func:`~mclab.chain_core.tv_between_rows`. The Doeblin and block
+:func:`~mclab.chain_core.tv_between_rows`, which caps the distance at its
+ceiling of 1: a trajectory or ``tv_final`` value that rounding would put
+at ``1.0000000000000002`` reads ``1.0``. Halving an L1 difference is exact,
+so values below 1, and every merging time, are those of the uncapped
+all-pairs scan bit for bit. The Doeblin and block
 certificates are computed once per distinct kernel window and reused
 wherever the window recurs. The extremal-pair reduction
 applies throughout: the worst pair of Dirac starting points realizes the

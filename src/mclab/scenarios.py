@@ -28,6 +28,7 @@ from .chain_core import (
     ProbMeasure,
     dump_json,
     load_json,
+    required_key,
     sequence_from_json,
     write_csv,
     write_plotdata,
@@ -207,11 +208,11 @@ def _gen_lazy_stick_weights(params: dict, point: dict, rng) -> tuple[KernelSeque
 
 def _gen_sequence_file(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
     # run_scenario has already resolved a relative path against the scenario file
-    return sequence_from_json(load_json(params["path"])), {}
+    return sequence_from_json(load_json(required_key(params, "path"))), {}
 
 
 def _gen_inline_sequence(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    seq = sequence_from_json(params["sequence"])
+    seq = sequence_from_json(required_key(params, "sequence"))
     if seq.space.size > MAX_INLINE_STATES:
         raise ValueError(
             f"inline kernels are limited to {MAX_INLINE_STATES} states; "
@@ -382,7 +383,7 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     generate = GENERATORS[family]
     params = config["generator"].get("params", {})
     if family == "sequence_file":
-        data = Path(_locate_scenario(source)).parent / params["path"]
+        data = Path(_locate_scenario(source)).parent / required_key(params, "path")
         params = dict(params, path=str(data))
         digest.update(hashlib.sha256(data.read_bytes()).digest())
     analyze = ANALYSES[config["analysis"]["kind"]]

@@ -19,6 +19,7 @@ from .chain_core import (
     StochasticKernel,
     _recurrent_classes,
     adjoint_kernel,
+    required_key,
     space_from_json,
     space_to_json,
     stationary_measure,
@@ -393,9 +394,9 @@ class WeightedGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedGraph":
         return cls(
-            space_from_json(obj["space"]),
-            tuple((min(x, y), max(x, y)) for x, y in obj["edges"]),
-            np.asarray(obj["weights"], dtype=float),
+            space_from_json(required_key(obj, "space")),
+            tuple((min(x, y), max(x, y)) for x, y in required_key(obj, "edges")),
+            np.asarray(required_key(obj, "weights"), dtype=float),
         )
 
 

@@ -28,3 +28,14 @@ def random_reversible_kernel(rng, n, lazy=0.2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)
+
+
+def all_pairs_tv(matrix):
+    """Worst-pair total variation over every pair of rows, without the cap at 1.
+
+    Each row is compared with every later row, one contiguous L1 sum per
+    pair, so the value is the literal pair loop's bit for bit.
+    """
+    n = matrix.shape[0]
+    return max((0.5 * float(np.abs(matrix[i + 1:] - matrix[i]).sum(axis=1).max())
+                for i in range(n - 1)), default=0.0)

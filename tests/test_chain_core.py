@@ -34,7 +34,7 @@ from mclab.chain_core import (
     walk_from_start,
 )
 
-from conftest import random_kernel
+from conftest import all_pairs_tv, random_kernel
 
 
 def brute_force_sia(entries, n=400, tol=1e-8):
@@ -346,6 +346,44 @@ class TestContraction:
                      default=0.0)
         assert tv_between_rows(e) == oracle
         assert contraction_coefficient(k) == min(tv_between_rows(e), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 17, 33, 65, 129, 257])
+    def test_tv_kernel_is_the_oracle_capped_at_one(self, rng, n):
+        # most rows hold one or two entries, so many pairs are disjoint and,
+        # from 65 states on, rounding puts the oracle above 1
+        e = random_kernel(rng, n, zero_prob=0.97).entries
+        assert tv_between_rows(e) == min(all_pairs_tv(e), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 65, 257])
+    def test_identity_is_one(self, n):
+        e = np.eye(n)
+        assert tv_between_rows(e) == min(all_pairs_tv(e), 1.0) == (1.0 if n > 1 else 0.0)
+
+    def test_walk_before_merging_reads_one(self):
+        # the mirrored pair's ends stay apart for about 30 steps; rounding
+        # puts some of those worst-pair values above 1
+        seq = KernelSequence.cyclic([constant_rate_bd(64, 0.54, 0.36, 0.1),
+                                     constant_rate_bd(64, 0.36, 0.54, 0.1)])
+        above = 0
+        for _, p, _ in walk_from_start(seq, 40):
+            oracle = all_pairs_tv(p)
+            above += oracle > 1.0
+            assert tv_between_rows(p) == min(oracle, 1.0)
+        assert above > 0
+
+    @pytest.mark.parametrize("n", [9, 65, 257])
+    def test_scan_reaches_the_last_block_below_one(self, n):
+        # every row uniform but the last two, u + d and u - d: the worst pair
+        # is those two, which only the last block compares, and it stays below 1
+        e = np.full((n, n), 1.0 / n)
+        d = np.zeros(n)
+        d[:n - n % 2] = 0.8 / n * np.resize([1.0, -1.0], n - n % 2)
+        e[-2] += d
+        e[-1] -= d
+        oracle = all_pairs_tv(e)
+        assert oracle == 0.5 * float(np.abs(e[-2] - e[-1]).sum())
+        assert 0.7 < oracle < 1.0
+        assert tv_between_rows(e) == oracle
 
 
 class TestSequences:

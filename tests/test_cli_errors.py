@@ -1,5 +1,6 @@
 """Every bad command line exits with status 2 and the subcommand's usage."""
 
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +48,58 @@ def test_unreadable_input_file(tmp_path, capsys, argv):
     err = run_failing(argv, capsys)
     assert err.startswith(f"usage: mclab {argv[0]} ")
     assert "No such file or directory" in err and "missing.json" in err
+
+
+KERNEL = {"space": {"labels": ["0", "1"]}, "matrix": [[0.5, 0.5], [0.5, 0.5]]}
+SEQUENCE = {"kind": "cyclic", "kernels": [KERNEL]}
+GRAPH = {"space": {"labels": ["0", "1"]}, "edges": [[0, 1]], "weights": [1.0]}
+
+
+@pytest.mark.parametrize("argv, files, key", [
+    (["spectral", "--graph", "{a}"], {"a": {"space": {"labels": ["0"]}}}, "edges"),
+    (["spectral", "--graph", "{a}"], {"a": {"edges": [[0, 1]], "weights": [1.0]}}, "space"),
+    (["spectral", "--graph", "{a}"], {"a": [GRAPH]}, "space"),
+    (["spectral", "--graph", "{a}"], {"a": dict(GRAPH, space={})}, "labels"),
+    (["spectral", "--graph", "{a}", "--weights", "{b}"], {"a": GRAPH, "b": {}}, "weights"),
+    (["merge", "--sequence", "{a}"], {"a": {"kind": "cyclic"}}, "kernels"),
+    (["merge", "--sequence", "{a}"], {"a": {"kernels": [KERNEL]}}, "kind"),
+    (["bound", "--sequence", "{a}"],
+     {"a": dict(SEQUENCE, kernels=[{"space": KERNEL["space"]}])}, "matrix"),
+    (["stability", "--kernels", "{a}", "--depth", "2", "--pi", "{b}"],
+     {"a": SEQUENCE, "b": {"space": KERNEL["space"]}}, "weights"),
+])
+def test_json_input_missing_a_required_key(tmp_path, capsys, argv, files, key):
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    err = run_failing([a.format(**paths) for a in argv] + ["--out", str(out)], capsys)
+    assert err.startswith(f"usage: mclab {argv[0]} ")
+    assert f"error: missing required key {key!r}" in err
+    assert not out.exists()
+
+
+SCENARIO = {"name": "x", "seed": 1, "analysis": {"kind": "merging_time"}, "grid": {"N": [4]}}
+
+
+@pytest.mark.parametrize("config, message", [
+    # which missing property is named first is up to jsonschema
+    ({"name": "x"}, "scenario fails the schema (top level): '"),
+    (dict(SCENARIO, generator={"family": 3}),
+     "scenario fails the schema (generator.family): 3 is not of type 'string'"),
+    (dict(SCENARIO, generator={"family": "sequence_file", "params": {}}),
+     "missing required key 'path'"),
+    (dict(SCENARIO, generator={"family": "inline_sequence", "params": {}}),
+     "missing required key 'sequence'"),
+])
+def test_run_usage_errors(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    err = run_failing(["run", str(path), "--out", str(tmp_path / "results")], capsys)
+    assert err.startswith("usage: mclab run ")
+    assert f"error: {message}" in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_import_leaves_heavy_dependencies_unloaded():

@@ -22,11 +22,11 @@ from mclab import (
     uniform_conditions_certificate,
 )
 from mclab import merging
-from mclab.chain_core import walk
+from mclab.chain_core import walk, walk_from_start
 from mclab.merging import _block_trajectory, first_passage, relsup_between_rows, tv_between_rows
 from mclab.zoo import constant_rate_bd
 
-from conftest import random_kernel
+from conftest import all_pairs_tv, random_kernel
 
 
 def exact_tv_trajectory(seq, n):
@@ -144,6 +144,26 @@ class TestMergingTime:
         assert t == rep.time(metric)
         assert tv == rep.tv_trajectory[stop]
         assert relsup == rep.relsup_trajectory[stop]
+
+    def test_capped_trajectory_on_the_mirrored_pair(self):
+        # the 65-state pair stays at distance 1 for about 30 steps, some of
+        # them above 1 by rounding; only those cells change under the cap
+        seq = KernelSequence.cyclic([constant_rate_bd(64, 0.54, 0.36, 0.1),
+                                     constant_rate_bd(64, 0.36, 0.54, 0.1)])
+        n_max, epsilon = 300, 0.95
+        uncapped = np.array([all_pairs_tv(p) for _, p, _ in walk_from_start(seq, n_max)])
+        relsup = np.array([relsup_between_rows(p) for _, p, _ in walk_from_start(seq, n_max)])
+        rep = merging_time(seq, epsilon, "tv", n_max)
+        assert rep.tv_time == int(np.nonzero(uncapped <= epsilon)[0][0])
+        assert rep.relsup_time is None and not (relsup <= epsilon).any()
+        assert (rep.relsup_trajectory == relsup).all()
+        changed = rep.tv_trajectory != uncapped
+        assert changed.any()
+        assert (changed == (uncapped > 1.0)).all()
+        assert (rep.tv_trajectory[changed] == 1.0).all()
+        t, tv, _ = first_passage(seq, epsilon, "tv", n_max)
+        assert t == rep.tv_time and tv == uncapped[t]
+        assert first_passage(seq, 1e3, "relsup", 20)[1] == 1.0 < uncapped[20]
 
     def test_report_serialization(self, rng, tmp_path):
         seq = KernelSequence.explicit([random_kernel(rng, 3) for _ in range(4)])
