@@ -355,7 +355,7 @@ class TestContraction:
         assert tv_between_rows(e) == min(all_pairs_tv(e), 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 65, 257])
-    def test_identity_is_one(self, n):
+    def test_identity_rows_read_one(self, n):
         e = np.eye(n)
         assert tv_between_rows(e) == min(all_pairs_tv(e), 1.0) == (1.0 if n > 1 else 0.0)
 
