@@ -105,6 +105,11 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     floating-point range. For relative-sup, once a checkpoint matrix holds
     a positive entry below ``_PASSAGE_TINY``, the matrices kept up to it
     are all evaluated and every later step is checked.
+
+    An ``epsilon`` at or below about 1e-12 measures rounding, not merging:
+    the computed TV stops falling at a floor set by the rounding of each
+    step. On the cyclic 17-state mirrored pair it reads 1.2e-15 at
+    n = 3000, where the decay from n = 1000 to 2000 would put it near 5e-20.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")

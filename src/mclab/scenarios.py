@@ -139,7 +139,7 @@ def _seed_from(rng) -> int:
 
 
 def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(point["N"])
+    n = int(required_key(point, "N"))
     lo = float(params.get("ratio_min", 1.2))
     hi = float(params.get("ratio_max", 2.0))
     hold_max = float(params.get("hold_max", 0.3))
@@ -154,8 +154,8 @@ def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, d
 
 
 def _gen_mirrored_bd_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(point["N"])
-    p, q, r = float(params["p"]), float(params["q"]), float(params["r"])
+    n = int(required_key(point, "N"))
+    p, q, r = (float(required_key(params, key)) for key in ("p", "q", "r"))
     return KernelSequence.cyclic([constant_rate_bd(n, p, q, r),
                                   constant_rate_bd(n, q, p, r)]), {}
 
@@ -180,15 +180,16 @@ def _sample_banded_chain(n: int, rng):
 
 
 def _gen_uniform_bd_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(point["N"])
+    n = int(required_key(point, "N"))
     size = int(params.get("set_size", 8))
     kernels = [_sample_banded_chain(n, rng).kernel for _ in range(size)]
     return KernelSequence.iid(kernels, seed=_seed_from(rng)), {}
 
 
 def _gen_stick_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(point["N"])
-    q1, q2 = perturbed_stick_pair(n, float(params["p"]), float(params["q"]),
+    n = int(required_key(point, "N"))
+    q1, q2 = perturbed_stick_pair(n, float(required_key(params, "p")),
+                                  float(required_key(params, "q")),
                                   float(params.get("r", 0.0)),
                                   float(params.get("eta1", 0.0)),
                                   float(params.get("eta2", 0.0)))
@@ -196,7 +197,7 @@ def _gen_stick_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dic
 
 
 def _gen_lazy_stick_weights(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(point["N"])
+    n = int(required_key(point, "N"))
     b = float(params.get("b", 2.0))
     size = int(params.get("set_size", 8))
     graph = lazy_stick(n)

@@ -10,6 +10,7 @@ invariant measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ STEP_ATOL = 1e-10
 #: entries at or below this are a hard error: the bound weights blow up and
 #: clamping would silently fabricate finite bounds
 POSITIVITY_FLOOR = 1e-300
+#: unit roundoff of float64
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> None:
@@ -42,18 +45,86 @@ def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure)
 
 
 def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> float:
-    """Second largest singular value of the step operator.
+    """Second largest singular value of the step operator, rounded up.
 
-    Computed from the full SVD of ``diag(mu_prev)^(1/2) K diag(mu_next)^(-1/2)``;
-    the top singular value must come out as 1 (constants map to constants),
-    which doubles as a consistency check of the measure propagation.
+    With ``m = diag(mu_prev)^(1/2) K diag(mu_next)^(-1/2)``, ``a = √mu_prev``
+    and ``b = √mu_next``, the top singular pair of ``m`` is ``(1, a, b)``:
+    ``m b = a`` and ``mᵀ a = b``. So σ₂ is the largest singular value of the
+    deflated operator ``A = m − a bᵀ = diag(a) (K − 1 mu_nextᵀ) diag(b)^(-1)``
+    (Fill, Ann. Appl. Probab. 1, 1991; Saloff-Coste & Zúñiga, EJP 14, 2009).
+    It is computed as ``sqrt(λ_max(AᵀA))``, with the top eigenvalue alone
+    taken from LAPACK ``dsyevr``. For any vectors ``a`` and ``b``, Weyl's
+    inequality gives ``σ₂(m) ≤ ‖m − a bᵀ‖₂``, so the bound does not rest on
+    the measures being exactly consistent.
+
+    The result is rounded up so that ``prod sigma_i`` stays an upper bound
+    on the exact values for the given floating-point inputs. With
+    ``u = 2^-53``, ``γ_k = k·u/(1 − k·u)``, ``N`` states, ``Â`` the computed
+    ``A``, ``Ĝ`` the computed ``ÂᵀÂ``, ``t = trace(Ĝ)`` (which is
+    ``‖Â‖_F²`` to within ``γ_N``) and ``λ̂`` the computed top eigenvalue:
+
+    - *Forming A.* An entry takes five roundings (two square roots, a
+      difference, a product, a quotient), so ``|Â − A| ≤ γ_5·|A|`` and
+      ``‖Â − A‖₂ ≤ γ_5·‖A‖_F``. Weyl's inequality carries this into
+      ``σ₁(A)``; it is added as ``8u·√t``. (``A`` is formed from
+      ``K − 1 mu_nextᵀ`` rather than as ``m − a bᵀ``, which would add
+      ``c·u·(‖m‖_F + 1)`` absolute instead.)
+    - *The Gram product.* ``|Ĝ − ÂᵀÂ| ≤ γ_N·|Â|ᵀ|Â|`` (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., §3.5), so
+      ``‖Ĝ − ÂᵀÂ‖₂ ≤ γ_N·‖Â‖_F² ≤ e_G = 2·γ_N·t``; the factor 2 covers the
+      rounding of ``t`` itself.
+    - *The eigensolver.* ``λ̂`` is an eigenvalue of ``Ĝ + E`` with
+      ``‖E‖₂ ≤ p(N)·u·‖Ĝ‖₂`` (Golub & Van Loan, *Matrix Computations*,
+      ch. 8). Their ``p(n)`` is a modestly growing function left
+      unspecified; ``p = N²`` is taken, generous for the Householder
+      tridiagonalization and the bisection ``dsyevr`` runs for one
+      eigenvalue. Since ``‖Ĝ‖₂ ≤ λ_max(Ĝ) + e_G``, this gives
+      ``λ_max(ÂᵀÂ) ≤ (λ̂ + e_G) / (1 − N²·u)``.
+
+    A last factor ``1 + 8u`` covers the roundings of evaluating these
+    expressions. As ``t ≤ N·σ₂²``, ``σ̂`` exceeds σ₂ by at most about
+    ``(1.5·N² + 8√N)·u`` relative: 3e-12 at 129 states, and about a third
+    of that when σ₂ dominates the rest of the spectrum.
+
+    In place of the SVD's "top singular value is 1", the step is checked
+    in O(N²): ``m b − a = A b`` and ``mᵀ a − b = Aᵀ a`` (as ``‖a‖ = ‖b‖ = 1``)
+    must be within ``STEP_ATOL`` of 0 in the max norm, and the computed σ₂
+    at most ``1 + STEP_ATOL``. That last check reads ``√λ̂`` before the
+    round-up, which alone reaches ``STEP_ATOL`` on a periodic step of about
+    800 states. A failure raises ``ArithmeticError``.
     """
+    # imported here, not at module level: scipy.linalg adds about 22 MB to a process
+    import scipy.linalg.lapack as lapack
+
     _check_step(k, mu_prev, mu_next)
-    m = np.sqrt(mu_prev.weights)[:, None] * k.entries / np.sqrt(mu_next.weights)[None, :]
-    s = np.linalg.svd(m, compute_uv=False)
-    if abs(s[0] - 1.0) > STEP_ATOL:
-        raise ArithmeticError(f"top singular value {s[0]} deviates from 1")
-    return float(s[1]) if len(s) > 1 else 0.0
+    a = np.sqrt(mu_prev.weights)
+    b = np.sqrt(mu_next.weights)
+    deflated = k.entries - mu_next.weights
+    deflated *= a[:, None]
+    deflated /= b
+    # np.dot rather than @: on the small matrices of a long walk its lower call cost shows
+    residuals = np.concatenate((np.dot(deflated, b), np.dot(a, deflated)))
+    residual = np.maximum.reduce(np.abs(residuals))
+    if not residual <= STEP_ATOL:
+        raise ArithmeticError(f"top singular pair of the step is off by {residual:.2e}")
+    gram = np.dot(deflated.T, deflated)
+    # summed in Python: on a few states a numpy reduction costs more than the sum
+    trace = sum(gram.diagonal().tolist())
+    n = len(a)
+    # The top eigenvalue alone: compute_v=0, range="I", lower=0, vl, vu, il = iu = n,
+    # abstol=0, lwork, liwork, overwrite_a=1. Positional, as f2py's keyword parsing
+    # costs about 1 µs a call. gram is symmetric, so its transpose is a
+    # Fortran-ordered array dsyevr may overwrite in place.
+    w, _, _, _, info = lapack.dsyevr(gram.T, 0, "I", 0, 0.0, 1.0, n, n, 0.0, 26 * n, 10 * n, 1)
+    if info != 0:
+        raise ArithmeticError(f"dsyevr failed (info {info})")
+    lam = max(float(w[0]), 0.0)
+    if not lam <= (1.0 + STEP_ATOL) ** 2:
+        raise ArithmeticError(f"second singular value {math.sqrt(lam)} exceeds 1")
+    u = UNIT_ROUNDOFF
+    e_gram = 2.0 * n * u / (1.0 - n * u) * trace
+    top = math.sqrt((lam + e_gram) / (1.0 - n * n * u))
+    return (top + 8.0 * u * math.sqrt(trace)) * (1.0 + 8.0 * u)
 
 
 def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> StochasticKernel:
@@ -61,7 +132,10 @@ def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -
 
     ``P`` is the composition of the step adjoint with the step itself: it is
     row-stochastic, reversible with respect to ``mu_next``, and its second
-    largest eigenvalue is the square of :func:`step_sigma`.
+    largest eigenvalue is ``σ₂²``, the square of the second singular value
+    of the step operator. :func:`step_sigma` returns that ``σ₂`` rounded up,
+    by at most about ``1.5·N²·u`` relative, so its square sits just above
+    this eigenvalue.
     """
     _check_step(k, mu_prev, mu_next)
     p = (k.entries.T @ (mu_prev.weights[:, None] * k.entries)) / mu_next.weights[:, None]
@@ -182,6 +256,7 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
     sigma_product = np.concatenate(([1.0], np.cumprod(sigmas)))
 
     inv_sqrt_mu0 = 1.0 / np.sqrt(mu0.weights)
+    roots = np.sqrt(trajectory.as_matrix())
     tv_bound = sigma_product[:, None] * inv_sqrt_mu0[None, :]
     tv_exact = np.empty((n + 1, seq.space.size))
     relsup_bound_max = np.empty(n + 1)
@@ -192,7 +267,7 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
         w = mus[t].weights
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
         exact = np.abs(p / w[None, :] - 1.0)
-        bound = sigma_product[t] * inv_sqrt_mu0[:, None] / np.sqrt(w)[None, :]
+        bound = sigma_product[t] * inv_sqrt_mu0[:, None] / roots[t][None, :]
         relsup_exact_max[t] = exact.max()
         relsup_bound_max[t] = bound.max()
         # np.maximum, not max(): a NaN gap must propagate as it would through .max()

@@ -110,3 +110,27 @@ def test_import_leaves_heavy_dependencies_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert done.stdout.strip() == "[]"
+
+
+MIRRORED_PAIR = json.loads(
+    (Path(mclab.__file__).parent / "scenario_configs" / "mirrored-pair.json").read_text())
+SIZED = {"bd_ratio_set": {}, "mirrored_bd_pair": {"p": 0.54, "q": 0.36, "r": 0.1},
+         "uniform_bd_set": {}, "stick_pair": {"p": 0.6, "q": 0.4}, "lazy_stick_weights": {}}
+
+
+@pytest.mark.parametrize("generator, grid, key", [
+    ({"family": "mirrored_bd_pair", "params": {}}, None, "p"),
+    ({"family": "mirrored_bd_pair", "params": {"p": 0.54, "q": 0.36}}, None, "r"),
+    ({"family": "stick_pair", "params": {}}, None, "p"),
+    ({"family": "stick_pair", "params": {"p": 0.6}}, None, "q"),
+    *(({"family": family, "params": params}, {"M": [4]}, "N")
+      for family, params in SIZED.items()),
+])
+def test_run_generator_missing_param_or_grid_key(tmp_path, capsys, generator, grid, key):
+    config = dict(MIRRORED_PAIR, generator=generator, grid=grid or MIRRORED_PAIR["grid"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    err = run_failing(["run", str(path), "--out", str(tmp_path / "results")], capsys)
+    assert err.startswith("usage: mclab run ")
+    assert f"error: missing required key {key!r}" in err
+    assert not (tmp_path / "results").exists()
