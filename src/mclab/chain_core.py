@@ -96,6 +96,16 @@ class ProbMeasure:
         return bool(self.weights.min() > 0)
 
     @classmethod
+    def _checked_by_caller(cls, space: StateSpace, weights: np.ndarray) -> "ProbMeasure":
+        # For weights the caller has already checked and normalized as
+        # __post_init__ would; ``weights`` must be a fresh, unshared array.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        weights.setflags(write=False)
+        object.__setattr__(obj, "weights", weights)
+        return obj
+
+    @classmethod
     def uniform(cls, space: StateSpace) -> "ProbMeasure":
         return cls(space, np.full(space.size, 1.0 / space.size))
 
@@ -232,23 +242,46 @@ class KernelSequence:
             seed: int = 0) -> "KernelSequence":
         return cls("iid", tuple(kernels), probs=tuple(probs) if probs is not None else (), seed=seed)
 
-    def _iid_index(self, i: int) -> int:
-        block, offset = divmod(i, self._BLOCK)
+    def _draws(self, block: int) -> np.ndarray:
+        """Kernel positions of the i.i.d. steps ``block * _BLOCK`` onward, read-only."""
         draws = self._draw_cache.get(block)
         if draws is None:
             u = substream(self.seed, block).random(self._BLOCK)
             cdf = np.cumsum(self.probs)
             draws = np.searchsorted(cdf, u, side="right").clip(0, len(self.kernels) - 1)
+            draws.setflags(write=False)
             self._draw_cache[block] = draws
-        return int(draws[offset])
+        return draws
 
     def index_at(self, i: int) -> int:
         """Position of ``K_i`` in ``kernels``; defined for every integer ``i``."""
         if self.kind == "iid":
-            return self._iid_index(i)
+            block, offset = divmod(i, self._BLOCK)
+            return int(self._draws(block)[offset])
         if self.kind == "cyclic":
             return self.word[(i - 1) % len(self.word)]
         return (i - 1) % len(self.kernels)
+
+    def indices(self, start: int, stop: int) -> np.ndarray:
+        """Positions of ``K_i`` in ``kernels`` for ``start <= i < stop``, as :meth:`index_at` gives them.
+
+        I.i.d. draws are read a whole block at a time; cyclic and explicit
+        rules are evaluated with modular arithmetic over the whole range.
+        The result may be a read-only view of the draw cache.
+        """
+        if stop <= start:
+            return np.zeros(0, dtype=np.intp)
+        if self.kind == "iid":
+            first, last = start // self._BLOCK, (stop - 1) // self._BLOCK
+            base = first * self._BLOCK
+            if first == last:
+                return self._draws(first)[start - base:stop - base]
+            draws = np.concatenate([self._draws(b) for b in range(first, last + 1)])
+            return draws[start - base:stop - base]
+        steps = np.arange(start - 1, stop - 1)
+        if self.kind == "cyclic":
+            return np.asarray(self.word, dtype=np.intp)[steps % len(self.word)]
+        return steps % len(self.kernels)
 
     def kernel_at(self, i: int) -> StochasticKernel:
         """Kernel ``K_i``; defined for every integer ``i`` (see class docs)."""
@@ -284,14 +317,43 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
     return acc
 
 
+def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward"):
+    """One walk step on a matrix or on a stack of matrices.
+
+    Forms the fresh product ``P K`` (``forward``) or ``K P`` (``backward``)
+    of two ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice,
+    then divides each row of it in place by the row's sum. Returns
+    ``(Q, drift)``: ``drift`` is the largest deviation of a row sum from 1
+    before the division, a scalar for one matrix and one value per matrix
+    of a stack, for the caller to check against ``DRIFT_ATOL``. Neither
+    operand is modified, so a matrix returned by one step stays valid after
+    the next.
+
+    A stacked step gives each slice the bits the same step gives that
+    slice alone: ``np.matmul`` multiplies a stack one slice at a time with
+    the same BLAS call, the row sums reduce along the same contiguous axis
+    in the same order, and the division is elementwise.
+    """
+    q = np.matmul(p, k) if order == "forward" else np.matmul(k, p)
+    sums = np.add.reduce(q, axis=-1)
+    drift = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
+    np.divide(q, sums[..., None], out=q)
+    return q, drift
+
+
+def drift_error(drift: float, i: int) -> ArithmeticError:
+    """The error a walk raises when step ``i`` drifts by ``drift > DRIFT_ATOL``."""
+    return ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
+
+
 def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
     """Accumulate ``K_i`` for ``i`` in ``indices``, starting from the identity.
 
     ``forward`` multiplies each kernel on the right (``P K_i``) and
-    ``backward`` on the left (``K_i P``). Rows are renormalized after every
-    multiply; yields ``(i, P, drift)`` with the largest row-sum deviation
-    from 1 seen before that renormalization. The yielded matrix is replaced,
-    never mutated, by later steps.
+    ``backward`` on the left (``K_i P``). Each step is a
+    :func:`renormalized_step`; yields ``(i, P, drift)`` with the largest
+    row-sum deviation from 1 seen before that step's renormalization. The
+    yielded matrix is replaced, never mutated, by later steps.
 
     Raises
     ------
@@ -302,13 +364,10 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
         raise ValueError(f"unknown order {order!r}")
     p = np.eye(seq.space.size)
     for i in indices:
-        k = seq.kernel_at(i).entries
-        p = p @ k if order == "forward" else k @ p
-        sums = p.sum(axis=1)
-        drift = float(np.abs(sums - 1.0).max())
+        p, drift = renormalized_step(p, seq.kernel_at(i).entries, order)
+        drift = float(drift)
         if drift > DRIFT_ATOL:
-            raise ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
-        p = p / sums[:, None]
+            raise drift_error(drift, i)
         yield i, p, drift
 
 
@@ -322,18 +381,32 @@ def evolve(mu0: ProbMeasure, seq: KernelSequence, n: int) -> list[ProbMeasure]:
     """Distributions ``mu_0, ..., mu_n`` with ``mu_i = mu_{i-1} K_i``.
 
     Computed by iterated vector-matrix products; the full product matrix is
-    never materialized.
+    never materialized. Each step is checked and normalized here exactly as
+    the :class:`ProbMeasure` constructor would, so the weights are the ones
+    it gives, without a second check per measure.
+
+    Raises
+    ------
+    ValueError
+        If a step has a negative weight or its total is more than
+        ``ROW_SUM_ATOL`` from 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_same_space(mu0, seq)
+    space = _require_same_space(mu0, seq)
+    kernels = seq.kernels
     out = [mu0]
     w = mu0.weights
-    for i in range(1, n + 1):
-        w = w @ seq.kernel_at(i).entries
-        measure = ProbMeasure(seq.space, w)
-        out.append(measure)
-        w = measure.weights
+    for i, k in enumerate(seq.indices(1, n + 1).tolist(), 1):
+        w = w @ kernels[k].entries
+        # the reductions behind w.min() and w.sum(), without their wrappers
+        low, total = np.minimum.reduce(w), np.add.reduce(w)
+        if low < 0:
+            raise ValueError(f"negative weight {low} at step {i}")
+        if abs(total - 1.0) > ROW_SUM_ATOL:
+            raise ValueError(f"weights sum to {total} at step {i}, not 1")
+        w = w / total
+        out.append(ProbMeasure._checked_by_caller(space, w))
     return out
 
 

@@ -2,10 +2,11 @@
 
 Distances are computed from the full iterated-kernel matrix, never from
 sampled trajectories, so the reported values are exact at desk scale.
-Every walk over time accumulates that matrix through
-:func:`~mclab.chain_core.walk`, which renormalizes rows per step and raises
-when a step drifts by more than ``DRIFT_ATOL``; :func:`product` is the
-literal compose fold the walk is checked against. The worst-pair total
+Every walk over time accumulates that matrix one
+:func:`~mclab.chain_core.renormalized_step` at a time, through
+:func:`~mclab.chain_core.walk` or, for first passages, a stack of walks;
+both raise when a step drifts by more than ``DRIFT_ATOL``. :func:`product`
+is the literal compose fold the walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
 :func:`~mclab.chain_core.tv_between_rows`, which caps the distance at its
 ceiling of 1: a trajectory or ``tv_final`` value that rounding would put
@@ -27,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_core import (
+    DRIFT_ATOL,
     KernelSequence,
     contraction_coefficient,
+    drift_error,
     dump_json,
     product,
+    renormalized_step,
     tv_between_rows,
     walk_from_start,
     write_csv,
@@ -40,6 +44,7 @@ _PASSAGE_STRIDE = 16    # first_passage evaluates its metric every this many ste
 _PASSAGE_SLACK = 1e-9   # rise of a computed distance ruled out over one stride
 _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
 _DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
+_BATCH_BYTES = 1 << 20  # kernels plus stacks of one first_passages batch
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -74,17 +79,22 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     Stops as soon as the chosen metric reaches the threshold; returns
     ``(time or None, tv, relsup)`` evaluated at the stopping step (``n_max``
     when the threshold is not reached). Cheaper than :func:`merging_time`
-    when only the passage time is needed.
+    when only the passage time is needed. This is :func:`first_passages`
+    of the one sequence.
 
-    Every step goes through :func:`~mclab.chain_core.walk`, but the metric
-    is evaluated only at checkpoints: time 0, every ``_PASSAGE_STRIDE``
-    steps and ``n_max``. The matrices walked since the last checkpoint are
-    kept. A checkpoint value above ``epsilon + _PASSAGE_SLACK * (1 + epsilon)``
-    rules them all out; otherwise they are evaluated in order and the first
+    Every step is a :func:`~mclab.chain_core.renormalized_step` with the
+    drift check of :func:`~mclab.chain_core.walk`, but the metric is
+    evaluated only at checkpoints: time 0, every ``_PASSAGE_STRIDE`` steps
+    and ``n_max``. A checkpoint value above
+    ``epsilon + _PASSAGE_SLACK * (1 + epsilon)`` rules out every step since
+    the previous checkpoint; otherwise those steps are walked again from
+    the previous checkpoint's matrix and evaluated in order, and the first
     one at or below ``epsilon`` is the hit. The result is the one a
     step-by-step evaluation gives, bit for bit, because the same matrices
-    are measured by the same kernels. A drift error from the walk is
-    likewise raised only when no kept step before it is a hit.
+    are measured by the same kernels. A drift error is likewise raised only
+    when no step before it is a hit: the steps since the last checkpoint
+    are walked again and evaluated up to the one that drifted, which raises
+    the walk's error.
 
     Skipping is sound because both statistics are non-increasing under
     right multiplication by a stochastic kernel (TV by Dobrushin's
@@ -103,58 +113,175 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
 
     The relative bound assumes the entries stay in the normal
     floating-point range. For relative-sup, once a checkpoint matrix holds
-    a positive entry below ``_PASSAGE_TINY``, the matrices kept up to it
-    are all evaluated and every later step is checked.
+    a positive entry below ``_PASSAGE_TINY``, the steps since the previous
+    checkpoint are all evaluated and every later step is checked.
 
     An ``epsilon`` at or below about 1e-12 measures rounding, not merging:
     the computed TV stops falling at a floor set by the rounding of each
     step. On the cyclic 17-state mirrored pair it reads 1.2e-15 at
     n = 3000, where the decay from n = 1000 to 2000 would put it near 5e-20.
     """
+    return first_passages([seq], epsilon, metric, n_max)[0]
+
+
+def first_passages(seqs, epsilon: float, metric: str,
+                   n_max: int) -> list[tuple[int | None, float, float]]:
+    """:func:`first_passage` of each sequence, walked together as a stack.
+
+    The sequences are walked in batches of consecutive sequences with one
+    state count, each an ``(R, N, N)`` stack advanced one
+    :func:`~mclab.chain_core.renormalized_step` at a time, so the per-step
+    call overhead is paid once for the batch rather than once per
+    sequence. A batch takes sequences while their kernels and stacks
+    (:func:`_passage_bytes` each) fit in ``_BATCH_BYTES``, and always at
+    least one. Every slice of a stacked step has the bits of the same step
+    walked alone, and each sequence is measured at the steps, and in the
+    order, that :func:`first_passage` measures it (the identity at time 0
+    is measured once per batch), so each result equals its
+    :func:`first_passage` bit for bit. A sequence leaves the stack when
+    it finishes. When walks fail, the error raised is the one of the first
+    failing sequence, the one a loop over :func:`first_passage` raises.
+    """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
+    results = []
+    batch: list[KernelSequence] = []
+    used = 0
+    for seq in seqs:
+        cost = _passage_bytes(seq)
+        if batch and (used + cost > _BATCH_BYTES or seq.space.size != batch[0].space.size):
+            results.extend(_passage_batch(batch, epsilon, metric, n_max))
+            batch, used = [], 0
+        batch.append(seq)
+        used += cost
+    if batch:
+        results.extend(_passage_batch(batch, epsilon, metric, n_max))
+    return results
+
+
+def _passage_bytes(seq: KernelSequence) -> int:
+    """Bytes one sequence adds to a :func:`first_passages` batch.
+
+    Its kernels, which the batch reads where the sequence holds them, plus
+    its slice of the four stacks alive during a step: the last checkpoint,
+    the current matrices, the gathered kernels and the fresh product.
+    """
+    n = seq.space.size
+    return 8 * n * n * (len(seq.kernels) + 4)
+
+
+def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
+                   n_max: int) -> list[tuple[int | None, float, float]]:
+    """:func:`first_passages` of one batch, walked as one stack."""
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     band = epsilon + _PASSAGE_SLACK * (1.0 + epsilon)
-    stride = _PASSAGE_STRIDE
-    kept: list[tuple[int, np.ndarray, float | None]] = []
-    found = None
-    try:
-        for i, step, _ in walk_from_start(seq, n_max):
-            if i % stride and i != n_max:
-                kept.append((i, step, None))
+    results: list = [None] * len(seqs)
+    errors: dict[int, ArithmeticError] = {}
+
+    def finish(r, hit, matrix, value):
+        if metric == "tv":
+            results[r] = (hit, value, relsup_between_rows(matrix))
+        else:
+            results[r] = (hit, tv_between_rows(matrix), value)
+
+    eye = np.eye(seqs[0].space.size)
+    value = measure(eye)
+    if value <= epsilon or n_max <= 0:
+        finish(0, 0 if value <= epsilon else None, eye, value)
+        return results[:1] * len(seqs)
+
+    stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
+
+    def fetch(live, start, stop):
+        # the kernels of steps start..stop-1, one stack per step
+        columns = [[stacks_of_one[r][k] for k in seqs[r].indices(start, stop).tolist()]
+                   for r in live]
+        return columns[0] if len(columns) == 1 else _gathered(columns)
+
+    live = list(range(len(seqs)))   # the sequence walked in each slice of the stack
+    stepwise = [False] * len(seqs)  # relsup slices holding tiny entries, measured every step
+    p = np.repeat(eye[None], len(seqs), axis=0)
+    checkpoint, start = p, 0
+    while live:
+        stop = min(start + _PASSAGE_STRIDE, n_max)
+        finished = [False] * len(live)
+        each_step = [s for s, f in enumerate(stepwise) if f]
+        drifts = []
+        for i, kernels in enumerate(fetch(live, start + 1, stop + 1), start + 1):
+            p, drift = renormalized_step(p, kernels)
+            drifts.append(drift)
+            for s in each_step:
+                if finished[s]:
+                    continue
+                if drift[s] > DRIFT_ATOL:
+                    errors[live[s]] = drift_error(float(drift[s]), i)
+                    finished[s] = True
+                    continue
+                value = measure(p[s])
+                if value <= epsilon or i == n_max:
+                    finish(live[s], i if value <= epsilon else None, p[s], value)
+                    finished[s] = True
+        worst = np.maximum.reduce(np.concatenate(drifts).reshape(-1, len(live)), axis=0)
+        for s, r in enumerate(live):
+            if finished[s] or stepwise[s]:
                 continue
-            p, value = step, measure(step)
-            kept.append((i, step, value))
-            if metric == "relsup" and stride > 1 and ((step > 0) & (step < _PASSAGE_TINY)).any():
-                stride = 1
-            elif value > band:
-                kept.clear()
+            if worst[s] > DRIFT_ATOL:
+                # a stepwise evaluation stops at a hit before the step that drifted
+                try:
+                    finish(r, *_replay(seqs[r], checkpoint[s], start, stop + 1, measure, epsilon))
+                except ArithmeticError as exc:
+                    errors[r] = exc
+                finished[s] = True
                 continue
-            found = _first_at_or_below(kept, measure, epsilon)
+            value = measure(p[s])
+            stepwise[s] = metric == "relsup" and bool(((p[s] > 0) & (p[s] < _PASSAGE_TINY)).any())
+            found = None
+            if stepwise[s] or value <= band:
+                found = (_replay(seqs[r], checkpoint[s], start, stop, measure, epsilon)
+                         or ((stop, p[s], value) if value <= epsilon else None))
+            if found is None and stop == n_max:
+                found = None, p[s], value  # not reached within the horizon
             if found is not None:
-                break
-            kept.clear()
-    except ArithmeticError:
-        # the stepwise walk stops at a hit before the step that drifted
-        found = _first_at_or_below(kept, measure, epsilon)
-        if found is None:
-            raise
-    hit = None
-    if found is not None:
-        hit, p, value = found
-    if metric == "tv":
-        return hit, value, relsup_between_rows(p)
-    return hit, tv_between_rows(p), value
+                finish(r, *found)
+                finished[s] = True
+        first_error = min(errors, default=len(seqs))
+        keep = [s for s, r in enumerate(live) if not finished[s] and r < first_error]
+        if len(keep) < len(live):
+            p = p[keep]
+            live = [live[s] for s in keep]
+            stepwise = [stepwise[s] for s in keep]
+        checkpoint, start = p, stop
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def _first_at_or_below(kept, measure, epsilon):
-    """First ``(i, matrix, value)`` in ``kept`` with value <= epsilon, or None.
+def _gathered(columns):
+    """One ``(R, N, N)`` stack per step; slice ``s`` is ``columns[s][step]``, a ``(1, N, N)`` view.
 
-    ``kept`` holds ``(i, matrix, value or None)``; missing values are
-    measured in order, up to the first hit.
+    The same array is refilled and yielded for every step: a
+    :func:`~mclab.chain_core.renormalized_step` does not keep its kernels.
     """
-    for i, matrix, value in kept:
-        value = measure(matrix) if value is None else value
+    stack = np.empty((len(columns),) + columns[0][0].shape[1:])
+    for step in zip(*columns):
+        for s, k in enumerate(step):
+            stack[s] = k
+        yield stack
+
+
+def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon):
+    """First ``(i, P_i, value)`` with value <= epsilon for ``start < i < stop``, or None.
+
+    The steps are walked again from ``matrix``, the product at ``start``,
+    and measured in order up to the first hit; a step that drifts raises
+    the walk's error before it is measured.
+    """
+    kernels = seq.kernels
+    for i, k in enumerate(seq.indices(start + 1, stop).tolist(), start + 1):
+        matrix, drift = renormalized_step(matrix, kernels[k].entries)
+        if drift > DRIFT_ATOL:
+            raise drift_error(float(drift), i)
+        value = measure(matrix)
         if value <= epsilon:
             return i, matrix, value
     return None
@@ -305,11 +432,10 @@ def _window_coefficients(seq: KernelSequence, n: int, block: int, coefficient) -
     """
     memo: dict[tuple[int, ...], float] = {}
     out = np.empty(n // block)
-    for j in range(out.size):
-        m = j * block
-        word = tuple(seq.index_at(i) for i in range(m + 1, m + block + 1))
+    words = seq.indices(1, out.size * block + 1).reshape(out.size, block).tolist()
+    for j, word in enumerate(map(tuple, words)):
         if word not in memo:
-            memo[word] = coefficient(m, m + block)
+            memo[word] = coefficient(j * block, (j + 1) * block)
         out[j] = memo[word]
     return out
 

@@ -2,7 +2,9 @@
 
 A scenario is a JSON document naming a kernel-family generator, a
 parameter grid, one analysis, and optional threshold checks on the grouped
-medians. Grid points run in order. Randomness is drawn from
+medians. Rows come out in grid order; a ``merging_time`` analysis walks
+runs of points that differ only in ``replica`` together as one stack
+(:func:`~mclab.merging.first_passages`). Randomness is drawn from
 counter-based substreams keyed by ``(seed, grid index)``, so each point's
 result depends only on the seed and its index. Scenarios marked
 ``report_only`` never fail, matching the open problems they probe.
@@ -33,7 +35,8 @@ from .chain_core import (
     write_csv,
     write_plotdata,
 )
-from .merging import first_passage
+from . import merging
+from .merging import first_passage, first_passages  # first_passage stays importable from here
 from .rng import fold_path, substream
 from .singular import singular_value_bounds
 from .spectral import comparison_check
@@ -236,16 +239,48 @@ GENERATORS = {
 # analyses
 
 
-def _run_merging(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
+def _run_merging(points: list[dict], make, options: dict) -> list[dict]:
+    """Rows of a ``merging_time`` scenario, one per grid point, in grid order.
+
+    Consecutive points that differ only in ``replica`` are walked together
+    as one :func:`~mclab.merging.first_passages` stack while their
+    footprint fits in ``merging._BATCH_BYTES``. A point is generated only
+    once the stack before it is known to take it, or has been walked and
+    dropped, so no sequence waits outside the stack while it walks.
+    ``make(index, point)`` generates one point's sequence.
+    """
+    epsilon = float(options.get("epsilon", 0.25))
     metric = options.get("metric", "tv")
-    t, tv, relsup = first_passage(seq, float(options.get("epsilon", 0.25)), metric,
-                                  int(options.get("n_max", 1000)))
-    row = {
-        "t_merge": t if t is not None else -1,
-        "tv_final": float(tv),
-        "relsup_final": float(relsup),
-    }
-    return row, []
+    n_max = int(options.get("n_max", 1000))
+    rows: list[dict] = []
+    batch: list[tuple[dict, KernelSequence]] = []
+    used = 0
+
+    def walk_batch():
+        nonlocal used
+        results = first_passages([seq for _, seq in batch], epsilon, metric, n_max)
+        rows.extend({**point, "t_merge": t if t is not None else -1,
+                     "tv_final": float(tv), "relsup_final": float(relsup)}
+                    for (point, _), (t, tv, relsup) in zip(batch, results))
+        batch.clear()
+        used = 0
+
+    for index, point in enumerate(points):
+        if batch and (any(point[k] != v for k, v in batch[0][0].items() if k != "replica")
+                      or used + merging._passage_bytes(batch[0][1]) > merging._BATCH_BYTES):
+            walk_batch()
+        try:
+            seq = make(index, point)
+        except Exception:
+            if batch:  # a failure of an earlier point comes first
+                walk_batch()
+            raise
+        batch.append((point, seq))
+        used += merging._passage_bytes(seq)
+        del seq  # held by the batch alone, and dropped with it
+    if batch:
+        walk_batch()
+    return rows
 
 
 def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
@@ -275,8 +310,8 @@ def _run_spectral(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict,
     return row, violations
 
 
+# per-point analyses; merging_time walks batches of points in _run_merging
 ANALYSES = {
-    "merging_time": _run_merging,
     "singular_domination": _run_singular_domination,
     "spectral_comparison": _run_spectral,
 }
@@ -366,8 +401,10 @@ def _apply_checks(config: dict, rows: list[dict]) -> tuple[dict, list[str]]:
 def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet:
     """Execute a scenario (path or built-in name) and return its results.
 
-    ``seed`` overrides the config seed. Grid points run in order;
-    ``threads`` is accepted for compatibility and selects nothing.
+    ``seed`` overrides the config seed. Rows come out in grid order, and
+    a failure raises the error of the first failing point; ``merging_time``
+    points are walked in stacks (:func:`_run_merging`). ``threads`` is
+    accepted for compatibility and selects nothing.
     ``scenario_hash`` is the SHA-256 of the effective config (after the
     override) as canonical JSON, followed for ``sequence_file`` by the
     SHA-256 of the data file's bytes. A relative ``sequence_file`` path is
@@ -387,17 +424,22 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
         data = Path(_locate_scenario(source)).parent / required_key(params, "path")
         params = dict(params, path=str(data))
         digest.update(hashlib.sha256(data.read_bytes()).digest())
-    analyze = ANALYSES[config["analysis"]["kind"]]
+    kind = config["analysis"]["kind"]
     options = config["analysis"]
     points = _grid_points(config)
 
+    def make(index: int, point: dict):
+        return generate(params, point, substream(base_seed, fold_path(index)))
+
     rows: list[dict] = []
     violations: list[str] = []
-    for index, point in enumerate(points):
-        seq, meta = generate(params, point, substream(base_seed, fold_path(index)))
-        row, point_violations = analyze(seq, meta, options)
-        rows.append({**point, **row})
-        violations.extend(f"grid[{index}]: {v}" for v in point_violations)
+    if kind == "merging_time":
+        rows = _run_merging(points, lambda index, point: make(index, point)[0], options)
+    else:
+        for index, point in enumerate(points):
+            row, point_violations = ANALYSES[kind](*make(index, point), options)
+            rows.append({**point, **row})
+            violations.extend(f"grid[{index}]: {v}" for v in point_violations)
 
     summary, check_violations = _apply_checks(config, rows)
     violations.extend(check_violations)

@@ -416,3 +416,29 @@ class TestSequences:
         assert np.array_equal(back.kernels[0].entries, kernels[0].entries)
         k = random_kernel(rng, 4)
         assert np.array_equal(kernel_from_json(kernel_to_json(k)).entries, k.entries)
+
+
+class TestEvolveChecksEachStep:
+    def test_weights_are_the_validated_measures(self, rng):
+        # the reference builds a checked ProbMeasure from every step
+        seq = KernelSequence.iid([random_kernel(rng, 7, zero_prob=0.3) for _ in range(3)], seed=4)
+        mu = ProbMeasure.from_weights(seq.space, rng.uniform(0.1, 1.0, 7))
+        expected = [mu]
+        for i in range(1, 41):
+            expected.append(ProbMeasure(seq.space, expected[-1].weights @ seq.kernel_at(i).entries))
+        out = evolve(mu, seq, 40)
+        assert len(out) == 41 and out[0] is mu
+        for got, ref in zip(out, expected):
+            assert got.space == seq.space
+            assert np.array_equal(got.weights, ref.weights)
+            assert not got.weights.flags.writeable
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.2, -0.2], [0.5, 0.5]],            # a negative weight after one step
+        [[0.5, 0.5 + 1e-8], [0.5, 0.5 + 1e-8]],  # a total 1e-8 away from 1
+    ], ids=["negative", "drifting"])
+    def test_a_bad_step_raises_value_error(self, matrix):
+        space = StateSpace(2)
+        seq = KernelSequence.constant(StochasticKernel._unchecked(space, np.array(matrix)))
+        with pytest.raises(ValueError, match="at step 1"):
+            evolve(ProbMeasure.dirac(space, 0), seq, 3)

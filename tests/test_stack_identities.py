@@ -1,0 +1,100 @@
+"""Bit identities the stacked first passage relies on.
+
+``first_passages`` walks several sequences as one ``(R, N, N)`` stack and
+promises each the bits of its walk alone. That holds only while numpy and
+the BLAS give a stacked operation the bits of the same operation on each
+slice. If a numpy or BLAS release breaks one of these identities, the test
+named after it fails here, instead of scenario rows moving silently.
+"""
+
+import numpy as np
+import pytest
+
+from mclab.chain_core import renormalized_step
+
+SIZES = [9, 17, 33, 65]
+WIDTH = 8
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def stochastic_stack(rng, n, width=WIDTH, zero_prob=0.3):
+    m = rng.uniform(0.0, 1.0, (width, n, n))
+    m = np.where(rng.random((width, n, n)) < zero_prob, 0.0, m)
+    m[:, np.arange(n), np.arange(n)] += 1e-3
+    return m / m.sum(axis=-1, keepdims=True)
+
+
+def walked_stack(rng, n, steps=5):
+    """A stack of products a few steps into a walk, with rounding in their low bits."""
+    p = np.repeat(np.eye(n)[None], WIDTH, axis=0)
+    for _ in range(steps):
+        p = p @ stochastic_stack(rng, n)
+        p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(1729)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_matmul_is_per_slice_matmul(rng, n):
+    p, k = walked_stack(rng, n), stochastic_stack(rng, n)
+    stacked = np.matmul(p, k)
+    assert all(same_bits(stacked[r], p[r] @ k[r]) for r in range(WIDTH))
+    backward = np.matmul(k, p)
+    assert all(same_bits(backward[r], k[r] @ p[r]) for r in range(WIDTH))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stack_of_one_is_the_matrix(rng, n):
+    p, k = walked_stack(rng, n)[0], stochastic_stack(rng, n)[0]
+    assert same_bits(np.matmul(p[None], k[None])[0], p @ k)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_add_reduce_is_sum(rng, n):
+    q = np.matmul(walked_stack(rng, n), stochastic_stack(rng, n))
+    sums = np.add.reduce(q, axis=-1)
+    assert all(same_bits(sums[r], q[r].sum(axis=1)) for r in range(WIDTH))
+    assert same_bits(np.add.reduce(q[3], axis=-1), q[3].sum(axis=1))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_in_place_divide_is_divide(rng, n):
+    q = np.matmul(walked_stack(rng, n), stochastic_stack(rng, n))
+    sums = np.add.reduce(q, axis=-1)
+    expected = [q[r] / sums[r][:, None] for r in range(WIDTH)]
+    np.divide(q, sums[..., None], out=q)
+    assert all(same_bits(q[r], expected[r]) for r in range(WIDTH))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_drift_is_per_slice_drift(rng, n):
+    q = np.matmul(walked_stack(rng, n), stochastic_stack(rng, n))
+    q[2, 4] *= 1 + 1e-10  # one row out of tolerance
+    sums = np.add.reduce(q, axis=-1)
+    drift = np.abs(sums - 1.0).max(axis=-1)
+    assert drift.shape == (WIDTH,)
+    assert all(drift[r] == np.abs(q[r].sum(axis=1) - 1.0).max() for r in range(WIDTH))
+    assert drift[2] > 1e-12
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+@pytest.mark.parametrize("n", SIZES)
+def test_renormalized_step_on_a_stack_is_the_walk_step(rng, n, order):
+    # the walk's step as first written: multiply, sum, check, divide
+    p, k = walked_stack(rng, n), stochastic_stack(rng, n)
+    q, drift = renormalized_step(p, k, order)
+    for r in range(WIDTH):
+        ref = p[r] @ k[r] if order == "forward" else k[r] @ p[r]
+        sums = ref.sum(axis=1)
+        assert drift[r] == float(np.abs(sums - 1.0).max())
+        assert same_bits(q[r], ref / sums[:, None])
+        one, one_drift = renormalized_step(p[r], k[r], order)
+        assert same_bits(one, q[r]) and one_drift == drift[r]
