@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario",
                      help=f"scenario JSON path or one of: {', '.join(builtin_scenario_names())}")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; grid points run in order")
     run.add_argument("--out", default="results")
     run.set_defaults(func=_cmd_run, parser=run)
     return parser

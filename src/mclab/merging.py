@@ -87,14 +87,15 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     evaluated only at checkpoints: time 0, every ``_PASSAGE_STRIDE`` steps
     and ``n_max``. A checkpoint value above
     ``epsilon + _PASSAGE_SLACK * (1 + epsilon)`` rules out every step since
-    the previous checkpoint; otherwise those steps are walked again from
-    the previous checkpoint's matrix and evaluated in order, and the first
-    one at or below ``epsilon`` is the hit. The result is the one a
-    step-by-step evaluation gives, bit for bit, because the same matrices
-    are measured by the same kernels. A drift error is likewise raised only
-    when no step before it is a hit: the steps since the last checkpoint
-    are walked again and evaluated up to the one that drifted, which raises
-    the walk's error.
+    the previous checkpoint. Every evaluation between two checkpoints walks
+    that stride again, for this sequence alone, from the previous
+    checkpoint's matrix, and measures its steps in order up to the first
+    one at or below ``epsilon``, the hit. A stride is walked again when its
+    checkpoint lies inside the band, when one of its steps drifted (the
+    walk's error is raised at that step, so only when no step before it is
+    a hit), and, for relative-sup, once tiny entries have been seen (below).
+    The result is the one a step-by-step evaluation gives, bit for bit,
+    because the same matrices are measured by the same kernels.
 
     Skipping is sound because both statistics are non-increasing under
     right multiplication by a stochastic kernel (TV by Dobrushin's
@@ -113,8 +114,9 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
 
     The relative bound assumes the entries stay in the normal
     floating-point range. For relative-sup, once a checkpoint matrix holds
-    a positive entry below ``_PASSAGE_TINY``, the steps since the previous
-    checkpoint are all evaluated and every later step is checked.
+    a positive entry below ``_PASSAGE_TINY``, that stride and every later
+    one are walked again and measured at every step, so such a sequence is
+    stepped twice per stride.
 
     An ``epsilon`` at or below about 1e-12 measures rounding, not merging:
     the computed TV stops falling at a floor set by the rounding of each
@@ -172,23 +174,28 @@ def _passage_bytes(seq: KernelSequence) -> int:
 
 def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
-    """:func:`first_passages` of one batch, walked as one stack."""
+    """:func:`first_passages` of one batch, walked as one stack.
+
+    The stack only steps and records each slice's drift. At a checkpoint a
+    slice is measured once, unless its stride drifted or its sequence is a
+    relative-sup sequence that has held an entry below ``_PASSAGE_TINY``.
+    Those strides, and a stride whose checkpoint lies inside the slack band,
+    are walked again for that sequence alone by :func:`_replay`, the one
+    place where steps between checkpoints are measured; a tiny-entry
+    sequence is therefore stepped twice per stride.
+    """
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     band = epsilon + _PASSAGE_SLACK * (1.0 + epsilon)
-    results: list = [None] * len(seqs)
-    errors: dict[int, ArithmeticError] = {}
 
-    def finish(r, hit, matrix, value):
+    def result(hit, matrix, value):
         if metric == "tv":
-            results[r] = (hit, value, relsup_between_rows(matrix))
-        else:
-            results[r] = (hit, tv_between_rows(matrix), value)
+            return hit, value, relsup_between_rows(matrix)
+        return hit, tv_between_rows(matrix), value
 
     eye = np.eye(seqs[0].space.size)
     value = measure(eye)
     if value <= epsilon or n_max <= 0:
-        finish(0, 0 if value <= epsilon else None, eye, value)
-        return results[:1] * len(seqs)
+        return [result(0 if value <= epsilon else None, eye, value)] * len(seqs)
 
     stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
 
@@ -198,58 +205,38 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    for r in live]
         return columns[0] if len(columns) == 1 else _gathered(columns)
 
-    live = list(range(len(seqs)))   # the sequence walked in each slice of the stack
-    stepwise = [False] * len(seqs)  # relsup slices holding tiny entries, measured every step
+    results: list = [None] * len(seqs)
+    errors: dict[int, ArithmeticError] = {}
+    tiny = [False] * len(seqs)  # relsup sequences that have held an entry below _PASSAGE_TINY
+    live = list(range(len(seqs)))  # the sequence walked in each slice of the stack
     p = np.repeat(eye[None], len(seqs), axis=0)
     checkpoint, start = p, 0
     while live:
         stop = min(start + _PASSAGE_STRIDE, n_max)
-        finished = [False] * len(live)
-        each_step = [s for s, f in enumerate(stepwise) if f]
         drifts = []
-        for i, kernels in enumerate(fetch(live, start + 1, stop + 1), start + 1):
+        for kernels in fetch(live, start + 1, stop + 1):
             p, drift = renormalized_step(p, kernels)
             drifts.append(drift)
-            for s in each_step:
-                if finished[s]:
-                    continue
-                if drift[s] > DRIFT_ATOL:
-                    errors[live[s]] = drift_error(float(drift[s]), i)
-                    finished[s] = True
-                    continue
-                value = measure(p[s])
-                if value <= epsilon or i == n_max:
-                    finish(live[s], i if value <= epsilon else None, p[s], value)
-                    finished[s] = True
         worst = np.maximum.reduce(np.concatenate(drifts).reshape(-1, len(live)), axis=0)
+        keep = []
         for s, r in enumerate(live):
-            if finished[s] or stepwise[s]:
-                continue
-            if worst[s] > DRIFT_ATOL:
-                # a stepwise evaluation stops at a hit before the step that drifted
+            tiny[r] = tiny[r] or (metric == "relsup"
+                                  and bool(((p[s] > 0) & (p[s] < _PASSAGE_TINY)).any()))
+            step = None if tiny[r] or worst[s] > DRIFT_ATOL else (stop, p[s], measure(p[s]))
+            if step is None or step[2] <= band:
                 try:
-                    finish(r, *_replay(seqs[r], checkpoint[s], start, stop + 1, measure, epsilon))
+                    step = _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon)
                 except ArithmeticError as exc:
                     errors[r] = exc
-                finished[s] = True
-                continue
-            value = measure(p[s])
-            stepwise[s] = metric == "relsup" and bool(((p[s] > 0) & (p[s] < _PASSAGE_TINY)).any())
-            found = None
-            if stepwise[s] or value <= band:
-                found = (_replay(seqs[r], checkpoint[s], start, stop, measure, epsilon)
-                         or ((stop, p[s], value) if value <= epsilon else None))
-            if found is None and stop == n_max:
-                found = None, p[s], value  # not reached within the horizon
-            if found is not None:
-                finish(r, *found)
-                finished[s] = True
-        first_error = min(errors, default=len(seqs))
-        keep = [s for s, r in enumerate(live) if not finished[s] and r < first_error]
+                    continue
+            i, matrix, value = step
+            if value <= epsilon or stop == n_max:
+                results[r] = result(i if value <= epsilon else None, matrix, value)
+            elif r < min(errors, default=len(seqs)):
+                keep.append(s)
         if len(keep) < len(live):
             p = p[keep]
             live = [live[s] for s in keep]
-            stepwise = [stepwise[s] for s in keep]
         checkpoint, start = p, stop
     if errors:
         raise errors[min(errors)]
@@ -270,21 +257,21 @@ def _gathered(columns):
 
 
 def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon):
-    """First ``(i, P_i, value)`` with value <= epsilon for ``start < i < stop``, or None.
+    """``(i, P_i, value)`` at the first ``start < i <= stop`` with value <= epsilon, else at ``stop``.
 
     The steps are walked again from ``matrix``, the product at ``start``,
     and measured in order up to the first hit; a step that drifts raises
     the walk's error before it is measured.
     """
     kernels = seq.kernels
-    for i, k in enumerate(seq.indices(start + 1, stop).tolist(), start + 1):
+    for i, k in enumerate(seq.indices(start + 1, stop + 1).tolist(), start + 1):
         matrix, drift = renormalized_step(matrix, kernels[k].entries)
         if drift > DRIFT_ATOL:
             raise drift_error(float(drift), i)
         value = measure(matrix)
         if value <= epsilon:
-            return i, matrix, value
-    return None
+            break
+    return i, matrix, value
 
 
 @dataclass(frozen=True)

@@ -367,7 +367,7 @@ def _grid_points(config: dict) -> list[dict]:
 def _median_by(rows: list[dict], column: str, by: str) -> dict:
     groups: dict = {}
     for row in rows:
-        groups.setdefault(row[by], []).append(row[column])
+        groups.setdefault(required_key(row, by), []).append(required_key(row, column))
     return {k: float(np.median(v)) for k, v in sorted(groups.items())}
 
 

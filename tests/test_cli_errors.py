@@ -81,6 +81,8 @@ def test_json_input_missing_a_required_key(tmp_path, capsys, argv, files, key):
 
 
 SCENARIO = {"name": "x", "seed": 1, "analysis": {"kind": "merging_time"}, "grid": {"N": [4]}}
+MIRRORED_GENERATOR = {"family": "mirrored_bd_pair", "params": {"p": 0.54, "q": 0.36, "r": 0.1}}
+DOUBLING_CHECK = {"kind": "doubling_ratio_min", "column": "t_merge", "by": "N", "lo": 3.2}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -92,6 +94,10 @@ SCENARIO = {"name": "x", "seed": 1, "analysis": {"kind": "merging_time"}, "grid"
      "missing required key 'path'"),
     (dict(SCENARIO, generator={"family": "inline_sequence", "params": {}}),
      "missing required key 'sequence'"),
+    (dict(SCENARIO, generator=MIRRORED_GENERATOR, checks=[dict(DOUBLING_CHECK, by="M")]),
+     "missing required key 'M'"),
+    (dict(SCENARIO, generator=MIRRORED_GENERATOR, checks=[dict(DOUBLING_CHECK, column="nope")]),
+     "missing required key 'nope'"),
 ])
 def test_run_usage_errors(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
@@ -100,6 +106,14 @@ def test_run_usage_errors(tmp_path, capsys, config, message):
     assert err.startswith("usage: mclab run ")
     assert f"error: {message}" in err
     assert not (tmp_path / "results").exists()
+
+
+def test_run_has_no_threads_option(tmp_path, capsys):
+    err = run_failing(["run", "mirrored-pair", "--threads", "2", "--out", str(tmp_path / "r")],
+                      capsys)
+    # argparse reports an unknown option with the top-level usage line
+    assert "error: unrecognized arguments: --threads 2" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_import_leaves_heavy_dependencies_unloaded():

@@ -338,6 +338,39 @@ def test_tiny_entries_make_relsup_stepwise(monkeypatch, metric):
         assert len(calls) < 1 + 60
 
 
+def tiny_entry_kernel():
+    # last-column entries near 1e-295 lie below the cut-off of the relative rounding
+    # bound; relsup still shrinks by a factor 0.9 a step at n = 200, above its rounding floor
+    k = np.array([[0.95, 0.05, 1e-295], [0.05, 0.95, 2e-295], [0.5, 0.5, 3e-295]])
+    return StochasticKernel(StateSpace(3), k)
+
+
+@pytest.mark.parametrize("reached", [True, False])
+def test_tiny_entries_against_the_stepwise_reference(reached):
+    # from the checkpoint at 16 on, every stride is walked again: a hit on a
+    # checkpoint is the last step of that walk, and the horizon 200 ends a
+    # shorter last stride (200 = 12 * 16 + 8)
+    seq = KernelSequence.constant(tiny_entry_kernel())
+    n_max, checkpoint = 200, 4 * merging._PASSAGE_STRIDE
+    traj = metric_trajectory(seq, "relsup", n_max)
+    epsilon = traj[checkpoint] if reached else 0.5 * traj[n_max]
+    expected = stepwise_passage(seq, epsilon, "relsup", n_max)
+    assert expected[0] == (checkpoint if reached else None)
+    assert first_passage(seq, epsilon, "relsup", n_max) == expected
+
+
+def test_tiny_entries_then_a_drift_raise_the_walks_error():
+    drifting = StochasticKernel._unchecked(StateSpace(3), np.full((3, 3), (1 + 1e-10) / 3))
+    seq = KernelSequence.explicit([tiny_entry_kernel()] * 39 + [drifting])
+    epsilon = 0.5 * metric_trajectory(seq, "relsup", 39)[39]
+    with pytest.raises(ArithmeticError, match="row-sum drift") as reference:
+        stepwise_passage(seq, epsilon, "relsup", 200)
+    with pytest.raises(ArithmeticError) as got:
+        first_passage(seq, epsilon, "relsup", 200)
+    assert str(got.value) == str(reference.value)
+    assert str(got.value).endswith(" at step 40")
+
+
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
 def test_first_passage_stops_before_a_later_drift(metric):
     # the walk reaches the drifting kernel at step 6, inside the stride that
