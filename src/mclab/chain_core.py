@@ -341,19 +341,16 @@ def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward"):
     return q, drift
 
 
-def drift_error(drift: float, i: int) -> ArithmeticError:
-    """The error a walk raises when step ``i`` drifts by ``drift > DRIFT_ATOL``."""
-    return ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
-
-
-def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
-    """Accumulate ``K_i`` for ``i`` in ``indices``, starting from the identity.
+def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward",
+         start: np.ndarray | None = None):
+    """Accumulate ``K_i`` for ``i`` in ``indices`` from ``start``, by default the identity.
 
     ``forward`` multiplies each kernel on the right (``P K_i``) and
     ``backward`` on the left (``K_i P``). Each step is a
     :func:`renormalized_step`; yields ``(i, P, drift)`` with the largest
-    row-sum deviation from 1 seen before that step's renormalization. The
-    yielded matrix is replaced, never mutated, by later steps.
+    row-sum deviation from 1 seen before that step's renormalization.
+    ``start`` and every yielded matrix are replaced, never mutated, by
+    later steps. Every walk's drift is checked here.
 
     Raises
     ------
@@ -362,12 +359,12 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward"):
     """
     if order not in ("forward", "backward"):
         raise ValueError(f"unknown order {order!r}")
-    p = np.eye(seq.space.size)
+    p = np.eye(seq.space.size) if start is None else start
     for i in indices:
         p, drift = renormalized_step(p, seq.kernel_at(i).entries, order)
         drift = float(drift)
         if drift > DRIFT_ATOL:
-            raise drift_error(drift, i)
+            raise ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
         yield i, p, drift
 
 

@@ -250,9 +250,12 @@ def _schema_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ``ValueError``, an ``OSError`` or a scenario that
-    fails the schema exits with the subcommand's usage and status 2."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; an unknown argument, a ``ValueError``, an ``OSError``
+    or a scenario that fails the schema exits with the subcommand's usage and
+    status 2."""
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # argparse would report these with the top-level usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

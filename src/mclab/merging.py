@@ -31,11 +31,11 @@ from .chain_core import (
     DRIFT_ATOL,
     KernelSequence,
     contraction_coefficient,
-    drift_error,
     dump_json,
     product,
     renormalized_step,
     tv_between_rows,
+    walk,
     walk_from_start,
     write_csv,
 )
@@ -141,23 +141,42 @@ def first_passages(seqs, epsilon: float, metric: str,
     order, that :func:`first_passage` measures it (the identity at time 0
     is measured once per batch), so each result equals its
     :func:`first_passage` bit for bit. A sequence leaves the stack when
-    it finishes. When walks fail, the error raised is the one of the first
-    failing sequence, the one a loop over :func:`first_passage` raises.
+    it finishes. ``seqs`` is read lazily, and a batch is walked and dropped
+    as soon as not even a one-kernel sequence of its state count would fit,
+    so a sequence waits outside a stack only when the stack had room for a
+    one-kernel sequence but not for it. When walks fail, the error raised
+    is the one of the first failing sequence, the one a loop over
+    :func:`first_passage` raises; when reading ``seqs`` fails, the batch
+    read so far is walked first.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
     results = []
     batch: list[KernelSequence] = []
     used = 0
-    for seq in seqs:
-        cost = _passage_bytes(seq)
-        if batch and (used + cost > _BATCH_BYTES or seq.space.size != batch[0].space.size):
-            results.extend(_passage_batch(batch, epsilon, metric, n_max))
-            batch, used = [], 0
-        batch.append(seq)
-        used += cost
+
+    def walk_batch():
+        nonlocal batch, used
+        walking, batch, used = batch, [], 0  # emptied first: a walk's own error is not walked again
+        results.extend(_passage_batch(walking, epsilon, metric, n_max))
+
+    try:
+        for seq in seqs:
+            n = seq.space.size
+            cost = _passage_bytes(seq)
+            if batch and (used + cost > _BATCH_BYTES or n != batch[0].space.size):
+                walk_batch()
+            batch.append(seq)
+            used += cost
+            del seq  # held by the batch alone, and dropped with it
+            if used + 8 * n * n * 5 > _BATCH_BYTES:  # _passage_bytes of a one-kernel sequence
+                walk_batch()
+    except Exception:
+        if batch:  # reading failed; the sequences read before it come first
+            walk_batch()
+        raise
     if batch:
-        results.extend(_passage_batch(batch, epsilon, metric, n_max))
+        walk_batch()
     return results
 
 
@@ -259,15 +278,12 @@ def _gathered(columns):
 def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon):
     """``(i, P_i, value)`` at the first ``start < i <= stop`` with value <= epsilon, else at ``stop``.
 
-    The steps are walked again from ``matrix``, the product at ``start``,
-    and measured in order up to the first hit; a step that drifts raises
-    the walk's error before it is measured.
+    The steps are walked again by :func:`~mclab.chain_core.walk` from
+    ``matrix``, the product at ``start``, and measured in order up to the
+    first hit; a step that drifts raises the walk's error before it is
+    measured.
     """
-    kernels = seq.kernels
-    for i, k in enumerate(seq.indices(start + 1, stop + 1).tolist(), start + 1):
-        matrix, drift = renormalized_step(matrix, kernels[k].entries)
-        if drift > DRIFT_ATOL:
-            raise drift_error(float(drift), i)
+    for i, matrix, _ in walk(seq, range(start + 1, stop + 1), start=matrix):
         value = measure(matrix)
         if value <= epsilon:
             break

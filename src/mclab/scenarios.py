@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .chain_core import (
     write_csv,
     write_plotdata,
 )
-from . import merging
 from .merging import first_passage, first_passages  # first_passage stays importable from here
 from .rng import fold_path, substream
 from .singular import singular_value_bounds
@@ -239,47 +239,39 @@ GENERATORS = {
 # analyses
 
 
+# the columns each analysis adds to a grid point's keys, in row order
+COLUMNS = {
+    "merging_time": ("t_merge", "tv_final", "relsup_final"),
+    "singular_domination": ("max_violation", "sigma_product_final"),
+    "spectral_comparison": ("sigma_w", "sigma_unit", "gap_margin"),
+}
+
+
+def _columns(kind: str, *values) -> dict:
+    return dict(zip(COLUMNS[kind], values, strict=True))
+
+
 def _run_merging(points: list[dict], make, options: dict) -> list[dict]:
     """Rows of a ``merging_time`` scenario, one per grid point, in grid order.
 
-    Consecutive points that differ only in ``replica`` are walked together
-    as one :func:`~mclab.merging.first_passages` stack while their
-    footprint fits in ``merging._BATCH_BYTES``. A point is generated only
-    once the stack before it is known to take it, or has been walked and
-    dropped, so no sequence waits outside the stack while it walks.
-    ``make(index, point)`` generates one point's sequence.
+    Each run of consecutive points that differ only in ``replica`` goes to
+    :func:`~mclab.merging.first_passages` as a generator of
+    ``make(index, point)``, the point's sequence, which batches it: a point
+    is generated only when the walk reads it, and the first failing
+    point's error is raised.
     """
     epsilon = float(options.get("epsilon", 0.25))
     metric = options.get("metric", "tv")
     n_max = int(options.get("n_max", 1000))
     rows: list[dict] = []
-    batch: list[tuple[dict, KernelSequence]] = []
-    used = 0
-
-    def walk_batch():
-        nonlocal used
-        results = first_passages([seq for _, seq in batch], epsilon, metric, n_max)
-        rows.extend({**point, "t_merge": t if t is not None else -1,
-                     "tv_final": float(tv), "relsup_final": float(relsup)}
-                    for (point, _), (t, tv, relsup) in zip(batch, results))
-        batch.clear()
-        used = 0
-
-    for index, point in enumerate(points):
-        if batch and (any(point[k] != v for k, v in batch[0][0].items() if k != "replica")
-                      or used + merging._passage_bytes(batch[0][1]) > merging._BATCH_BYTES):
-            walk_batch()
-        try:
-            seq = make(index, point)
-        except Exception:
-            if batch:  # a failure of an earlier point comes first
-                walk_batch()
-            raise
-        batch.append((point, seq))
-        used += merging._passage_bytes(seq)
-        del seq  # held by the batch alone, and dropped with it
-    if batch:
-        walk_batch()
+    for _, run in groupby(enumerate(points),
+                          key=lambda ip: {k: v for k, v in ip[1].items() if k != "replica"}):
+        run = list(run)
+        results = first_passages((make(index, point) for index, point in run),
+                                 epsilon, metric, n_max)
+        rows.extend({**point, **_columns("merging_time", -1 if t is None else t,
+                                         float(tv), float(relsup))}
+                    for (_, point), (t, tv, relsup) in zip(run, results))
     return rows
 
 
@@ -290,7 +282,7 @@ def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict) -> 
     violations = []
     if not report.dominates():
         violations.append(f"singular-value bound violated by {worst:.3e}")
-    row = {"max_violation": worst, "sigma_product_final": float(report.sigma_product[-1])}
+    row = _columns("singular_domination", worst, float(report.sigma_product[-1]))
     return row, violations
 
 
@@ -305,8 +297,7 @@ def _run_spectral(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict,
         violations.append(f"gap comparison violated by {-report.gap_margin:.3e}")
     if not report.dominates():
         violations.append("convergence bound fell below the exact deviation")
-    row = {"sigma_w": report.sigma_w, "sigma_unit": report.sigma_unit,
-           "gap_margin": report.gap_margin}
+    row = _columns("spectral_comparison", report.sigma_w, report.sigma_unit, report.gap_margin)
     return row, violations
 
 
@@ -367,7 +358,7 @@ def _grid_points(config: dict) -> list[dict]:
 def _median_by(rows: list[dict], column: str, by: str) -> dict:
     groups: dict = {}
     for row in rows:
-        groups.setdefault(required_key(row, by), []).append(required_key(row, column))
+        groups.setdefault(row[by], []).append(row[column])
     return {k: float(np.median(v)) for k, v in sorted(groups.items())}
 
 
@@ -403,8 +394,10 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
 
     ``seed`` overrides the config seed. Rows come out in grid order, and
     a failure raises the error of the first failing point; ``merging_time``
-    points are walked in stacks (:func:`_run_merging`). ``threads`` is
-    accepted for compatibility and selects nothing.
+    points are walked in stacks (:func:`_run_merging`). A check whose
+    ``by`` or ``column`` is neither a grid key, ``replica`` nor one of the
+    analysis's ``COLUMNS`` raises ``ValueError`` before any point runs.
+    ``threads`` is accepted for compatibility and selects nothing.
     ``scenario_hash`` is the SHA-256 of the effective config (after the
     override) as canonical JSON, followed for ``sequence_file`` by the
     SHA-256 of the data file's bytes. A relative ``sequence_file`` path is
@@ -426,6 +419,10 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
         digest.update(hashlib.sha256(data.read_bytes()).digest())
     kind = config["analysis"]["kind"]
     options = config["analysis"]
+    row_keys = dict.fromkeys([*config["grid"], "replica", *COLUMNS[kind]])
+    for check in config.get("checks", []):  # before any point is generated
+        required_key(row_keys, check["by"])
+        required_key(row_keys, check["column"])
     points = _grid_points(config)
 
     def make(index: int, point: dict):

@@ -6,8 +6,10 @@ the same message. The scenario runner's rows are compared with a per-point
 ``first_passage`` loop on the sweep scenarios.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -224,6 +226,66 @@ def test_state_count_changes_start_a_new_batch(monkeypatch):
     monkeypatch.setattr(merging, "_passage_batch", spy)
     assert first_passages(seqs, 0.3, "tv", 300) == expected
     assert widths == [2, 3, 3]
+
+
+def test_a_generator_is_read_as_the_batches_take_it(monkeypatch):
+    # the floor walks a batch as soon as no one-kernel sequence fits beside it
+    seqs = bd_sequences()
+    expected = [first_passage(s, 0.3, "tv", 300) for s in seqs]
+    events = []
+    batch = merging._passage_batch
+
+    def spy(batch_seqs, *args):
+        events.append(f"walk {len(batch_seqs)}")
+        return batch(batch_seqs, *args)
+
+    def pulled():
+        for i, seq in enumerate(seqs):
+            events.append(f"pull {i}")
+            yield seq
+
+    monkeypatch.setattr(merging, "_passage_batch", spy)
+    monkeypatch.setattr(merging, "_BATCH_BYTES", 2 * merging._passage_bytes(seqs[0]))
+    assert first_passages(pulled(), 0.3, "tv", 300) == expected
+    assert events == ["pull 0", "pull 1", "walk 2", "pull 2", "pull 3", "walk 2",
+                      "pull 4", "walk 1"]
+
+
+def test_a_walked_sequence_is_freed_before_the_next_is_made(monkeypatch):
+    expected = [first_passage(s, 0.3, "tv", 300) for s in bd_sequences()]
+    refs = []
+    alive = []
+
+    def make(i):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        seq = bd_sequences()[i]
+        refs.append(weakref.ref(seq))
+        return seq
+
+    monkeypatch.setattr(merging, "_BATCH_BYTES", 1)
+    assert first_passages((make(i) for i in range(5)), 0.3, "tv", 300) == expected
+    assert alive == [0] * 5
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_a_failed_read_comes_after_the_batch_read_before_it(metric):
+    space = StateSpace(3)
+
+    def pulled():
+        yield slow_merger(space, 5)
+        yield drifting_after(space, 3, merged=False)
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(ArithmeticError, match="row-sum drift 1.00e-10 at step 4"):
+        first_passages(pulled(), 0.5, metric, 50)
+
+    def pulled_clean():
+        yield slow_merger(space, 5)
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        first_passages(pulled_clean(), 0.5, metric, 50)
 
 
 def test_rejects_an_unknown_metric():

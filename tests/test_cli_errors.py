@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mclab
+from mclab import scenarios
 from mclab.cli import main as cli_main
 
 
@@ -111,9 +112,49 @@ def test_run_usage_errors(tmp_path, capsys, config, message):
 def test_run_has_no_threads_option(tmp_path, capsys):
     err = run_failing(["run", "mirrored-pair", "--threads", "2", "--out", str(tmp_path / "r")],
                       capsys)
-    # argparse reports an unknown option with the top-level usage line
+    # an unknown option is reported with the subcommand's usage line
     assert "error: unrecognized arguments: --threads 2" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "mirrored-pair", "--threads", "2", "--out", "{tmp}/r"],
+    ["merge", "--sequence", "{tmp}/s.json", "--threads", "2", "--out", "{tmp}/m"],
+    ["zoo", "emit", "lazy_stick", "-P", "N=4", "--threads", "2", "--out", "{tmp}/z.json"],
+])
+def test_unknown_option_gets_the_subcommand_usage(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    err = run_failing(argv, capsys)
+    sub = "zoo emit" if argv[0] == "zoo" else argv[0]
+    assert err.startswith(f"usage: mclab {sub} ")
+    assert "error: unrecognized arguments: --threads 2" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("check, key", [
+    (dict(DOUBLING_CHECK, by="M"), "M"),
+    (dict(DOUBLING_CHECK, column="nope"), "nope"),
+    (dict(DOUBLING_CHECK, by="M", column="nope"), "M"),  # by is checked first
+    (dict(DOUBLING_CHECK, column="max_violation"), "max_violation"),  # another analysis's column
+])
+def test_a_check_naming_no_key_generates_no_point(tmp_path, monkeypatch, check, key):
+    calls = []
+    generate = scenarios.GENERATORS["mirrored_bd_pair"]
+
+    def spy(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setitem(scenarios.GENERATORS, "mirrored_bd_pair", spy)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(SCENARIO, generator=MIRRORED_GENERATOR, checks=[check])))
+    with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+        scenarios.run_scenario(path)
+    assert calls == []
+    path.write_text(json.dumps(dict(SCENARIO, generator=MIRRORED_GENERATOR,
+                                    checks=[DOUBLING_CHECK])))
+    scenarios.run_scenario(path)
+    assert len(calls) == 1
 
 
 def test_import_leaves_heavy_dependencies_unloaded():

@@ -117,6 +117,25 @@ class TestScenarioRunner:
         assert result.passed
         assert all(row["gap_margin"] >= -1e-12 for row in result.rows)
 
+    @pytest.mark.parametrize("generator, analysis", [
+        ({"family": "mirrored_bd_pair", "params": {"p": 0.54, "q": 0.36, "r": 0.1}},
+         {"kind": "merging_time", "n_max": 50}),
+        ({"family": "stick_pair", "params": {"p": 0.6, "q": 0.4}},
+         {"kind": "singular_domination", "n": 10}),
+        ({"family": "lazy_stick_weights", "params": {"set_size": 2}},
+         {"kind": "spectral_comparison", "n_max": 10}),
+    ])
+    def test_rows_carry_the_declared_columns(self, tmp_path, generator, analysis):
+        cfg = {"name": "columns", "seed": 4, "generator": generator, "analysis": analysis,
+               "grid": {"N": [5, 7], "tag": ["a"]}, "replicas": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        result = run_scenario(path)
+        expected = ["N", "tag", "replica", *mclab.scenarios.COLUMNS[analysis["kind"]]]
+        assert len(result.rows) == 4
+        assert all(list(row) == expected for row in result.rows)
+        assert result.columns == expected
+
     def test_hash_is_of_effective_config(self, tmp_path):
         cfg = {
             "name": "hash-demo",
