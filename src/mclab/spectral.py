@@ -17,6 +17,8 @@ import numpy as np
 from .chain_core import VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
 from .zoo import WeightedGraph, graph_kernel
 
+_RECENTER = 16     # comparison_check removes its power's 1^T component every this many steps
+
 
 def reversible_eigenvalues(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndarray:
     """Ascending eigenvalues of a reversible kernel via symmetric conjugation."""
@@ -95,7 +97,10 @@ class ComparisonReport:
     slack. ``bound[n]`` is the uniform convergence bound
     ``b (degree_total / degree_min) (1 - (1 - sigma_unit)/b^2)^n`` and
     ``exact[n]`` the exact worst relative deviation
-    ``max_xy |K^n(x,y)/pi(y) - 1|`` of the weighted chain.
+    ``max_xy |K^n(x,y)/pi(y) - 1|`` of the weighted chain. ``exact`` comes
+    from the centered, pi-scaled power of :func:`comparison_check`, so its
+    rounding is relative to its own size: it keeps decaying past the floor
+    of a plain float power (about 1e-12 at 40,960 steps on 65 states).
     """
 
     b: float
@@ -122,6 +127,14 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     ``weights`` defaults to the graph's own; ``b`` defaults to their exact
     ratio and is validated otherwise. With ``n_max > 0`` the exact
     deviations of the weighted chain are tracked for ``n <= n_max``.
+
+    They are read from ``C_n = K^n diag(pi)^-1 - 1 1^T``, the centered,
+    pi-scaled power, stepped as ``C_n = C_{n-1} M`` with
+    ``M = diag(pi) K diag(pi)^-1`` (valid because ``pi K = pi``). ``M`` keeps
+    each row's component along ``1^T``, so every 16 steps ``(C pi) 1^T`` is
+    subtracted to remove the rounding that lands there. Rounding then stays
+    relative to ``C_n`` and ``exact[n] = max |C_n|`` has no floor at the
+    kernel's rounding.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -140,12 +153,19 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     rate = 1.0 - rhs
     bound = prefactor * np.power(rate, np.arange(n_max + 1))
     exact = np.empty(n_max + 1)
-    # plain power, not chain_core.walk: renormalizing slows certify ~21%, moves values ~2e-13
-    p = np.eye(graph.n_vertices)
-    exact[0] = np.abs(p / pi.weights[None, :] - 1.0).max()
+    # c is K^n / pi - 1 1^T; m's left eigenvector for eigenvalue 1 is 1^T and its
+    # right one pi, so c @ pi is the rounding m would otherwise carry forever
+    inv_pi = 1.0 / pi.weights
+    m = pi.weights[:, None] * kernel.entries * inv_pi[None, :]
+    c = np.diag(inv_pi) - 1.0
+    scratch = np.empty_like(c)
+    exact[0] = max(c.max(), -c.min())
     for n in range(1, n_max + 1):
-        p = p @ kernel.entries
-        exact[n] = np.abs(p / pi.weights[None, :] - 1.0).max()
+        np.matmul(c, m, out=scratch)
+        c, scratch = scratch, c
+        if n % _RECENTER == 0:
+            c -= (c @ pi.weights)[:, None]
+        exact[n] = max(c.max(), -c.min())
     return ComparisonReport(
         b=b,
         sigma_unit=unit.sigma,

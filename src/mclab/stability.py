@@ -32,23 +32,30 @@ DEFAULT_BUDGET_NODES = 1 << 20
 _CHUNK_ROWS = 1 << 15
 _MAX_WITNESSES = 10     # product_invariant_criterion stops after this many failing words
 _SEARCH_PASSES = 40     # coordinate sweeps per start in search_stable_measure
+_SEARCH_BUDGET_VISITS = 1 << 24   # word-tree nodes search_stable_measure may visit in all
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Word tree larger than the node budget.
+    """Word tree larger than the node budget, or a stable-measure search
+    whose walks could visit more nodes in all than its budget.
 
     Raise the budget for an exhaustive answer, or estimate from below by
     evaluating sampled words (for example i.i.d. :class:`KernelSequence`
     trajectories), accepting that a sampled envelope is a lower bound.
     """
 
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(
+    def __init__(self, nodes: int, budget: int, message: str | None = None):
+        super().__init__(message or (
             f"word tree has {nodes} nodes, budget is {budget}; raise budget_nodes "
             "or fall back to sampled words (the sampled envelope is only a lower bound)"
-        )
+        ))
         self.nodes = nodes
         self.budget = budget
+
+
+def _tree_nodes(letters: int, depth: int) -> int:
+    """Nodes of the word tree over ``letters`` letters, the empty word included."""
+    return sum(letters ** d for d in range(depth + 1))
 
 
 def _tree_matrices(kernels, depth: int, budget: int, *measures: ProbMeasure) -> list[np.ndarray]:
@@ -65,7 +72,7 @@ def _tree_matrices(kernels, depth: int, budget: int, *measures: ProbMeasure) -> 
         raise ValueError("depth must be >= 1")
     if not all(mu.positive for mu in measures):
         raise ValueError("measures must be strictly positive")
-    nodes = sum(len(kernels) ** d for d in range(depth + 1))
+    nodes = _tree_nodes(len(kernels), depth)
     if nodes > budget:
         raise EnumerationBudgetError(nodes, budget)
     return [k.entries for k in kernels]
@@ -223,8 +230,11 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     stationary measures. Deterministic given the seed. The result is
     evidence, not proof: a failed search does not certify instability.
 
-    Cost: up to 3 starts x 40 sweeps x ``2N`` envelope walks on ``N``
-    states. ``budget_nodes`` caps each walk's word tree, not the search.
+    Cost: up to 3 starts x (1 + 40 sweeps x ``2N``) envelope walks on ``N``
+    states. ``budget_nodes`` caps each walk's word tree; the search raises
+    :class:`EnumerationBudgetError` before its first walk when those walks
+    could visit more than ``2**24`` tree nodes in all (with two irreducible
+    kernels on 12 states, depth 11 runs and depth 12 raises).
     """
     kernels = list(kernels)
     mats = _tree_matrices(kernels, depth, budget_nodes, pi)
@@ -243,6 +253,12 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     if leaf_measures:
         bary = np.mean(leaf_measures, axis=0)
         starts.append(bary / bary.sum())
+    visits = len(starts) * (1 + _SEARCH_PASSES * 2 * size) * _tree_nodes(len(mats), depth)
+    if visits > _SEARCH_BUDGET_VISITS:
+        raise EnumerationBudgetError(visits, _SEARCH_BUDGET_VISITS, (
+            f"stable-measure search may visit {visits} word-tree nodes, its budget is "
+            f"{_SEARCH_BUDGET_VISITS}; lower the depth or call ratio_envelope on chosen "
+            "starting measures"))
 
     rng = substream(seed, 0x57A7)
     best_w = None

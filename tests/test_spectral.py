@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,39 @@ from mclab import (
     step_sigma,
 )
 from mclab.zoo import WeightedGraph
+
+
+def mpmath_deviations(graph, steps, dps=50):
+    """``max_xy |K^n(x,y)/pi(y) - 1|`` for each ``n`` in ``steps``, at ``dps`` digits.
+
+    The kernel and its measure are built in mpmath from the float edge
+    weights, a loop counted once, and powered by repeated squaring.
+    """
+    size = graph.n_vertices
+    with mpmath.workdps(dps):
+        k = mpmath.zeros(size, size)
+        for (x, y), w in zip(graph.edges, graph.weights.tolist()):
+            k[x, y] += mpmath.mpf(w)
+            if x != y:
+                k[y, x] += mpmath.mpf(w)
+        incident = [sum(k[x, y] for y in range(size)) for x in range(size)]
+        total = sum(incident)
+        pi = [s / total for s in incident]
+        for x in range(size):
+            for y in range(size):
+                k[x, y] /= incident[x]
+        values = []
+        for n in steps:
+            power, square = mpmath.eye(size), k
+            while n:
+                if n & 1:
+                    power = power * square
+                n >>= 1
+                if n:
+                    square = square * square
+            values.append(max(abs(power[x, y] / pi[y] - 1)
+                              for x in range(size) for y in range(size)))
+        return values
 
 
 def complete_graph_with_loops(n):
@@ -146,6 +180,31 @@ class TestComparisonCheck:
         # \r\n line ends and repr floats, byte for byte
         assert path.read_bytes().decode() == lines[0] + "\r\n" + "".join(
             f"{n},{float(report.bound[n])!r},{float(report.exact[n])!r}\r\n" for n in range(7))
+
+    def test_exact_matches_mpmath_past_the_rounding_floor(self):
+        # a plain float power of this 9-state chain is off by 9e-6 relative at
+        # n = 400 (value 2e-9) and reads a flat 3.5e-14 at n = 800 and 1000,
+        # while the chain falls to 5e-23 by n = 1000; the 50-digit reference
+        # keeps 1e-6 relative down to about 1e-43
+        g = lazy_stick(8)
+        w = random_weights(g, 2.0, seed=1)
+        report = comparison_check(g, w, 2.0, n_max=1000)
+        steps = [0, 1, 10, 100, 200, 300, 400, 500, 600, 800, 1000]
+        reference = mpmath_deviations(g.with_weights(w), steps)
+        for n, ref in zip(steps, reference):
+            assert report.exact[n] == pytest.approx(float(ref), rel=1e-6, abs=0.0), n
+        assert float(reference[-1]) < 1e-20
+        # where the plain power still reads the chain, it agrees to 1e-9
+        kernel, pi = graph_kernel(g.with_weights(w))
+        p = np.eye(g.n_vertices)
+        plain = [np.abs(p / pi.weights - 1.0).max()]
+        for _ in range(1000):
+            p = p @ kernel.entries
+            plain.append(np.abs(p / pi.weights - 1.0).max())
+        plain = np.array(plain)
+        rows = plain >= 1e-3
+        assert rows.sum() > 100
+        assert report.exact[rows] == pytest.approx(plain[rows], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n_max", [-1, -2, -5])
     def test_negative_horizon_rejected(self, n_max):

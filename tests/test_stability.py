@@ -181,6 +181,25 @@ class TestSearchStableMeasure:
         recheck = ratio_envelope(kernels, mu0, pi, depth=4)
         assert recheck.c_estimate <= c + 1e-12
 
+    def test_search_budget_raises_before_any_walk(self, monkeypatch):
+        # 3 starts x (1 + 40 x 24) walks of the 12-state stick pair: depth 11
+        # visits 11.8M nodes, depth 12 23.6M, over the 2**24 search budget
+        pair = perturbed_stick_pair(11, 0.6, 0.4, 0.0, 0.0, 0.0)
+        uniform = ProbMeasure.uniform(pair[0].space)
+        walks = []
+
+        def walk(mats, mu0, log_pi, depth):
+            walks.append(depth)
+            return 0.0, ()
+
+        monkeypatch.setattr(stability, "_walk_envelope", walk)
+        for depth in (12, 19):
+            with pytest.raises(EnumerationBudgetError, match="search"):
+                search_stable_measure(list(pair), uniform, depth=depth)
+        assert walks == []
+        search_stable_measure(list(pair), uniform, depth=11)
+        assert walks and set(walks) == {11}
+
 
 class TestTwoPointClassify:
     def test_paper_pattern_is_unstable(self):
