@@ -37,7 +37,6 @@ from .merging import (
 )
 from .singular import (
     HomogeneousBoundReport,
-    MeasureTrajectory,
     SingularBoundReport,
     homogeneous_bounds,
     pi_kernel,

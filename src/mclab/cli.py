@@ -33,7 +33,12 @@ from .merging import merging_time
 from .scenarios import builtin_scenario_names, emit, run_scenario
 from .singular import singular_value_bounds
 from .spectral import comparison_check, srw_spectrum
-from .stability import DEFAULT_BUDGET_NODES, envelope_summary_csv, ratio_envelope
+from .stability import (
+    DEFAULT_BUDGET_NODES,
+    EnumerationBudgetError,
+    envelope_summary_csv,
+    ratio_envelope,
+)
 from .zoo import (
     WeightedGraph,
     constant_rate_bd,
@@ -148,6 +153,8 @@ def _cmd_spectral(args) -> int:
     if args.weights == "unit":
         weights = None
     elif args.weights.startswith("random:"):
+        if args.b is None:
+            raise ValueError("--weights random:<seed> needs --b, the weight-ratio band")
         weights = random_weights(graph, args.b, int(args.weights.split(":", 1)[1]))
     else:
         weights = np.asarray(required_key(load_json(args.weights), "weights"), dtype=float)
@@ -250,15 +257,15 @@ def _schema_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an unknown argument, a ``ValueError``, an ``OSError``
-    or a scenario that fails the schema exits with the subcommand's usage and
-    status 2."""
+    """Run one subcommand; an unknown argument, a ``ValueError``, an ``OSError``,
+    an ``EnumerationBudgetError`` or a scenario that fails the schema exits
+    with the subcommand's usage and status 2."""
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # argparse would report these with the top-level usage
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EnumerationBudgetError) as exc:
         args.parser.error(str(exc))
     except _schema_errors() as exc:
         where = ".".join(map(str, exc.absolute_path)) or "top level"

@@ -142,48 +142,36 @@ def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -
     return StochasticKernel(k.space, p)
 
 
-@dataclass(frozen=True)
-class MeasureTrajectory:
-    """A strictly positive reference trajectory ``mu_0, ..., mu_n``."""
+def _relsup_bound(sigma_product, mu0: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The relative-sup bound ``prod sigma_i [mu_0(x) mu_t(y)]^(-1/2)``, target ``y`` last.
 
-    measures: tuple[ProbMeasure, ...]
-
-    def __post_init__(self):
-        for mu in self.measures:
-            if mu.weights.min() <= POSITIVITY_FLOOR:
-                raise ValueError("trajectory measures must be strictly positive")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.stack([mu.weights for mu in self.measures])
-
-
-def _relsup_bound_tensor(trajectory: MeasureTrajectory, sigma_product: np.ndarray) -> np.ndarray:
-    """The ``(n+1, N, N)`` relative-sup bound ``prod sigma_i [mu_0(x) mu_t(y)]^(-1/2)``.
-
-    Elementwise the same operations, in the same order, as the per-time
-    matrices :func:`singular_value_bounds` reduces, so bit-identical to them.
+    With a scalar ``sigma_product`` and one measure ``mu`` it is the
+    ``(N, N)`` matrix at one time; with ``(n+1,)`` and ``(n+1, N)`` it is the
+    whole ``(n+1, N, N)`` tensor. Both take the same operations elementwise,
+    so each slice of the tensor equals the matrix bit for bit.
     """
-    inv_sqrt_mu0 = 1.0 / np.sqrt(trajectory.measures[0].weights)
-    roots = np.sqrt(trajectory.as_matrix())
-    return sigma_product[:, None, None] * inv_sqrt_mu0[None, :, None] / roots[:, None, :]
+    scaled = np.asarray(sigma_product)[..., None, None] * (1.0 / np.sqrt(mu0))[:, None]
+    return scaled / np.sqrt(mu)[..., None, :]
 
 
 @dataclass(frozen=True)
 class SingularBoundReport:
     """Singular-value bounds against exact distances along one trajectory.
 
-    Index conventions: ``sigmas[i-1]`` belongs to step ``i``;
-    ``sigma_product[t] = prod_{i<=t} sigma_i``; the total-variation arrays
-    are indexed by time ``t = 0..n`` first, then by starting state ``x``.
+    Index conventions: ``mus[t] = mu_t`` (read-only); ``sigmas[i-1]`` belongs
+    to step ``i``; ``sigma_product[t] = prod_{i<=t} sigma_i``; the
+    total-variation arrays are indexed by time ``t = 0..n`` first, then by
+    starting state ``x``.
 
-    The relative-sup family (start ``x``, target ``y``) is reduced as the
-    walk goes: the report keeps its per-time maxima over ``(x, y)`` and the
-    largest ``exact - bound`` over all ``t, x, y``, so it holds O(n·N)
-    numbers rather than two ``(n+1)·N·N`` tensors. ``relsup_bound`` is the
-    closed-form bound tensor, recomputed on access.
+    The bound columns are closed-form in ``mu_t`` and ``sigma_t`` and are
+    computed before the walk, which fills only the exact columns. The walk
+    reduces the relative-sup family (start ``x``, target ``y``) to per-time
+    maxima and the largest ``exact - bound`` over all ``t, x, y``, so the
+    report holds O(n·N) numbers rather than two ``(n+1)·N·N`` tensors.
+    ``relsup_bound`` is built on access from the expression the walk used.
     """
 
-    trajectory: MeasureTrajectory
+    mus: np.ndarray                  # (n+1, N)
     sigmas: np.ndarray
     sigma_product: np.ndarray
     tv_bound: np.ndarray             # (n+1, N)
@@ -199,7 +187,7 @@ class SingularBoundReport:
     @property
     def relsup_bound(self) -> np.ndarray:
         """``(n+1, N, N)`` bound ``[mu_0(x) mu_t(y)]^(-1/2) prod sigma_i``, built on access."""
-        return _relsup_bound_tensor(self.trajectory, self.sigma_product)
+        return _relsup_bound(self.sigma_product, self.mus[0], self.mus)
 
     def max_violation(self) -> float:
         """Largest ``exact - bound`` over both families (negative when dominated)."""
@@ -237,43 +225,46 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
         TV(K_{0,t}(x, .), mu_t)        <=  mu_0(x)^(-1/2)              prod sigma_i
         |K_{0,t}(x, y)/mu_t(y) - 1|    <=  [mu_0(x) mu_t(y)]^(-1/2)    prod sigma_i
 
-    The exact left-hand sides are evaluated from the accumulated product
-    matrix and reported next to the bounds; the reported gap is always the
-    difference ``bound - exact``, never a ratio. The ``N x N`` relative-sup
-    matrices of each step are reduced to their maxima before the next step,
-    so memory stays O(N² + n·N).
+    The bound columns are closed-form in ``mu_t`` and ``sigma_t``, computed
+    before the walk. The walk fills only the exact columns, from the
+    accumulated product matrix, and reduces each step's ``N x N`` relative-sup
+    matrices before the next, so memory stays O(N² + n·N). Its bound matrix
+    and the report's ``relsup_bound`` tensor come from one expression. The
+    reported gap is always ``bound - exact``, never a ratio.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not mu0.positive:
-        raise ValueError("mu0 must be strictly positive")
-    mus = evolve(mu0, seq, n)
-    trajectory = MeasureTrajectory(tuple(mus))
+    if mu0.weights.min() <= POSITIVITY_FLOOR:
+        raise ValueError("mu0 must be strictly positive (entries above 1e-300)")
+    measures = evolve(mu0, seq, n)
+    mus = np.stack([mu.weights for mu in measures])
+    mus.flags.writeable = False
 
     sigmas = np.empty(n)
     for i in range(1, n + 1):
-        sigmas[i - 1] = step_sigma(seq.kernel_at(i), mus[i - 1], mus[i])
+        sigmas[i - 1] = step_sigma(seq.kernel_at(i), measures[i - 1], measures[i])
     sigma_product = np.concatenate(([1.0], np.cumprod(sigmas)))
 
     inv_sqrt_mu0 = 1.0 / np.sqrt(mu0.weights)
-    roots = np.sqrt(trajectory.as_matrix())
     tv_bound = sigma_product[:, None] * inv_sqrt_mu0[None, :]
+    # the bound matrix's largest entry at each t, bit for bit: rounded multiply and
+    # divide are monotone (sigma_product >= 0), so it sits at the largest
+    # 1/sqrt(mu_0(x)) and the smallest sqrt(mu_t(y))
+    relsup_bound_max = sigma_product * inv_sqrt_mu0.max() / np.sqrt(mus).min(axis=1)
+
     tv_exact = np.empty((n + 1, seq.space.size))
-    relsup_bound_max = np.empty(n + 1)
     relsup_exact_max = np.empty(n + 1)
     relsup_violation = -np.inf
-
     for t, p, _ in walk_from_start(seq, n):
-        w = mus[t].weights
+        w = mus[t]
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
         exact = np.abs(p / w[None, :] - 1.0)
-        bound = sigma_product[t] * inv_sqrt_mu0[:, None] / roots[t][None, :]
         relsup_exact_max[t] = exact.max()
-        relsup_bound_max[t] = bound.max()
+        gap = exact - _relsup_bound(sigma_product[t], mu0.weights, w)
         # np.maximum, not max(): a NaN gap must propagate as it would through .max()
-        relsup_violation = np.maximum(relsup_violation, (exact - bound).max())
+        relsup_violation = np.maximum(relsup_violation, gap.max())
     return SingularBoundReport(
-        trajectory=trajectory,
+        mus=mus,
         sigmas=sigmas,
         sigma_product=sigma_product,
         tv_bound=tv_bound,
@@ -289,16 +280,17 @@ class HomogeneousBoundReport:
     """Dynamical error estimates for a single ergodic kernel.
 
     Bounds the pointwise deviation of ``K^t(x, y)`` and of the invariant
-    measure from the running trajectory ``mu_t = mu_0 K^t``, using only
-    quantities observable along the trajectory (no invariant measure enters
-    the bound; it is reported for the exact comparison only).
+    measure from the running trajectory ``mu_t = mu_0 K^t`` (``mus[t]``),
+    using only quantities observable along the trajectory (no invariant
+    measure enters the bound; it is reported for the exact comparison only).
 
-    The pointwise family is reduced during the walk, as in
-    :class:`SingularBoundReport`: only its largest ``exact - bound`` is
-    kept, and ``pointwise_bound`` is the closed-form tensor, built on access.
+    As in :class:`SingularBoundReport`, the bounds are closed-form in ``mu_t``
+    and ``sigma_t`` and computed before the walk, which keeps only the largest
+    pointwise ``exact - bound``; ``pointwise_bound`` is built on access from
+    the expression the walk used.
     """
 
-    trajectory: MeasureTrajectory
+    mus: np.ndarray                  # (n+1, N)
     sigmas: np.ndarray
     sigma_product: np.ndarray
     pointwise_violation: float       # max over (t, x, y) of exact - bound
@@ -309,7 +301,7 @@ class HomogeneousBoundReport:
     @property
     def pointwise_bound(self) -> np.ndarray:
         """``(n+1, N, N)`` bound on ``|K^t(x, y)/mu_t(y) - 1|``, target indexed last."""
-        return _relsup_bound_tensor(self.trajectory, self.sigma_product)
+        return _relsup_bound(self.sigma_product, self.mus[0], self.mus)
 
     def max_violation(self) -> float:
         return max(
@@ -326,11 +318,10 @@ def homogeneous_bounds(k: StochasticKernel, mu0: ProbMeasure, n: int) -> Homogen
     report = singular_value_bounds(KernelSequence.constant(k), mu0, n)
     pi = stationary_measure(k).weights
     mu0_star = float(mu0.weights.min())
-    mu_matrix = report.trajectory.as_matrix()
-    invariant_bound = report.sigma_product[:, None] / np.sqrt(mu0_star * mu_matrix)
-    invariant_exact = np.abs(pi[None, :] / mu_matrix - 1.0)
+    invariant_bound = report.sigma_product[:, None] / np.sqrt(mu0_star * report.mus)
+    invariant_exact = np.abs(pi[None, :] / report.mus - 1.0)
     return HomogeneousBoundReport(
-        trajectory=report.trajectory,
+        mus=report.mus,
         sigmas=report.sigmas,
         sigma_product=report.sigma_product,
         pointwise_violation=report.relsup_violation,

@@ -189,3 +189,24 @@ def test_run_generator_missing_param_or_grid_key(tmp_path, capsys, generator, gr
     assert err.startswith("usage: mclab run ")
     assert f"error: missing required key {key!r}" in err
     assert not (tmp_path / "results").exists()
+
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--graph", "{graph}", "--weights", "random:3"],
+     "--weights random:<seed> needs --b"),
+    (["stability", "--kernels", "{pair}", "--depth", "30"],
+     "word tree has 2147483647 nodes, budget is 1048576"),
+    (["stability", "--kernels", "{pair}", "--depth", "4", "--budget-nodes", "30"],
+     "word tree has 31 nodes, budget is 30"),
+])
+def test_rejected_value_gets_the_subcommand_usage(tmp_path, capsys, argv, message):
+    paths = {"graph": tmp_path / "graph.json", "pair": tmp_path / "pair.json"}
+    paths["graph"].write_text(json.dumps(GRAPH))
+    assert cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
+                     "-P", "q=0.4", "--out", str(paths["pair"])]) == 0
+    err = run_failing([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")],
+                      capsys)
+    assert err.startswith(f"usage: mclab {argv[0]} ")
+    assert f"error: {message}" in err
+    assert not any(tmp_path.glob("out*"))

@@ -160,6 +160,17 @@ class TestSingularValueBounds:
             f"{float(rep.relsup_exact_max[t])!r}\r\n" for t in range(6))
 
 
+    @pytest.mark.parametrize("low", [0.0, 1e-300])
+    def test_mu0_at_or_below_floor_rejected(self, low):
+        space = StateSpace(3)
+        k = StochasticKernel(space, np.full((3, 3), 1.0 / 3.0))
+        mu0 = ProbMeasure(space, np.array([low, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            singular_value_bounds(KernelSequence.constant(k), mu0, 0)
+        above = ProbMeasure(space, np.array([1e-299, 0.5, 0.5]))
+        assert singular_value_bounds(KernelSequence.constant(k), above, 0).horizon == 0
+
+
 class TestHomogeneousBounds:
     def test_stationary_start_is_geometric(self, rng):
         k = random_reversible_kernel(rng, 4)
@@ -212,7 +223,7 @@ def full_tensor_reference(seq, report):
     Walks the product separately with ``chain_core.walk`` and keeps every
     per-step matrix, as the report did before it was reduced on the fly.
     """
-    mus = report.trajectory.as_matrix()
+    mus = report.mus
     size = mus.shape[1]
     inv_sqrt_mu0 = 1.0 / np.sqrt(mus[0])
     products = [np.eye(size)] + [p for _, p, _ in walk(seq, range(1, report.horizon + 1))]
@@ -237,16 +248,20 @@ def full_tensor_reference(seq, report):
 
 class TestStreamedReport:
     @pytest.mark.parametrize("n", [0, 1, 37])
-    @pytest.mark.parametrize("kind", ["explicit", "cyclic", "iid"])
+    @pytest.mark.parametrize("kind", ["explicit", "cyclic", "iid", "stick-pair"])
     def test_bit_equal_to_full_tensor_reference(self, rng, kind, n):
-        size = 6
+        size = 10 if kind == "stick-pair" else 6
         if kind == "explicit":
             seq = KernelSequence.explicit([random_kernel(rng, size) for _ in range(max(n, 1))])
         elif kind == "cyclic":
             seq = KernelSequence.cyclic([random_kernel(rng, size) for _ in range(3)],
                                         word=[2, 0, 1, 1])
-        else:
+        elif kind == "iid":
             seq = KernelSequence.iid([random_kernel(rng, size) for _ in range(3)], seed=5)
+        else:
+            # mu_t spans about 11 decades by t = 37, so the bound's largest entry
+            # and its smallest sqrt(mu_t(y)) move far from the rest
+            seq = KernelSequence.cyclic(list(perturbed_stick_pair(9, 0.9, 0.1, 0.0, 0.0, 0.0)))
         mu0 = ProbMeasure(seq.space, rng.dirichlet(np.full(size, 2.0)))
         rep = singular_value_bounds(seq, mu0, n)
         rows, violation, _, bound = full_tensor_reference(seq, rep)
