@@ -8,6 +8,7 @@ dense ``float64``; the intended scale is a few thousand states at most.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -153,6 +154,15 @@ class StochasticKernel:
     @property
     def size(self) -> int:
         return self.space.size
+
+    @functools.cached_property
+    def bandwidth(self) -> int:
+        """Largest ``|x − y|`` with ``K(x, y) != 0``: 1 for a birth-death kernel.
+
+        Computed on first access and kept, as the entries are read-only.
+        """
+        rows, cols = np.nonzero(self.entries)
+        return int(np.abs(rows - cols).max(initial=0))
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StochasticKernel":

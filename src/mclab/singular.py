@@ -10,8 +10,10 @@ invariant measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,18 @@ STEP_ATOL = 1e-10
 POSITIVITY_FLOOR = 1e-300
 #: unit roundoff of float64
 UNIT_ROUNDOFF = 2.0 ** -53
+#: relative slack of a relative-sup comparison: the exact value ``|p/w − 1|`` takes 2
+#: roundings and the bound 5 (two square roots, a reciprocal, a product, a quotient),
+#: so a computed exact value can exceed a computed bound it truly meets by about 7u·bound
+RELSUP_SLACK = 8 * UNIT_ROUNDOFF
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack():
+    # imported on first use, not at module level: scipy.linalg adds about 22 MB to a
+    # process; cached, as an import statement costs about 0.5 µs a call
+    import scipy.linalg.lapack as lapack
+    return lapack
 
 
 def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> None:
@@ -44,24 +58,73 @@ def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure)
         raise ValueError(f"mu_next is not mu_prev K (residual {drift:.2e})")
 
 
+class _BandLayout(NamedTuple):
+    """Flat indices for the band path at one state count ``N``.
+
+    A band is a flat array of ``3N`` entries: ``3i + c`` holds entry
+    ``(i, i + c − 1)`` of a tridiagonal matrix, for ``c = 0, 1, 2``. The two
+    corners ``(0, −1)`` and ``(N − 1, N)`` lie outside the matrix and hold 0.
+    """
+
+    kernel: np.ndarray   # (3N,) into K: K(i, i+c−1); the corners read K(0, N−1), 0 on this path
+    scale: np.ndarray    # (2, 3N) into (a, b): b_{i+c−1} (any b at a corner), then a_i
+    sums: np.ndarray     # (6N,) slot of m(i, j)·b_j in m b (slot i), of m(i, j)·a_i in mᵀa (N + j)
+    pairs: np.ndarray    # (2, 6N) into a band: the factors of m(i, j)·m(i, j + d), 0 <= d <= 2
+    gram: np.ndarray     # (6N,) slot 3j + d of that product in the lower band of mᵀm
+
+
+@functools.lru_cache(maxsize=16)
+def _band_layout(n: int) -> _BandLayout:
+    # Kept for the last few state counts: on a few states, index arithmetic per call
+    # would cost more than the band itself. Left writable, as numpy copies a read-only
+    # index array on every gather and bincount; nothing writes to them.
+    entry = np.arange(3 * n)
+    row = entry // 3
+    col = row + entry % 3 - 1
+    inside = np.clip(col, 0, n - 1)
+    # the six products of row i: entries c <= c2 of it
+    c, c2 = np.triu_indices(3)
+    first = (3 * np.arange(n)[:, None] + c).reshape(-1)
+    second = (3 * np.arange(n)[:, None] + c2).reshape(-1)
+    return _BandLayout(
+        kernel=np.where(col == inside, row * n + col, n - 1),
+        scale=np.stack((n + inside, row)),
+        sums=np.concatenate((row, n + inside)),
+        pairs=np.stack((first, second)),
+        # a product outside the band has a zero corner factor, so any slot takes it
+        gram=np.clip(3 * col[first] + second - first, 0, 3 * n - 1),
+    )
+
+
 def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> float:
     """Second largest singular value of the step operator, rounded up.
 
     With ``m = diag(mu_prev)^(1/2) K diag(mu_next)^(-1/2)``, ``a = √mu_prev``
     and ``b = √mu_next``, the top singular pair of ``m`` is ``(1, a, b)``:
-    ``m b = a`` and ``mᵀ a = b``. So σ₂ is the largest singular value of the
-    deflated operator ``A = m − a bᵀ = diag(a) (K − 1 mu_nextᵀ) diag(b)^(-1)``
-    (Fill, Ann. Appl. Probab. 1, 1991; Saloff-Coste & Zúñiga, EJP 14, 2009).
-    It is computed as ``sqrt(λ_max(AᵀA))``, with the top eigenvalue alone
-    taken from LAPACK ``dsyevr``. For any vectors ``a`` and ``b``, Weyl's
-    inequality gives ``σ₂(m) ≤ ‖m − a bᵀ‖₂``, so the bound does not rest on
-    the measures being exactly consistent.
+    ``m b = a`` and ``mᵀ a = b`` (Fill, Ann. Appl. Probab. 1, 1991;
+    Saloff-Coste & Zúñiga, EJP 14, 2009). The kernel's support alone picks
+    one of two paths:
+
+    - *Band path*, for a tridiagonal ``K`` (support within ``|x − y| ≤ 1``)
+      of 3 or more states, as every birth-death kernel is. Then ``m`` is
+      tridiagonal and ``mᵀm`` pentadiagonal. As ``‖a‖ = 1``, the deflated
+      Gram matrix is ``mᵀm − b bᵀ``, so σ₂² is the second largest
+      eigenvalue of ``mᵀm`` itself. Its three lower diagonals are formed in
+      O(N) from the three diagonals of ``m``, and its top two eigenvalues
+      ``λ̂₂ ≤ λ̂₁`` are taken from LAPACK ``dsbevx``.
+    - *Dense path*, for every other kernel. σ₂ is the largest singular value
+      of the deflated operator ``A = m − a bᵀ = diag(a) (K − 1 mu_nextᵀ)
+      diag(b)^(-1)``, computed as ``sqrt(λ_max(AᵀA))`` with the top
+      eigenvalue alone taken from LAPACK ``dsyevr``. For any vectors ``a``
+      and ``b``, Weyl's inequality gives ``σ₂(m) ≤ ‖m − a bᵀ‖₂``, so the
+      bound does not rest on the measures being exactly consistent.
 
     The result is rounded up so that ``prod sigma_i`` stays an upper bound
     on the exact values for the given floating-point inputs. With
-    ``u = 2^-53``, ``γ_k = k·u/(1 − k·u)``, ``N`` states, ``Â`` the computed
-    ``A``, ``Ĝ`` the computed ``ÂᵀÂ``, ``t = trace(Ĝ)`` (which is
-    ``‖Â‖_F²`` to within ``γ_N``) and ``λ̂`` the computed top eigenvalue:
+    ``u = 2^-53``, ``γ_k = k·u/(1 − k·u)`` and ``N`` states, the dense path
+    writes ``Â`` for the computed ``A``, ``Ĝ`` for the computed ``ÂᵀÂ``,
+    ``t = trace(Ĝ)`` (which is ``‖Â‖_F²`` to within ``γ_N``) and ``λ̂`` for
+    the computed top eigenvalue:
 
     - *Forming A.* An entry takes five roundings (two square roots, a
       difference, a product, a quotient), so ``|Â − A| ≤ γ_5·|A|`` and
@@ -81,25 +144,50 @@ def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) 
       eigenvalue. Since ``‖Ĝ‖₂ ≤ λ_max(Ĝ) + e_G``, this gives
       ``λ_max(ÂᵀÂ) ≤ (λ̂ + e_G) / (1 − N²·u)``.
 
-    A last factor ``1 + 8u`` covers the roundings of evaluating these
-    expressions. As ``t ≤ N·σ₂²``, ``σ̂`` exceeds σ₂ by at most about
-    ``(1.5·N² + 8√N)·u`` relative: 3e-12 at 129 states, and about a third
-    of that when σ₂ dominates the rest of the spectrum.
+    The band path writes ``m̂`` for the computed ``m``, ``Ĝ`` for the
+    computed band of ``m̂ᵀm̂``, ``e = (N² + 4)·u`` and ``s = λ̂₁ / (1 − e)``:
 
-    In place of the SVD's "top singular value is 1", the step is checked
-    in O(N²): ``m b − a = A b`` and ``mᵀ a − b = Aᵀ a`` (as ``‖a‖ = ‖b‖ = 1``)
-    must be within ``STEP_ATOL`` of 0 in the max norm, and the computed σ₂
-    at most ``1 + STEP_ATOL``. That last check reads ``√λ̂`` before the
-    round-up, which alone reaches ``STEP_ATOL`` on a periodic step of about
-    800 states. A failure raises ``ArithmeticError``.
+    - *Forming m.* An entry takes four roundings (two square roots, a
+      product, a quotient) and ``m ≥ 0``, so ``|m̂ − m| ≤ γ_4·m`` and
+      ``‖m̂ − m‖₂ ≤ γ_4·‖m‖₂ ≤ 5u·‖m̂‖₂``. Weyl's inequality for singular
+      values carries this into σ₂; it is added as ``5u·√s``.
+    - *The band Gram matrix.* An entry is a sum of at most 3 products of
+      non-negative numbers, so ``‖Ĝ − m̂ᵀm̂‖₂ ≤ γ_3·‖m̂‖₂²``.
+    - *The eigensolver.* ``λ̂₂`` and ``λ̂₁`` are eigenvalues of ``Ĝ + E``
+      with ``‖E‖₂ ≤ N²·u·‖Ĝ‖₂``, the same generous ``p`` as above, for the
+      reduction to tridiagonal form and the bisection ``dsbevx`` runs for
+      two eigenvalues. With ``‖Ĝ‖₂ ≤ (1 + γ_3)·‖m̂‖₂²``, the computed top
+      eigenvalue bounds the norm, ``‖m̂‖₂² ≤ s``, and Weyl's inequality
+      gives ``σ₂(m̂)² ≤ λ̂₂ + e·s``, as ``γ_3 + N²·u·(1 + γ_3) ≤ e``.
+
+    On both paths a last factor ``1 + 8u`` covers the roundings of
+    evaluating these expressions. The dense round-up is relative: as
+    ``t ≤ N·σ₂²``, its ``σ̂`` exceeds σ₂ by at most about
+    ``(1.5·N² + 8√N)·u`` relative, 3e-12 at 129 states, and about a third
+    of that when σ₂ dominates the rest of the spectrum. The band round-up
+    is absolute, as ``λ̂₁`` is about 1: about ``N²·u / (2σ₂) + 13u``, which
+    is 9e-13 at 129 states near σ₂ = 1 but grows as σ₂ falls, up to about
+    ``N·√u`` at σ₂ = 0.
+
+    In place of the SVD's "top singular value is 1", the step is checked:
+    ``m b − a`` and ``mᵀ a − b`` must be within ``STEP_ATOL`` of 0 in the
+    max norm (on the dense path as ``A b`` and ``Aᵀ a``, in O(N²), as
+    ``‖a‖ = ‖b‖ = 1``; on the band path in O(N)), and the computed σ₂ at
+    most ``1 + STEP_ATOL``. That last check reads ``√λ̂`` (``√λ̂₂``) before
+    the round-up, which alone reaches ``STEP_ATOL`` on a periodic step of
+    about 800 states. A failure, or a nonzero ``info`` from LAPACK, raises
+    ``ArithmeticError``.
     """
-    # imported here, not at module level: scipy.linalg adds about 22 MB to a process
-    import scipy.linalg.lapack as lapack
-
     _check_step(k, mu_prev, mu_next)
-    a = np.sqrt(mu_prev.weights)
-    b = np.sqrt(mu_next.weights)
-    deflated = k.entries - mu_next.weights
+    if k.size >= 3 and k.bandwidth <= 1:
+        return _band_sigma(k.entries, mu_prev.weights, mu_next.weights)
+    return _dense_sigma(k.entries, mu_prev.weights, mu_next.weights)
+
+
+def _dense_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) -> float:
+    a = np.sqrt(mu_prev)
+    b = np.sqrt(mu_next)
+    deflated = entries - mu_next
     deflated *= a[:, None]
     deflated /= b
     # np.dot rather than @: on the small matrices of a long walk its lower call cost shows
@@ -115,7 +203,7 @@ def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) 
     # abstol=0, lwork, liwork, overwrite_a=1. Positional, as f2py's keyword parsing
     # costs about 1 µs a call. gram is symmetric, so its transpose is a
     # Fortran-ordered array dsyevr may overwrite in place.
-    w, _, _, _, info = lapack.dsyevr(gram.T, 0, "I", 0, 0.0, 1.0, n, n, 0.0, 26 * n, 10 * n, 1)
+    w, _, _, _, info = _lapack().dsyevr(gram.T, 0, "I", 0, 0.0, 1.0, n, n, 0.0, 26 * n, 10 * n, 1)
     if info != 0:
         raise ArithmeticError(f"dsyevr failed (info {info})")
     lam = max(float(w[0]), 0.0)
@@ -127,15 +215,45 @@ def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) 
     return (top + 8.0 * u * math.sqrt(trace)) * (1.0 + 8.0 * u)
 
 
+def _band_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) -> float:
+    n = len(entries)
+    layout = _band_layout(n)
+    band = entries.ravel()[layout.kernel]
+    roots = np.sqrt(np.concatenate((mu_prev, mu_next)))    # (a, b)
+    scale = roots[layout.scale]
+    m = band * scale[1]
+    m /= scale[0]
+    residuals = np.bincount(layout.sums, (m * scale).ravel(), 2 * n)
+    residuals -= roots
+    residual = np.maximum.reduce(np.abs(residuals))
+    if not residual <= STEP_ATOL:
+        raise ArithmeticError(f"top singular pair of the step is off by {residual:.2e}")
+    factors = m.take(layout.pairs)
+    # lower band storage: gram[d, j] = (mᵀm)[j + d, j], Fortran-ordered for dsbevx
+    gram = np.bincount(layout.gram, factors[0] * factors[1], 3 * n).reshape(n, 3).T
+    # The top two eigenvalues: vl, vu, il = n - 1, iu = n, ldab=3, compute_v=0,
+    # range="I" (2), lower=1, abstol=0, mmax=1, overwrite_ab=1; positional, as for dsyevr.
+    w, _, _, _, info = _lapack().dsbevx(gram, 0.0, 1.0, n - 1, n, 3, 0, 2, 1, 0.0, 1, 1)
+    if info != 0:
+        raise ArithmeticError(f"dsbevx failed (info {info})")
+    lam = max(float(w[0]), 0.0)
+    if not lam <= (1.0 + STEP_ATOL) ** 2:
+        raise ArithmeticError(f"second singular value {math.sqrt(lam)} exceeds 1")
+    u = UNIT_ROUNDOFF
+    e = (n * n + 4) * u
+    s = float(w[1]) / (1.0 - e)
+    return (math.sqrt(lam + e * s) + 5.0 * u * math.sqrt(s)) * (1.0 + 8.0 * u)
+
+
 def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> StochasticKernel:
     """The kernel ``P(x,y) = sum_z K(z,x) K(z,y) mu_prev(z) / mu_next(x)``.
 
     ``P`` is the composition of the step adjoint with the step itself: it is
     row-stochastic, reversible with respect to ``mu_next``, and its second
     largest eigenvalue is ``σ₂²``, the square of the second singular value
-    of the step operator. :func:`step_sigma` returns that ``σ₂`` rounded up,
-    by at most about ``1.5·N²·u`` relative, so its square sits just above
-    this eigenvalue.
+    of the step operator. :func:`step_sigma` returns that ``σ₂`` rounded up
+    by the bound its docstring states, so its square sits just above this
+    eigenvalue.
     """
     _check_step(k, mu_prev, mu_next)
     p = (k.entries.T @ (mu_prev.weights[:, None] * k.entries)) / mu_next.weights[:, None]
@@ -166,8 +284,9 @@ class SingularBoundReport:
     The bound columns are closed-form in ``mu_t`` and ``sigma_t`` and are
     computed before the walk, which fills only the exact columns. The walk
     reduces the relative-sup family (start ``x``, target ``y``) to per-time
-    maxima and the largest ``exact - bound`` over all ``t, x, y``, so the
-    report holds O(n·N) numbers rather than two ``(n+1)·N·N`` tensors.
+    maxima, the largest ``exact - bound`` over all ``t, x, y`` and whether
+    every ``exact - bound`` is within ``VALUE_ATOL + RELSUP_SLACK·bound``, so
+    the report holds O(n·N) numbers rather than two ``(n+1)·N·N`` tensors.
     ``relsup_bound`` is built on access from the expression the walk used.
     """
 
@@ -179,6 +298,7 @@ class SingularBoundReport:
     relsup_bound_max: np.ndarray     # (n+1,): max over (x, y) of the bound at time t
     relsup_exact_max: np.ndarray     # (n+1,): max over (x, y) of the exact value
     relsup_violation: float          # max over (t, x, y) of exact - bound
+    relsup_dominated: bool           # exact - bound <= VALUE_ATOL + RELSUP_SLACK·bound everywhere
 
     @property
     def horizon(self) -> int:
@@ -194,8 +314,14 @@ class SingularBoundReport:
         return max(float((self.tv_exact - self.tv_bound).max()), self.relsup_violation)
 
     def dominates(self) -> bool:
-        """Whether both bounds hold everywhere, to ``VALUE_ATOL``."""
-        return self.max_violation() <= VALUE_ATOL
+        """Whether both bounds hold everywhere, up to the rounding of their comparison.
+
+        The total-variation family is compared to the absolute ``VALUE_ATOL``.
+        The relative-sup family also gets ``RELSUP_SLACK`` relative to the
+        bound: at ``t = 0`` its values are about ``1/mu_0(x)``, so a few ulps of
+        rounding there can exceed ``VALUE_ATOL`` by far.
+        """
+        return bool((self.tv_exact - self.tv_bound).max() <= VALUE_ATOL) and self.relsup_dominated
 
     def gap_rows(self) -> list[dict]:
         rows = []
@@ -255,14 +381,19 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
     tv_exact = np.empty((n + 1, seq.space.size))
     relsup_exact_max = np.empty(n + 1)
     relsup_violation = -np.inf
+    relsup_dominated = True
     for t, p, _ in walk_from_start(seq, n):
         w = mus[t]
         tv_exact[t] = 0.5 * np.abs(p - w[None, :]).sum(axis=1)
         exact = np.abs(p / w[None, :] - 1.0)
         relsup_exact_max[t] = exact.max()
-        gap = exact - _relsup_bound(sigma_product[t], mu0.weights, w)
+        bound = _relsup_bound(sigma_product[t], mu0.weights, w)
+        gap = exact - bound
+        worst = gap.max()
         # np.maximum, not max(): a NaN gap must propagate as it would through .max()
-        relsup_violation = np.maximum(relsup_violation, gap.max())
+        relsup_violation = np.maximum(relsup_violation, worst)
+        if not worst <= VALUE_ATOL:
+            relsup_dominated &= bool((gap <= VALUE_ATOL + RELSUP_SLACK * bound).all())
     return SingularBoundReport(
         mus=mus,
         sigmas=sigmas,
@@ -272,6 +403,7 @@ def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> Sing
         relsup_bound_max=relsup_bound_max,
         relsup_exact_max=relsup_exact_max,
         relsup_violation=float(relsup_violation),
+        relsup_dominated=relsup_dominated,
     )
 
 

@@ -78,6 +78,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             k.entries[0, 0] = 1.0
 
+    def test_bandwidth_is_the_widest_step_of_the_support(self, rng):
+        assert StochasticKernel.identity(StateSpace(4)).bandwidth == 0
+        assert constant_rate_bd(6, 0.3, 0.5, 0.2).bandwidth == 1
+        assert random_kernel(rng, 5).bandwidth == 4
+        entries = constant_rate_bd(6, 0.3, 0.5, 0.2).entries.copy()
+        entries[4, 2] = 0.1
+        entries[4] /= entries[4].sum()
+        assert StochasticKernel(StateSpace(7), entries).bandwidth == 2
+
 
 class TestCompose:
     def test_identity_left(self, rng):

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mclab.singular
+
 from mclab import (
     KernelSequence,
     ProbMeasure,
@@ -169,6 +171,47 @@ class TestSingularValueBounds:
             singular_value_bounds(KernelSequence.constant(k), mu0, 0)
         above = ProbMeasure(space, np.array([1e-299, 0.5, 0.5]))
         assert singular_value_bounds(KernelSequence.constant(k), above, 0).horizon == 0
+
+
+class TestDominates:
+    KERNEL = [[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]
+
+    def test_rounding_at_a_tiny_mu0_entry_is_not_a_violation(self):
+        # at t = 0 the relative-sup values are about 1/mu_0(x), so an ulp of rounding in
+        # the bound exceeds VALUE_ATOL once mu_0(x) is below about 1e-16
+        k = StochasticKernel(StateSpace(3), np.array(self.KERNEL))
+        flagged = []
+        for low in 10.0 ** -np.linspace(2, 39, 152):
+            mu0 = ProbMeasure(k.space, np.array([low, 0.5, 0.5 - low]))
+            rep = singular_value_bounds(KernelSequence.constant(k), mu0, 5)
+            if not rep.dominates():
+                flagged.append((low, rep.max_violation()))
+        assert flagged == []
+
+    @pytest.mark.parametrize("weights", [[1e-17, 0.5, 0.5 - 1e-17], [1e-3, 0.5, 0.499],
+                                         [1 / 3, 1 / 3, 1 / 3]])
+    def test_halved_sigmas_are_still_flagged(self, monkeypatch, weights):
+        k = StochasticKernel(StateSpace(3), np.array(self.KERNEL))
+        mu0 = ProbMeasure(k.space, np.array(weights))
+        seq = KernelSequence.constant(k)
+        assert singular_value_bounds(seq, mu0, 30).dominates()
+        step_sigma = mclab.singular.step_sigma
+        monkeypatch.setattr(mclab.singular, "step_sigma", lambda *args: 0.5 * step_sigma(*args))
+        rep = singular_value_bounds(seq, mu0, 30)
+        assert not rep.dominates()
+        assert rep.max_violation() > 1e-12
+
+    def test_relsup_bound_low_by_a_millionth_is_flagged(self, monkeypatch):
+        # at t = 0 and x = y = 0 the relative-sup bound is exact: a bound lowered by one
+        # part in a million must exceed the rounding slack, with the TV family still holding
+        k = StochasticKernel(StateSpace(3), np.array(self.KERNEL))
+        mu0 = ProbMeasure(k.space, np.array([1e-17, 0.5, 0.5 - 1e-17]))
+        relsup_bound = mclab.singular._relsup_bound
+        monkeypatch.setattr(mclab.singular, "_relsup_bound",
+                            lambda *args: relsup_bound(*args) * (1.0 - 1e-6))
+        rep = singular_value_bounds(KernelSequence.constant(k), mu0, 5)
+        assert (rep.tv_exact <= rep.tv_bound).all()
+        assert not rep.dominates()
 
 
 class TestHomogeneousBounds:
