@@ -14,6 +14,7 @@ from mclab import (
     srw_spectrum,
     step_sigma,
 )
+from mclab.spectral import reversible_eigenvalues
 from mclab.zoo import WeightedGraph
 
 
@@ -48,6 +49,30 @@ def mpmath_deviations(graph, steps, dps=50):
             values.append(max(abs(power[x, y] / pi[y] - 1)
                               for x in range(size) for y in range(size)))
         return values
+
+
+def plain_deviations(graph, n_max):
+    """``max_xy |K^n(x,y)/pi(y) - 1|`` for ``n = 0..n_max`` from a plain float power."""
+    kernel, pi = graph_kernel(graph)
+    p = np.eye(graph.n_vertices)
+    values = [np.abs(p / pi.weights - 1.0).max()]
+    for _ in range(n_max):
+        p = p @ kernel.entries
+        values.append(np.abs(p / pi.weights - 1.0).max())
+    return np.array(values)
+
+
+def all_terms_kept(graph, n):
+    """Whether the truncation rule keeps every non-Perron term at step ``n``.
+
+    A block of 16 steps starts at most 15 steps before ``n`` and keeps the
+    terms with ``(|lam_k| / lam*)^start > 2^-53 pi_min``; fewer terms are
+    kept at later starts, so the earliest possible start bounds the count.
+    """
+    kernel, pi = graph_kernel(graph)
+    lam = np.abs(reversible_eigenvalues(kernel, pi)[:-1])
+    ratio = lam / lam.max()
+    return (ratio ** max(n - 15, 1) > 2.0 ** -53 * pi.weights.min()).all()
 
 
 def complete_graph_with_loops(n):
@@ -210,3 +235,54 @@ class TestComparisonCheck:
     def test_negative_horizon_rejected(self, n_max):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             comparison_check(lazy_stick(4), None, b=1.0, n_max=n_max)
+
+
+class TestSpectralSum:
+    """``exact`` from the truncated eigen-sum against independent powers."""
+
+    def test_certify_shape_matches_plain_power_and_mpmath(self):
+        # the certify workload's spectral input at seed 3; 5.8383118692e-15 is
+        # a 45-digit mpmath power's value at n = 40960
+        g = lazy_stick(64)
+        w = random_weights(g, 2.0, seed=3)
+        report = comparison_check(g, w, 2.0, n_max=40960)
+        plain = plain_deviations(g.with_weights(w), 5000)
+        rows = plain >= 1e-3
+        assert rows.sum() > 1000
+        assert report.exact[:5001][rows] == pytest.approx(plain[rows], rel=1e-9, abs=0.0)
+        assert report.exact[40960] == pytest.approx(5.8383118692e-15, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("graph, steps, dps", [
+        (lazy_stick(16).with_weights(random_weights(lazy_stick(16), 2.0, seed=5)),
+         [30, 37, 50, 100, 200, 400, 800, 1500, 3000], 50),
+        (random_regular_graph(16, 3, seed=0).with_weights(
+            random_weights(random_regular_graph(16, 3, seed=0), 2.0, seed=4)),
+         [30, 37, 50, 100, 200, 400], 60),
+    ], ids=["weighted stick", "regular without loops"])
+    def test_truncated_steps_match_mpmath(self, graph, steps, dps):
+        assert not any(all_terms_kept(graph, n) for n in steps)
+        report = comparison_check(graph, n_max=max(steps))
+        reference = mpmath_deviations(graph, steps, dps=dps)
+        for n, ref in zip(steps, reference):
+            assert report.exact[n] == pytest.approx(float(ref), rel=1e-9, abs=0.0), n
+
+    def test_bipartite_cycle_stays_at_one(self):
+        # eigenvalue -1: K^n(x, y) is 0 off the parity class, so exact[n] never
+        # falls below 1
+        edges = tuple(sorted([(x, x + 1) for x in range(7)] + [(0, 7)]))
+        g = WeightedGraph(StateSpace(8), edges, np.ones(8))
+        report = comparison_check(g, None, b=1.0, n_max=500)
+        plain = plain_deviations(g, 500)
+        assert report.exact == pytest.approx(plain, rel=1e-12, abs=0.0)
+        assert report.exact[100:] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("graph", [
+        complete_graph_with_loops(6),
+        lazy_stick(1),
+        WeightedGraph(StateSpace(1), ((0, 0),), np.ones(1)),
+    ], ids=["complete with loops", "two-state stick", "one state"])
+    def test_row_constant_kernel_reads_positive_zero(self, graph):
+        # K is 1 pi^T, so C_n is zero from n = 1; a -0.0 would print as "-0.0"
+        report = comparison_check(graph, None, b=1.0, n_max=100)
+        assert (report.exact[1:] < 1e-15).all()
+        assert not np.signbit(report.exact).any()
