@@ -22,6 +22,7 @@ from .rng import substream
 ROW_SUM_ATOL = 1e-9        # constructor accepts rows this far from 1
 VALUE_ATOL = 1e-12         # tolerance quoted in the public contracts
 DRIFT_ATOL = 1e-12         # per-step renormalization drift allowed in a walk
+UNIT_ROUNDOFF = 2.0 ** -53  # unit roundoff of float64
 _TV_CHUNK = 1 << 14        # elements per block of row differences in tv_between_rows
 
 
@@ -683,19 +684,19 @@ def dump_json(obj: dict, path) -> None:
         fh.write("\n")
 
 
-def write_csv(path, names: list[str], rows: Iterable[dict], comments: Iterable[str] = ()) -> None:
-    """Write ``rows`` under the header ``names`` with ``\\r\\n`` line ends.
+def write_csv(path, names: list[str], rows: Iterable[Sequence], comments: Iterable[str] = ()) -> None:
+    """Write ``rows``, each a sequence of cells in ``names`` order, under the header ``names``.
 
-    Each of ``comments`` is written first as a ``# `` line. Cells holding a
-    comma, quote or line break are quoted. The csv module writes a Python
-    float as its ``repr``, so rows should hold Python floats, not numpy
-    scalars.
+    Lines end in ``\\r\\n``. Each of ``comments`` is written first as a
+    ``# `` line. Cells holding a comma, quote or line break are quoted. The
+    csv module writes a Python float as its ``repr``, so rows should hold
+    Python floats (``ndarray.tolist()`` gives them), not numpy scalars.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {line}\r\n" for line in comments)
         writer = csv.writer(fh)
         writer.writerow(names)
-        writer.writerows([row[k] for k in names] for row in rows)
+        writer.writerows(rows)
 
 
 def write_plotdata(path, series: dict[str, list[tuple[float, float]]]) -> None:

@@ -143,11 +143,11 @@ def first_passages(seqs, epsilon: float, metric: str,
     :func:`first_passage` bit for bit. A sequence leaves the stack when
     it finishes. ``seqs`` is read lazily, and a batch is walked and dropped
     as soon as not even a one-kernel sequence of its state count would fit,
-    so a sequence waits outside a stack only when the stack had room for a
-    one-kernel sequence but not for it. When walks fail, the error raised
-    is the one of the first failing sequence, the one a loop over
-    :func:`first_passage` raises; when reading ``seqs`` fails, the batch
-    read so far is walked first.
+    so a sequence waits outside a stack only when it has another state
+    count or the stack had room for a one-kernel sequence but not for it.
+    When walks fail, the error raised is the one of the first failing
+    sequence, the one a loop over :func:`first_passage` raises; when
+    reading ``seqs`` fails, the batch read so far is walked first.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -318,20 +318,11 @@ class MergingReport:
             return self.relsup_time
         raise ValueError(f"unknown metric {metric!r}")
 
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for i in range(self.horizon + 1):
-            rows.append({
-                "n": i,
-                "tv": float(self.tv_trajectory[i]),
-                "relsup": float(self.relsup_trajectory[i]),
-                "doeblin_bound": float(self.doeblin_trajectory[i]),
-                "block_bound": float(self.block_trajectory[i]),
-            })
-        return rows
-
     def to_csv(self, path) -> None:
-        write_csv(path, ["n", "tv", "relsup", "doeblin_bound", "block_bound"], self.to_rows())
+        write_csv(path, ["n", "tv", "relsup", "doeblin_bound", "block_bound"],
+                  zip(range(self.horizon + 1), self.tv_trajectory.tolist(),
+                      self.relsup_trajectory.tolist(), self.doeblin_trajectory.tolist(),
+                      self.block_trajectory.tolist()))
 
     def to_json(self, path=None):
         """The report as a JSON object; with ``path``, also written there by ``dump_json``."""

@@ -3,7 +3,7 @@
 A scenario is a JSON document naming a kernel-family generator, a
 parameter grid, one analysis, and optional threshold checks on the grouped
 medians. Rows come out in grid order; a ``merging_time`` analysis walks
-runs of points that differ only in ``replica`` together as one stack
+consecutive points of one state count together as one stack
 (:func:`~mclab.merging.first_passages`). Randomness is drawn from
 counter-based substreams keyed by ``(seed, grid index)``, so each point's
 result depends only on the seed and its index. Scenarios marked
@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import groupby
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -254,25 +253,18 @@ def _columns(kind: str, *values) -> dict:
 def _run_merging(points: list[dict], make, options: dict) -> list[dict]:
     """Rows of a ``merging_time`` scenario, one per grid point, in grid order.
 
-    Each run of consecutive points that differ only in ``replica`` goes to
-    :func:`~mclab.merging.first_passages` as a generator of
-    ``make(index, point)``, the point's sequence, which batches it: a point
-    is generated only when the walk reads it, and the first failing
-    point's error is raised.
+    Every point goes to one :func:`~mclab.merging.first_passages` call as a
+    generator of ``make(index, point)``, the point's sequence, which batches
+    it: a point is generated only when the walk reads it, and the first
+    failing point's error is raised.
     """
     epsilon = float(options.get("epsilon", 0.25))
     metric = options.get("metric", "tv")
     n_max = int(options.get("n_max", 1000))
-    rows: list[dict] = []
-    for _, run in groupby(enumerate(points),
-                          key=lambda ip: {k: v for k, v in ip[1].items() if k != "replica"}):
-        run = list(run)
-        results = first_passages((make(index, point) for index, point in run),
-                                 epsilon, metric, n_max)
-        rows.extend({**point, **_columns("merging_time", -1 if t is None else t,
-                                         float(tv), float(relsup))}
-                    for (_, point), (t, tv, relsup) in zip(run, results))
-    return rows
+    results = first_passages((make(index, point) for index, point in enumerate(points)),
+                             epsilon, metric, n_max)
+    return [{**point, **_columns("merging_time", -1 if t is None else t, float(tv), float(relsup))}
+            for point, (t, tv, relsup) in zip(points, results)]
 
 
 def _run_singular_domination(seq: KernelSequence, meta: dict, options: dict) -> tuple[dict, list[str]]:
@@ -484,7 +476,8 @@ def emit(fmt: str, result: ResultSet, path) -> None:
             f"blas: {result.blas}",
             f"timestamp: {datetime.now(timezone.utc).isoformat()}",
         ]
-        write_csv(path, result.columns, result.rows, comments)
+        write_csv(path, result.columns, ([row[k] for k in result.columns] for row in result.rows),
+                  comments)
     elif fmt == "json":
         dump_json(result.to_json_obj(), path)
     elif fmt == "plotdata":

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain_core import (
+    UNIT_ROUNDOFF,
     VALUE_ATOL,
     KernelSequence,
     ProbMeasure,
@@ -34,8 +35,6 @@ STEP_ATOL = 1e-10
 #: entries at or below this are a hard error: the bound weights blow up and
 #: clamping would silently fabricate finite bounds
 POSITIVITY_FLOOR = 1e-300
-#: unit roundoff of float64
-UNIT_ROUNDOFF = 2.0 ** -53
 #: relative slack of a relative-sup comparison: the exact value ``|p/w − 1|`` takes 2
 #: roundings and the bound 5 (two square roots, a reciprocal, a product, a quotient),
 #: so a computed exact value can exceed a computed bound it truly meets by about 7u·bound
@@ -323,24 +322,25 @@ class SingularBoundReport:
         """
         return bool((self.tv_exact - self.tv_bound).max() <= VALUE_ATOL) and self.relsup_dominated
 
+    def _gap_columns(self) -> dict[str, list]:
+        """The seven per-time columns by name, as Python cells for ``t = 0..n``."""
+        return {
+            "n": list(range(self.horizon + 1)),
+            "sigma_n": ["", *self.sigmas.tolist()],
+            "sigma_product": self.sigma_product.tolist(),
+            "max_tv_bound": self.tv_bound.max(axis=1).tolist(),
+            "max_tv_exact": self.tv_exact.max(axis=1).tolist(),
+            "max_relsup_bound": self.relsup_bound_max.tolist(),
+            "max_relsup_exact": self.relsup_exact_max.tolist(),
+        }
+
     def gap_rows(self) -> list[dict]:
-        rows = []
-        for t in range(self.horizon + 1):
-            rows.append({
-                "n": t,
-                "sigma_n": float(self.sigmas[t - 1]) if t >= 1 else "",
-                "sigma_product": float(self.sigma_product[t]),
-                "max_tv_bound": float(self.tv_bound[t].max()),
-                "max_tv_exact": float(self.tv_exact[t].max()),
-                "max_relsup_bound": float(self.relsup_bound_max[t]),
-                "max_relsup_exact": float(self.relsup_exact_max[t]),
-            })
-        return rows
+        columns = self._gap_columns()
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     def to_csv(self, path) -> None:
-        names = ["n", "sigma_n", "sigma_product", "max_tv_bound", "max_tv_exact",
-                 "max_relsup_bound", "max_relsup_exact"]
-        write_csv(path, names, self.gap_rows())
+        columns = self._gap_columns()
+        write_csv(path, list(columns), zip(*columns.values()))
 
 
 def singular_value_bounds(seq: KernelSequence, mu0: ProbMeasure, n: int) -> SingularBoundReport:

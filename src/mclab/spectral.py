@@ -14,11 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chain_core import VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
+from .chain_core import UNIT_ROUNDOFF, VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
 from .zoo import WeightedGraph, graph_kernel
 
 _BLOCK = 16              # steps of exact deviations per matmul in comparison_check
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _symmetrized(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndarray:
@@ -37,17 +36,21 @@ def reversible_eigenvalues(kernel: StochasticKernel, pi: ProbMeasure) -> np.ndar
     return np.linalg.eigvalsh(_symmetrized(kernel, pi))
 
 
-def second_singular_value(kernel: StochasticKernel, pi: ProbMeasure) -> float:
-    """Second largest absolute eigenvalue of a reversible kernel."""
-    ev = reversible_eigenvalues(kernel, pi)
+def _second_absolute(ev: np.ndarray) -> float:
+    """Second largest absolute eigenvalue from ascending eigenvalues ``ev``; 0 for one state."""
     return float(max(ev[-2], -ev[0])) if len(ev) > 1 else 0.0
+
+
+def second_singular_value(kernel: StochasticKernel, pi: ProbMeasure) -> float:
+    """:func:`_second_absolute` of a reversible kernel's eigenvalues."""
+    return _second_absolute(reversible_eigenvalues(kernel, pi))
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """Spectrum summary of the unit-weight walk on a graph."""
 
-    sigma: float          # second largest absolute eigenvalue
+    sigma: float          # second_singular_value of the walk
     gap: float            # 1 - sigma
     beta_top: float       # second largest signed eigenvalue
     beta_bottom: float    # smallest eigenvalue
@@ -62,15 +65,13 @@ def srw_spectrum(g: WeightedGraph) -> SpectralReport:
     """Spectral report of the simple (unit-weight) walk on ``g``."""
     kernel, delta = graph_kernel(g.unit_weights())
     ev = reversible_eigenvalues(kernel, delta)
-    beta_top = float(ev[-2]) if len(ev) > 1 else 0.0
-    beta_bottom = float(ev[0])
-    sigma = max(beta_top, -beta_bottom) if len(ev) > 1 else 0.0
+    sigma = _second_absolute(ev)
     degrees = g.degrees
     return SpectralReport(
         sigma=sigma,
         gap=1.0 - sigma,
-        beta_top=beta_top,
-        beta_bottom=beta_bottom,
+        beta_top=float(ev[-2]) if len(ev) > 1 else 0.0,
+        beta_bottom=float(ev[0]),
         degree_total=int(degrees.sum()),
         degree_min=int(degrees.min()),
     )
@@ -103,8 +104,10 @@ def dirichlet_forms(g: WeightedGraph, f, weights=None) -> tuple[float, float, fl
 class ComparisonReport:
     """Gap comparison between a weighted walk and the unit-weight walk.
 
-    ``gap_holds`` asserts ``1 - sigma_w >= (1 - sigma_unit) / b^2`` up to
-    slack. ``bound[n]`` is the uniform convergence bound
+    ``unit`` is the spectrum of the unit-weight walk, and ``sigma_unit`` is
+    its ``sigma``. ``gap_holds`` asserts
+    ``1 - sigma_w >= (1 - sigma_unit) / b^2`` up to slack. ``bound[n]`` is
+    the uniform convergence bound
     ``b (degree_total / degree_min) (1 - (1 - sigma_unit)/b^2)^n`` and
     ``exact[n]`` the exact worst relative deviation
     ``max_xy |K^n(x,y)/pi(y) - 1|`` of the weighted chain. ``exact`` comes
@@ -114,20 +117,23 @@ class ComparisonReport:
     """
 
     b: float
-    sigma_unit: float
+    unit: SpectralReport
     sigma_w: float
     gap_holds: bool
     gap_margin: float
     bound: np.ndarray
     exact: np.ndarray
 
+    @property
+    def sigma_unit(self) -> float:
+        return self.unit.sigma
+
     def dominates(self) -> bool:
         return bool((self.exact <= self.bound + VALUE_ATOL).all())
 
     def to_csv(self, path) -> None:
         write_csv(path, ["n", "bound", "exact_max"],
-                  ({"n": n, "bound": bd, "exact_max": ex}
-                   for n, (bd, ex) in enumerate(zip(self.bound.tolist(), self.exact.tolist()))))
+                  zip(range(len(self.bound)), self.bound.tolist(), self.exact.tolist()))
 
 
 def _exact_deviations(kernel: StochasticKernel, pi: ProbMeasure, n_max: int) -> np.ndarray:
@@ -144,7 +150,7 @@ def _exact_deviations(kernel: StochasticKernel, pi: ProbMeasure, n_max: int) -> 
     phi = vec[:, order] / np.sqrt(pi.weights)[:, None]
     top = abs(lam[0]) if size > 1 else 0.0
     ratio = np.abs(lam) / top if top > 0.0 else np.zeros_like(lam)
-    cut = _UNIT_ROUNDOFF * pi.weights.min()
+    cut = UNIT_ROUNDOFF * pi.weights.min()
     keep = min(2, size - 1)
     out = np.empty((_BLOCK * size, size))
     for start in range(1, n_max + 1, _BLOCK):
@@ -226,7 +232,7 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     bound = prefactor * np.power(rate, np.arange(n_max + 1))
     return ComparisonReport(
         b=b,
-        sigma_unit=unit.sigma,
+        unit=unit,
         sigma_w=sigma_w,
         gap_holds=bool(lhs >= rhs - VALUE_ATOL),
         gap_margin=float(lhs - rhs),

@@ -100,8 +100,7 @@ class StabilityReport:
 
 def envelope_summary_csv(reports, path) -> None:
     """Write one ``depth,c_estimate`` row per report with :func:`~mclab.chain_core.write_csv`."""
-    write_csv(path, ["depth", "c_estimate"],
-              ({"depth": r.depth, "c_estimate": float(r.c_estimate)} for r in reports))
+    write_csv(path, ["depth", "c_estimate"], ((r.depth, float(r.c_estimate)) for r in reports))
 
 
 def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,

@@ -330,6 +330,17 @@ MIRRORED_64 = {
     "seed": 1,
 }
 
+# one state count under two values of a second grid key: both values share a stack
+UNIFORM_LABELS = {
+    "name": "uniform-bd-labels",
+    "generator": {"family": "uniform_bd_set", "params": {"set_size": 4}},
+    "analysis": {"kind": "merging_time", "metric": "tv", "epsilon": 0.25, "n_max": 20000},
+    "grid": {"N": [12], "label": ["a", "b"]},
+    "replicas": 3,
+    "seed": 4,
+}
+INLINE_CONFIGS = {"mirrored-pair-64": MIRRORED_64, "uniform-bd-labels": UNIFORM_LABELS}
+
 
 def per_point_rows(config):
     """Rows of a merging_time scenario from a loop of ``first_passage``, one point at a time."""
@@ -347,11 +358,12 @@ def per_point_rows(config):
 
 
 @pytest.mark.parametrize("source", ["drifted-bd-scaling", "uniform-bd-probe", "mirrored-pair",
-                                    "mirrored-pair-64"])
+                                    "mirrored-pair-64", "uniform-bd-labels"])
 def test_scenario_rows_equal_a_per_point_loop(source, tmp_path):
-    if source == "mirrored-pair-64":
-        source = tmp_path / "mirrored-pair-64.json"
-        source.write_text(json.dumps(MIRRORED_64))
+    if source in INLINE_CONFIGS:
+        config = INLINE_CONFIGS[source]
+        source = tmp_path / f"{source}.json"
+        source.write_text(json.dumps(config))
     config, _ = scenarios.load_scenario(source)
     assert scenarios.run_scenario(source).rows == per_point_rows(config)
 

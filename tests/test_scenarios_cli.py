@@ -24,6 +24,8 @@ from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, se
 from mclab.cli import main as cli_main
 from mclab.merging import first_passage, merging_time
 from mclab.scenarios import ResultSet, builtin_scenario_names, emit, load_scenario
+from mclab.spectral import srw_spectrum
+from mclab.zoo import WeightedGraph
 
 from conftest import random_kernel
 
@@ -384,6 +386,16 @@ class TestCli:
                          "--b", "2.0", "--n-max", "20", "--out", str(out)]) == 0
         report = json.loads((tmp_path / "spec.json").read_text())
         assert report["gap_holds"] is True
+
+    def test_spectral_command_writes_the_unit_spectrum(self, tmp_path):
+        graph_path = tmp_path / "stick.json"
+        cli_main(["zoo", "emit", "lazy_stick", "-P", "N=6", "--out", str(graph_path)])
+        out = tmp_path / "spec"
+        assert cli_main(["spectral", "--graph", str(graph_path), "--weights", "random:3",
+                         "--b", "2.0", "--n-max", "20", "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "spec.json").read_text())
+        graph = WeightedGraph.from_json(load_json(graph_path))
+        assert report["srw"] == srw_spectrum(graph).to_json()
 
     def test_spectral_command_rejects_negative_n_max(self, tmp_path, capsys):
         # a library ValueError becomes a usage error with exit status 2
