@@ -418,36 +418,23 @@ def evolve(mu0: ProbMeasure, seq: KernelSequence, n: int) -> list[ProbMeasure]:
     return out
 
 
-def _gth_stationary(matrix: np.ndarray) -> np.ndarray:
-    # Grassmann-Taksar-Heyman elimination: no subtractions, so the result
-    # is entrywise accurate even when the measure spans many decades.
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    for k in range(n - 1, 0, -1):
-        s = a[k, :k].sum()
-        a[:k, k] /= s
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for k in range(1, n):
-        pi[k] = pi[:k] @ a[:k, k]
-    return pi / pi.sum()
-
-
 def stationary_measure(k: StochasticKernel) -> ProbMeasure:
     """The unique invariant measure of an irreducible kernel.
 
-    Primary path is a direct solve of the singular system with the first
-    row replaced by the normalization constraint. If that solution is not
-    entrywise trustworthy (a non-positive entry, or a large relative
-    residual on some state) the GTH elimination is used instead, which is
-    accurate entry by entry regardless of the measure's dynamic range.
+    Computed by Grassmann-Taksar-Heyman elimination (Grassmann, Taksar and
+    Heyman, *Operations Research* 33, 1985): the states are eliminated one
+    by one, each row renormalized by its off-diagonal sum, and ``pi`` is
+    built back up by products and sums of non-negative numbers alone. With
+    no subtractions there is no cancellation, so each entry carries a small
+    relative error, even when the measure spans many decades.
 
     Raises
     ------
     ReducibleKernelError
         If the kernel has more than one recurrent class; the error carries
         the classes.
+    ArithmeticError
+        If the residual ``max |pi K - pi|`` exceeds ``VALUE_ATOL``.
     """
     report = classify_structure(k)
     if not report.irreducible:
@@ -456,23 +443,20 @@ def stationary_measure(k: StochasticKernel) -> ProbMeasure:
             "the invariant measure is not unique",
             report.recurrent_classes,
         )
+    a = np.array(k.entries, dtype=float)
     n = k.size
-    if n == 1:
-        return ProbMeasure(k.space, np.ones(1))
-    a = k.entries.T - np.eye(n)
-    a[0, :] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    pi = np.linalg.solve(a, b)
-    residual = pi @ k.entries - pi
-    # relative residual per state: catches solutions whose small entries
-    # are garbage even when the absolute residual looks fine
-    entrywise_ok = pi.min() > 0 and np.max(np.abs(residual) / np.maximum(pi, 1e-300)) <= VALUE_ATOL
-    if not entrywise_ok:
-        pi = _gth_stationary(k.entries)
-        residual = pi @ k.entries - pi
-    if np.abs(residual).max() > VALUE_ATOL:
-        raise ArithmeticError(f"stationary solve residual {np.abs(residual).max():.2e} exceeds {VALUE_ATOL:g}")
+    for j in range(n - 1, 0, -1):
+        s = a[j, :j].sum()
+        a[:j, j] /= s
+        a[:j, :j] += np.outer(a[:j, j], a[j, :j])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for j in range(1, n):
+        pi[j] = pi[:j] @ a[:j, j]
+    pi /= pi.sum()
+    residual = np.abs(pi @ k.entries - pi).max()
+    if residual > VALUE_ATOL:
+        raise ArithmeticError(f"stationary solve residual {residual:.2e} exceeds {VALUE_ATOL:g}")
     return ProbMeasure(k.space, pi)
 
 

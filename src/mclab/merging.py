@@ -185,7 +185,7 @@ def _passage_bytes(seq: KernelSequence) -> int:
 
     Its kernels, which the batch reads where the sequence holds them, plus
     its slice of the four stacks alive during a step: the last checkpoint,
-    the current matrices, the gathered kernels and the fresh product.
+    the current matrices, the concatenated kernels and the fresh product.
     """
     n = seq.space.size
     return 8 * n * n * (len(seq.kernels) + 4)
@@ -219,10 +219,11 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
 
     def fetch(live, start, stop):
-        # the kernels of steps start..stop-1, one stack per step
+        # the kernels of steps start..stop-1, one stack per step: a (1, N, N)
+        # view for a lone sequence, else a fresh (R, N, N) concatenation of them
         columns = [[stacks_of_one[r][k] for k in seqs[r].indices(start, stop).tolist()]
                    for r in live]
-        return columns[0] if len(columns) == 1 else _gathered(columns)
+        return columns[0] if len(columns) == 1 else (np.concatenate(step) for step in zip(*columns))
 
     results: list = [None] * len(seqs)
     errors: dict[int, ArithmeticError] = {}
@@ -260,19 +261,6 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def _gathered(columns):
-    """One ``(R, N, N)`` stack per step; slice ``s`` is ``columns[s][step]``, a ``(1, N, N)`` view.
-
-    The same array is refilled and yielded for every step: a
-    :func:`~mclab.chain_core.renormalized_step` does not keep its kernels.
-    """
-    stack = np.empty((len(columns),) + columns[0][0].shape[1:])
-    for step in zip(*columns):
-        for s, k in enumerate(step):
-            stack[s] = k
-        yield stack
 
 
 def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon):

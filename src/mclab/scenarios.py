@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -253,16 +254,20 @@ def _columns(kind: str, *values) -> dict:
 def _run_merging(points: list[dict], make, options: dict) -> list[dict]:
     """Rows of a ``merging_time`` scenario, one per grid point, in grid order.
 
-    Every point goes to one :func:`~mclab.merging.first_passages` call as a
-    generator of ``make(index, point)``, the point's sequence, which batches
-    it: a point is generated only when the walk reads it, and the first
-    failing point's error is raised.
+    Each run of consecutive points with one ``N`` (all points, for a family
+    without ``N``) goes to one :func:`~mclab.merging.first_passages` call as
+    a generator of ``make(index, point)``, the point's sequence, which
+    batches it: a point is generated only when the walk reads it, so no
+    point of the next ``N`` is made before the last stack of this one has
+    been walked, and the first failing point's error is raised.
     """
     epsilon = float(options.get("epsilon", 0.25))
     metric = options.get("metric", "tv")
     n_max = int(options.get("n_max", 1000))
-    results = first_passages((make(index, point) for index, point in enumerate(points)),
-                             epsilon, metric, n_max)
+    results = []
+    for _, run in groupby(enumerate(points), key=lambda item: item[1].get("N")):
+        results += first_passages((make(index, point) for index, point in run),
+                                  epsilon, metric, n_max)
     return [{**point, **_columns("merging_time", -1 if t is None else t, float(tv), float(relsup))}
             for point, (t, tv, relsup) in zip(points, results)]
 
@@ -348,9 +353,18 @@ def _grid_points(config: dict) -> list[dict]:
 
 
 def _median_by(rows: list[dict], column: str, by: str) -> dict:
+    """Median of ``column`` over the rows of each ``by`` value, in sorted order.
+
+    A ``t_merge`` of -1 (not reached within ``n_max``) ranks after every
+    reached time, so a median is the true order statistic, and reads
+    ``inf`` when it falls on an unreached point.
+    """
     groups: dict = {}
     for row in rows:
-        groups.setdefault(row[by], []).append(row[column])
+        value = row[column]
+        if column == "t_merge" and value == -1:
+            value = math.inf
+        groups.setdefault(row[by], []).append(value)
     return {k: float(np.median(v)) for k, v in sorted(groups.items())}
 
 
@@ -361,23 +375,29 @@ def _apply_checks(config: dict, rows: list[dict]) -> tuple[dict, list[str]]:
         med = _median_by(rows, check["column"], check["by"])
         summary["medians"][f"{check['column']}|{check['by']}"] = med
         keys = sorted(med)
-        ratios = []
+        ratios, first = [], len(violations)
+        for key in keys:
+            if math.isinf(med[key]):
+                what = "not reached within n_max" if check["column"] == "t_merge" else "infinite"
+                violations.append(f"median {check['column']} at {check['by']}={key} is {what}; "
+                                  "ratio undefined")
         for small, large in zip(keys, keys[1:]):
+            if math.isinf(med[small]) or math.isinf(med[large]):
+                continue
             if med[small] <= 0:
                 violations.append(f"median {check['column']} at {check['by']}={small} "
                                   "is non-positive; ratio undefined")
                 continue
             ratios.append(med[large] / med[small])
-        entry = {"check": check, "ratios": ratios, "pass": True}
         for ratio in ratios:
             lo = check.get("lo", -math.inf)
             hi = check.get("hi", math.inf) if check["kind"] == "doubling_ratio" else math.inf
             if not lo <= ratio <= hi:
-                entry["pass"] = False
                 violations.append(
                     f"{check['column']} doubling ratio {ratio:.4g} outside "
                     f"[{lo:.4g}, {'inf' if math.isinf(hi) else format(hi, '.4g')}]")
-        summary["checks"].append(entry)
+        summary["checks"].append({"check": check, "ratios": ratios,
+                                  "pass": len(violations) == first})
     return summary, violations
 
 
@@ -436,7 +456,7 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     series: dict[str, list[tuple[float, float]]] = {}
     for label, med in summary["medians"].items():
         try:
-            series[f"median {label}"] = [(float(k), float(v)) for k, v in med.items()]
+            series[f"median {label}"] = [(float(k), v) for k, v in med.items() if math.isfinite(v)]
         except (TypeError, ValueError):
             pass
     return ResultSet(

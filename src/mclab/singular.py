@@ -334,10 +334,6 @@ class SingularBoundReport:
             "max_relsup_exact": self.relsup_exact_max.tolist(),
         }
 
-    def gap_rows(self) -> list[dict]:
-        columns = self._gap_columns()
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
-
     def to_csv(self, path) -> None:
         columns = self._gap_columns()
         write_csv(path, list(columns), zip(*columns.values()))

@@ -136,15 +136,17 @@ class ComparisonReport:
                   zip(range(len(self.bound)), self.bound.tolist(), self.exact.tolist()))
 
 
-def _exact_deviations(kernel: StochasticKernel, pi: ProbMeasure, n_max: int) -> np.ndarray:
-    """``exact`` of :func:`comparison_check`: ``C_0`` read directly, then the truncated sum."""
+def _exact_deviations(pi: ProbMeasure, lam: np.ndarray, vec: np.ndarray, n_max: int) -> np.ndarray:
+    """``exact`` of :func:`comparison_check` from the eigenpairs ``lam, vec`` of its ``S``.
+
+    ``C_0`` is read directly, then the truncated sum.
+    """
     size = len(pi.weights)
     exact = np.empty(n_max + 1)
     c0 = np.diag(1.0 / pi.weights) - 1.0
     exact[0] = max(c0.max(), -c0.min())
     if n_max == 0:
         return exact
-    lam, vec = np.linalg.eigh(_symmetrized(kernel, pi))
     order = np.argsort(-np.abs(lam[:-1]), kind="stable")
     lam = lam[order]
     phi = vec[:, order] / np.sqrt(pi.weights)[:, None]
@@ -172,9 +174,9 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     ``weights`` defaults to the graph's own; ``b`` defaults to their exact
     ratio and is validated otherwise. With ``n_max > 0`` the exact
     deviations ``exact[n] = max_xy |K^n(x,y)/pi(y) - 1|`` of the weighted
-    chain are computed for ``n <= n_max`` from one eigendecomposition.
-    ``sigma_w`` is :func:`second_singular_value` of the weighted kernel,
-    from its own ``eigvalsh``.
+    chain are computed for ``n <= n_max``. Both they and ``sigma_w``, the
+    second largest absolute eigenvalue (:func:`_second_absolute`), come from
+    one ``eigh`` of the weighted kernel's symmetrized conjugation ``S``.
 
     **Spectral sum.** Let ``S`` be the symmetrized conjugation
     ``diag(pi)^(1/2) K diag(pi)^(-1/2)`` of :func:`reversible_eigenvalues`
@@ -224,7 +226,8 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
         raise ValueError(f"weight ratio {ratio:.6g} exceeds the declared b={b}")
     unit = srw_spectrum(g)
     kernel, pi = graph_kernel(graph)
-    sigma_w = second_singular_value(kernel, pi)
+    lam, vec = np.linalg.eigh(_symmetrized(kernel, pi))
+    sigma_w = _second_absolute(lam)
     lhs = 1.0 - sigma_w
     rhs = (1.0 - unit.sigma) / (b * b)
     prefactor = b * unit.degree_total / unit.degree_min
@@ -237,5 +240,5 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
         gap_holds=bool(lhs >= rhs - VALUE_ATOL),
         gap_margin=float(lhs - rhs),
         bound=bound,
-        exact=_exact_deviations(kernel, pi, n_max),
+        exact=_exact_deviations(pi, lam, vec, n_max),
     )

@@ -22,10 +22,11 @@ from mclab import (
 )
 from mclab.chain_core import kernel_from_json, load_json, sequence_from_json, sequence_to_json
 from mclab.cli import main as cli_main
+from mclab import merging, scenarios
 from mclab.merging import first_passage, merging_time
 from mclab.scenarios import ResultSet, builtin_scenario_names, emit, load_scenario
 from mclab.spectral import srw_spectrum
-from mclab.zoo import WeightedGraph
+from mclab.zoo import WeightedGraph, graph_kernel, lazy_stick
 
 from conftest import random_kernel
 
@@ -33,6 +34,20 @@ from conftest import random_kernel
 def strip_volatile(text: str) -> str:
     return "\n".join(line for line in text.splitlines()
                      if not line.startswith("# timestamp:"))
+
+
+def drifted_sample(tmp_path, n_max: int) -> Path:
+    """``drifted-bd-scaling`` at N = 16, 32 with 9 replicas, ``n_max`` and the check's ``hi`` 2.6.
+
+    Four of the nine N = 32 points merge after step 522, at 523 to 538.
+    """
+    cfg, _ = load_scenario("drifted-bd-scaling")
+    cfg = dict(cfg, grid={"N": [16, 32]}, replicas=9,
+               analysis=dict(cfg["analysis"], n_max=n_max),
+               checks=[dict(cfg["checks"][0], hi=2.6)])
+    path = tmp_path / f"drifted-{n_max}.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 class TestScenarioRunner:
@@ -232,6 +247,63 @@ class TestScenarioRunner:
         assert comments[-2:-1] == [f"# blas: {expected}"]
         assert comments[-1].startswith("# timestamp:")
 
+    def test_an_unreached_point_ranks_after_every_reached_time(self, tmp_path):
+        short = run_scenario(drifted_sample(tmp_path, 522))
+        full = run_scenario(drifted_sample(tmp_path, 4000))
+        # the rows keep the sentinel
+        assert [row["N"] for row in short.rows if row["t_merge"] == -1] == [32] * 4
+        assert sorted(row["t_merge"] for row in full.rows if row["N"] == 32)[-4:] == \
+            [523, 526, 535, 538]
+        # ranked last, the four leave the median at its true value, not at -1
+        assert short.summary == full.summary
+        assert short.summary["medians"] == {"t_merge|N": {16: 188.0, 32: 519.0}}
+        assert short.violations == ["t_merge doubling ratio 2.761 outside [1.4, 2.6]"]
+        assert short.passed is False
+        assert short.summary["checks"][0]["pass"] is False
+
+    def test_an_unreached_median_is_a_violation_not_a_ratio(self, tmp_path):
+        # seven of the nine N = 32 points are unreached by n_max = 480
+        result = run_scenario(drifted_sample(tmp_path, 480))
+        assert result.summary["medians"]["t_merge|N"] == {16: 188.0, 32: math.inf}
+        assert result.summary["checks"][0]["ratios"] == []
+        assert result.violations == [
+            "median t_merge at N=32 is not reached within n_max; ratio undefined"]
+        assert result.passed is False
+        emit("json", result, tmp_path / "out.json")
+        emit("plotdata", result, tmp_path / "out.plotdata")
+        saved = json.loads((tmp_path / "out.json").read_text())
+        assert saved["summary"]["medians"]["t_merge|N"] == {"16": 188.0, "32": None}
+        assert (tmp_path / "out.plotdata").read_text() == "# series: median t_merge|N\n16.0 188.0\n"
+
+    def test_no_point_of_the_next_state_count_is_made_early(self, tmp_path, monkeypatch):
+        # the last stack of one N returns before the first point of the next N is generated
+        events = []
+        generate = scenarios.GENERATORS["bd_ratio_set"]
+        walk = merging._passage_batch
+
+        def logged_generate(params, point, rng):
+            seq, meta = generate(params, point, rng)
+            events.append(("made", seq.space.size))
+            return seq, meta
+
+        def logged_walk(seqs, *args):
+            results = walk(seqs, *args)
+            events.append(("walked", seqs[0].space.size))
+            return results
+
+        monkeypatch.setitem(scenarios.GENERATORS, "bd_ratio_set", logged_generate)
+        monkeypatch.setattr(merging, "_passage_batch", logged_walk)
+        cfg = {"name": "look-ahead", "seed": 41,
+               "generator": {"family": "bd_ratio_set", "params": {"set_size": 4}},
+               "analysis": {"kind": "merging_time", "metric": "relsup", "n_max": 2000},
+               "grid": {"N": [8, 12, 16]}, "replicas": 3}
+        path = tmp_path / "look-ahead.json"
+        path.write_text(json.dumps(cfg))
+        assert len(run_scenario(path).rows) == 9
+        sizes = [size for _, size in events]
+        assert sizes == sorted(sizes)
+        assert [size for kind, size in events if kind == "walked"] == [9, 13, 17]
+
     def test_schema_rejects_block_option(self, tmp_path):
         cfg = {"name": "x", "seed": 1, "generator": {"family": "bd_ratio_set"},
                "analysis": {"kind": "merging_time", "block": 2}, "grid": {"N": [4]}}
@@ -378,6 +450,25 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["depth"] == 4 and report["c_estimate"] >= 1.0
 
+    def test_stability_command_writes_the_csv_summary(self, tmp_path):
+        seq_path = tmp_path / "pair.json"
+        cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
+                  "-P", "q=0.4", "--out", str(seq_path)])
+        out, summary = tmp_path / "stab.json", tmp_path / "summary.csv"
+        assert cli_main(["stability", "--kernels", str(seq_path), "--depth", "4",
+                         "--csv-summary", str(summary), "--out", str(out)]) == 0
+        c = json.loads(out.read_text())["c_estimate"]
+        assert summary.read_bytes() == f"depth,c_estimate\r\n4,{c!r}\r\n".encode()
+
+    def test_zoo_emit_lazy_stick_kernel(self, tmp_path):
+        path = tmp_path / "kernel.json"
+        assert cli_main(["zoo", "emit", "lazy_stick_kernel", "-P", "N=6",
+                         "--out", str(path)]) == 0
+        obj = load_json(path)
+        kernel, pi = graph_kernel(lazy_stick(6))
+        assert np.array_equal(kernel_from_json(obj).entries, kernel.entries)
+        assert obj["reversible_measure"] == pi.weights.tolist()
+
     def test_spectral_command(self, tmp_path):
         graph_path = tmp_path / "stick.json"
         cli_main(["zoo", "emit", "lazy_stick", "-P", "N=6", "--out", str(graph_path)])
@@ -420,6 +511,13 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("usage: mclab") and f"error: {message}" in err
             assert err.startswith(f"usage: mclab {argv[0]} ")
+
+    def test_run_command_exits_1_on_a_failed_check(self, tmp_path, capsys):
+        code = cli_main(["run", str(drifted_sample(tmp_path, 522)), "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "violation: t_merge doubling ratio 2.761 outside [1.4, 2.6]\n"
+        assert captured.out == "drifted-bd-scaling: 18 rows, FAILED\n"
 
     def test_run_command_writes_outputs(self, tmp_path):
         code = cli_main(["run", "uniform-bd-probe", "--out", str(tmp_path)])

@@ -308,7 +308,7 @@ class TestStreamedReport:
         mu0 = ProbMeasure(seq.space, rng.dirichlet(np.full(size, 2.0)))
         rep = singular_value_bounds(seq, mu0, n)
         rows, violation, _, bound = full_tensor_reference(seq, rep)
-        assert rep.gap_rows() == rows
+        assert rep._gap_columns() == {name: [row[name] for row in rows] for name in rows[0]}
         assert rep.max_violation() == violation
         assert rep.relsup_bound.shape == (n + 1, size, size)
         assert np.array_equal(rep.relsup_bound, bound)

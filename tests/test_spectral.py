@@ -14,7 +14,7 @@ from mclab import (
     srw_spectrum,
     step_sigma,
 )
-from mclab.spectral import reversible_eigenvalues
+from mclab.spectral import _symmetrized, reversible_eigenvalues
 from mclab.zoo import WeightedGraph
 
 
@@ -193,6 +193,21 @@ class TestComparisonCheck:
         kernel, pi = graph_kernel(g.with_weights(w))
         assert second_singular_value(kernel, pi) == pytest.approx(
             step_sigma(kernel, pi, pi), abs=1e-10)
+
+    def test_one_symmetric_eigensolve_of_the_weighted_kernel(self, monkeypatch):
+        # sigma_w and the spectral sum read one eigh; the unit walk has its own eigvalsh
+        g = lazy_stick(9)
+        w = random_weights(g, 2.0, seed=21)
+        kernel, pi = graph_kernel(g.with_weights(w))
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                solved.append(np.array(a))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        comparison_check(g, w, 2.0, n_max=20)
+        assert len(solved) == 2
+        assert sum(np.array_equal(a, _symmetrized(kernel, pi)) for a in solved) == 1
 
     def test_csv_output(self, tmp_path):
         g = lazy_stick(4)
