@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -73,6 +75,32 @@ def all_terms_kept(graph, n):
     lam = np.abs(reversible_eigenvalues(kernel, pi)[:-1])
     ratio = lam / lam.max()
     return (ratio ** max(n - 15, 1) > 2.0 ** -53 * pi.weights.min()).all()
+
+
+def truncated_sums(graph, n_max):
+    """Dense ``C_n = Phi_r Lambda_r^n Phi_r^T`` for ``n = 1..n_max``, with the kept eigenvalues.
+
+    ``r`` follows the truncation rule of ``comparison_check`` at the first
+    step ``s`` of the 16-step block holding ``n``: the terms with
+    ``(|lam_k| / lam*)^s > 2^-53 pi_min``, and at least two.
+    """
+    kernel, pi = graph_kernel(graph)
+    lam, vec = np.linalg.eigh(_symmetrized(kernel, pi))
+    order = np.argsort(-np.abs(lam[:-1]), kind="stable")
+    lam, phi = lam[order], vec[:, order] / np.sqrt(pi.weights)[:, None]
+    ratio = np.abs(lam) / np.abs(lam).max()
+    sums, kept = [], []
+    for n in range(1, n_max + 1):
+        start = n - (n - 1) % 16
+        rank = max(2, int(np.count_nonzero(ratio ** start > 2.0 ** -53 * pi.weights.min())))
+        sums.append((phi[:, :rank] * lam[:rank] ** n) @ phi[:, :rank].T)
+        kept.append(lam[:rank])
+    return sums, kept
+
+
+def bipartite_cycle(n):
+    edges = tuple(sorted([(x, x + 1) for x in range(n - 1)] + [(0, n - 1)]))
+    return WeightedGraph(StateSpace(n), edges, np.ones(n))
 
 
 def complete_graph_with_loops(n):
@@ -301,3 +329,59 @@ class TestSpectralSum:
         report = comparison_check(graph, None, b=1.0, n_max=100)
         assert (report.exact[1:] < 1e-15).all()
         assert not np.signbit(report.exact).any()
+
+
+REGULAR = random_regular_graph(16, 3, seed=0)
+STICK = lazy_stick(16)
+
+
+class TestDiagonalRead:
+    """``exact`` read from the diagonal of a positive semidefinite ``C_n``, or in full."""
+
+    @pytest.mark.parametrize("graph", [
+        STICK.with_weights(random_weights(STICK, 2.0, seed=5)),
+        REGULAR.with_weights(random_weights(REGULAR, 2.0, seed=4)),
+        REGULAR.with_weights(random_weights(REGULAR, 2.0, seed=7)),
+        bipartite_cycle(8),
+    ], ids=["weighted stick", "regular without loops", "regular, positive lam*", "bipartite cycle"])
+    def test_matches_dense_truncated_sum(self, graph):
+        # lam* is -0.84 on the first regular input and +0.85 on the second, so a read
+        # that tests the sign of lam* alone reads the diagonal at n = 1 on the second
+        sums, _ = truncated_sums(graph, 400)
+        kernel, pi = graph_kernel(graph)
+        reference = [np.abs(np.diag(1.0 / pi.weights) - 1.0).max()] + [np.abs(c).max() for c in sums]
+        report = comparison_check(graph, n_max=400)
+        assert report.exact == pytest.approx(np.array(reference), rel=8 * 2.0 ** -53, abs=0.0)
+
+    def test_stick_reads_both_ways(self):
+        # negative eigenvalues are kept until n = 48, none from n = 49 on
+        graph = STICK.with_weights(random_weights(STICK, 2.0, seed=5))
+        _, kept = truncated_sums(graph, 400)
+        signs = [bool((lam >= 0.0).all()) for lam in kept]
+        assert signs == [False] * 48 + [True] * 352
+
+    def test_regular_graph_peaks_off_the_diagonal(self):
+        # a loop-free regular graph keeps negative eigenvalues at every step, and at
+        # odd n its largest |C_n(x, y)| lies off the diagonal: a diagonal read fails there
+        graph = REGULAR.with_weights(random_weights(REGULAR, 2.0, seed=4))
+        sums, kept = truncated_sums(graph, 400)
+        assert not any((lam >= 0.0).all() for lam in kept)
+        odd = sums[::2]
+        off = [np.abs(c - np.diag(np.diag(c))).max() for c in odd]
+        assert all(o > 1.01 * abs(np.diag(c).max()) for o, c in zip(off, odd))
+        assert sum(o > 1.01 * np.abs(np.diag(c)).max() for o, c in zip(off, odd)) > 50
+
+    def test_memory_stays_within_the_workspace(self):
+        # the certify input: beside exact and bound, one 16 N^2-float workspace and 256 KiB;
+        # reading all 40,960 steps at once would take N x n_max floats (21 MB)
+        g = lazy_stick(64)
+        w = random_weights(g, 2.0, seed=3)
+        n_max, size = 40960, g.n_vertices
+        comparison_check(g, w, 2.0, n_max=100)
+        tracemalloc.start()
+        try:
+            comparison_check(g, w, 2.0, n_max=n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n_max + 1) + 16 * size * size * 8 + 256 * 1024
