@@ -10,7 +10,6 @@ sampling can only under-estimate it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .chain_core import (
 from .rng import substream
 
 DEFAULT_BUDGET_NODES = 1 << 20
-_CHUNK_ROWS = 1 << 15
+_CHUNK_ROWS = 1 << 13   # entries of one word-tree chunk: 64 KiB, below malloc's mmap threshold
 _MAX_WITNESSES = 10     # product_invariant_criterion stops after this many failing words
 _SEARCH_PASSES = 40     # coordinate sweeps per start in search_stable_measure
 _SEARCH_BUDGET_VISITS = 1 << 24   # word-tree nodes search_stable_measure may visit in all
@@ -107,39 +106,40 @@ def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,
                    depth: int) -> tuple[float, tuple[int, ...]]:
     """Max of ``max_x |log(mu_w(x)/pi(x))|`` over all words ``|w| <= depth``.
 
-    Exact traversal. Prefixes of length ``0..prefix_depth`` are walked one
-    by one in (length, lexicographic) order; each of full length roots a
-    vectorized block of the ``sub_depth`` levels below it that fit a chunk,
-    scored level by level with rows in lexicographic order. The witness is
-    the first word visited that attains the maximum. Zero measure entries
-    produce an infinite envelope.
+    Exact depth-first walk over level chunks: the rows ``mu_w`` of
+    consecutive words of one length in lexicographic order, at most
+    ``_CHUNK_ROWS`` entries or one word's children. One matmul against the
+    kernels side by side expands ``step`` rows of a chunk into a child
+    chunk, walked before the next is made and scored in one flat pass. The
+    witness is the first maximizer in (length, lexicographic) order, at any
+    chunk size. Zero measure entries produce an infinite envelope.
     """
-    q = len(mats)
-    size = mu0.shape[0]
-    max_rows = max(1, _CHUNK_ROWS // size)
-    sub_depth = 0
-    while q ** (sub_depth + 1) <= max_rows and sub_depth < depth:
-        sub_depth += 1
-    prefix_depth = depth - sub_depth
-
-    best = -np.inf
-    best_word: tuple[int, ...] = ()
-    for d in range(prefix_depth + 1):
-        for prefix in itertools.product(range(q), repeat=d):
-            mu = mu0
-            for letter in prefix:
-                mu = mu @ mats[letter]
-            level = mu[None, :]
-            for extra in range(sub_depth + 1 if d == prefix_depth else 1):
-                if extra:
-                    level = np.stack([level @ m for m in mats], axis=1).reshape(-1, size)
-                with np.errstate(divide="ignore"):
-                    scores = np.abs(np.log(level) - log_pi[None, :]).max(axis=1)
-                top = int(scores.argmax())
-                if scores[top] > best:
-                    best = float(scores[top])
-                    best_word = prefix + tuple(map(int, np.unravel_index(top, (q,) * extra)))
-    return best, best_word
+    q, size = len(mats), mu0.shape[0]
+    wide = np.concatenate(mats, axis=1)
+    step = max(1, _CHUNK_ROWS // (size * q))
+    flat = np.empty(step * q * size)
+    log_pi_flat = np.tile(log_pi, step * q)
+    best, best_key = -np.inf, (0, 0)           # witness (length, lexicographic index)
+    stack = [[mu0.reshape(1, size), 0, 0, 0]]  # chunk, length, first index, next row
+    while stack:
+        rows, length, first, offset = frame = stack[-1]
+        if offset == 0:
+            scores = flat[:rows.size]
+            with np.errstate(divide="ignore"):
+                np.log(rows.reshape(-1), out=scores)
+            np.abs(np.subtract(scores, log_pi_flat[:rows.size], out=scores), out=scores)
+            top = int(scores.argmax())
+            key = (length, first + top // size)
+            if scores[top] > best or (scores[top] == best and key < best_key):
+                best, best_key = float(scores[top]), key
+        if length == depth or offset >= len(rows):
+            stack.pop()
+        else:
+            frame[3] = offset + step
+            children = (rows[offset:offset + step] @ wide).reshape(-1, size)
+            stack.append([children, length + 1, (first + offset) * q, 0])
+    length, index = best_key
+    return best, tuple(index // q ** (length - 1 - i) % q for i in range(length))
 
 
 def ratio_envelope(kernels, mu0: ProbMeasure, pi: ProbMeasure, depth: int,

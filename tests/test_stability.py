@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,8 +270,8 @@ class TestLimitRow:
 
 
 class TestWordTreeTraversal:
-    # at 4 states and 3 letters these chunks split depth 5 into walked
-    # prefixes of length 5, 4, 3 and 0 above the vectorized blocks
+    # at 4 states and 3 letters these chunks expand 1, 1, 4 and 2730 rows at
+    # a time: from one word's children up to whole levels of depth 5
     @pytest.mark.parametrize("chunk", [4, 16, 48, 1 << 15])
     def test_split_tree_matches_bruteforce_oracle(self, rng, monkeypatch, chunk):
         monkeypatch.setattr(stability, "_CHUNK_ROWS", chunk)
@@ -307,6 +308,38 @@ class TestWordTreeTraversal:
         oracle_c, oracle_word = envelope_oracle([k, k], pi, pi, 6)
         assert rep.c_estimate == pytest.approx(oracle_c, rel=1e-12)
         assert rep.witness_word == oracle_word == (0,) * 6
+
+    @pytest.mark.parametrize("chunk", [3, 6, 12, 24, 1 << 15])
+    @pytest.mark.parametrize("pi_weights, witness", [((0.1, 0.45, 0.45), (1,)),
+                                                     ((0.45, 0.1, 0.45), (1, 1))])
+    def test_witness_is_first_in_length_lex_order_at_any_chunk(self, monkeypatch, chunk,
+                                                               pi_weights, witness):
+        # with the identity beside a 3-cycle shift, every word holding the
+        # same number of shifts (mod 3) gives the same measure exactly; the
+        # ratio peaks at one shift, or at two with the second pi, where a
+        # depth-first walk reaches (0, 1, 1) before (1, 1)
+        monkeypatch.setattr(stability, "_CHUNK_ROWS", chunk)
+        space = StateSpace(3)
+        kernels = [StochasticKernel(space, np.eye(3)),
+                   StochasticKernel(space, np.roll(np.eye(3), 1, axis=1))]
+        mu0 = ProbMeasure(space, np.array([0.2, 0.3, 0.5]))
+        pi = ProbMeasure(space, np.array(pi_weights))
+        rep = ratio_envelope(kernels, mu0, pi, depth=4)
+        oracle_c, oracle_word = envelope_oracle(kernels, mu0, pi, 4)
+        assert rep.c_estimate == pytest.approx(oracle_c, rel=1e-12)
+        assert rep.witness_word == oracle_word == witness
+
+    def test_depth_first_walk_holds_one_chunk_per_level(self):
+        # certify's input: a whole level 19 would take 2**19 x 12 floats (48 MiB)
+        q1, q2 = perturbed_stick_pair(11, 0.6, 0.4, 0.0, 0.0, 0.0)
+        uniform = ProbMeasure.uniform(q1.space)
+        tracemalloc.start()
+        try:
+            ratio_envelope([q1, q2], uniform, uniform, depth=19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
 
 def _entry_calls(kernels, pi, depth):
