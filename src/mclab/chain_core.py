@@ -38,12 +38,6 @@ class ReducibleKernelError(ValueError):
         self.recurrent_classes = recurrent_classes
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """A finite, labelled state space.
@@ -91,7 +85,9 @@ class ProbMeasure:
         total = w.sum()
         if abs(total - 1.0) > ROW_SUM_ATOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        object.__setattr__(self, "weights", _as_readonly(w / total))
+        weights = w / total  # a fresh quotient, so no other reference can write it
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def positive(self) -> bool:
@@ -144,13 +140,17 @@ class StochasticKernel:
         n = self.space.size
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space size {n}")
-        if m.min() < 0:
-            raise ValueError(f"negative entry {m.min()}")
-        sums = m.sum(axis=1)
+        # the reductions behind m.min() and m.sum(axis=1), without their wrappers
+        low = np.minimum.reduce(m, axis=None)
+        if low < 0:
+            raise ValueError(f"negative entry {low}")
+        sums = np.add.reduce(m, axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_ATOL
         if bad.any():
             raise ValueError(f"rows {np.nonzero(bad)[0].tolist()} sum to {sums[bad]}, not 1")
-        object.__setattr__(self, "entries", _as_readonly(m / sums[:, None]))
+        entries = m / sums[:, None]  # a fresh quotient, so no other reference can write it
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -175,7 +175,9 @@ class StochasticKernel:
         # stochasticity check (adjoint of a non-invariant measure).
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "entries", _as_readonly(matrix))
+        entries = np.array(matrix, dtype=float)  # a copy the caller cannot write
+        entries.setflags(write=False)
+        object.__setattr__(obj, "entries", entries)
         return obj
 
 
@@ -328,28 +330,30 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
     return acc
 
 
-def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward"):
+def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward",
+                      out: np.ndarray | None = None):
     """One walk step on a matrix or on a stack of matrices.
 
-    Forms the fresh product ``P K`` (``forward``) or ``K P`` (``backward``)
-    of two ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice,
-    then divides each row of it in place by the row's sum. Returns
-    ``(Q, drift)``: ``drift`` is the largest deviation of a row sum from 1
-    before the division, a scalar for one matrix and one value per matrix
-    of a stack, for the caller to check against ``DRIFT_ATOL``. Neither
-    operand is modified, so a matrix returned by one step stays valid after
-    the next.
+    Forms the product ``P K`` (``forward``) or ``K P`` (``backward``) of two
+    ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice, into
+    ``out`` (a fresh array by default), then divides each row of it in
+    place by the row's sum. Returns ``(Q, sums)``: ``sums`` holds the row
+    sums before the division, shape ``(N,)`` for one matrix and ``(R, N)``
+    for a stack, for the caller to check their deviation from 1 against
+    ``DRIFT_ATOL``. Neither operand is modified; ``out`` must not share
+    memory with either, so a matrix returned by one step stays valid while
+    the next writes elsewhere.
 
     A stacked step gives each slice the bits the same step gives that
-    slice alone: ``np.matmul`` multiplies a stack one slice at a time with
-    the same BLAS call, the row sums reduce along the same contiguous axis
-    in the same order, and the division is elementwise.
+    slice alone, with or without ``out``: ``np.matmul`` multiplies a stack
+    one slice at a time with the same BLAS call, the row sums reduce along
+    the same contiguous axis in the same order, and the division is
+    elementwise.
     """
-    q = np.matmul(p, k) if order == "forward" else np.matmul(k, p)
+    q = np.matmul(p, k, out=out) if order == "forward" else np.matmul(k, p, out=out)
     sums = np.add.reduce(q, axis=-1)
-    drift = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
     np.divide(q, sums[..., None], out=q)
-    return q, drift
+    return q, sums
 
 
 def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward",
@@ -358,10 +362,10 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward",
 
     ``forward`` multiplies each kernel on the right (``P K_i``) and
     ``backward`` on the left (``K_i P``). Each step is a
-    :func:`renormalized_step`; yields ``(i, P, drift)`` with the largest
-    row-sum deviation from 1 seen before that step's renormalization.
-    ``start`` and every yielded matrix are replaced, never mutated, by
-    later steps. Every walk's drift is checked here.
+    :func:`renormalized_step`; yields ``(i, P, drift)`` with ``drift`` the
+    largest deviation from 1 of a row sum before that step's
+    renormalization. ``start`` and every yielded matrix are replaced, never
+    mutated, by later steps. Every walk's drift is checked here.
 
     Raises
     ------
@@ -372,8 +376,8 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward",
         raise ValueError(f"unknown order {order!r}")
     p = np.eye(seq.space.size) if start is None else start
     for i in indices:
-        p, drift = renormalized_step(p, seq.kernel_at(i).entries, order)
-        drift = float(drift)
+        p, sums = renormalized_step(p, seq.kernel_at(i).entries, order)
+        drift = float(np.maximum.reduce(np.abs(sums - 1.0)))
         if drift > DRIFT_ATOL:
             raise ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
         yield i, p, drift

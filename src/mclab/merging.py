@@ -134,13 +134,15 @@ def first_passages(seqs, epsilon: float, metric: str,
     state count, each an ``(R, N, N)`` stack advanced one
     :func:`~mclab.chain_core.renormalized_step` at a time, so the per-step
     call overhead is paid once for the batch rather than once per
-    sequence. A batch takes sequences while their kernels and stacks
-    (:func:`_passage_bytes` each) fit in ``_BATCH_BYTES``, and always at
-    least one. Every slice of a stacked step has the bits of the same step
-    walked alone, and each sequence is measured at the steps, and in the
-    order, that :func:`first_passage` measures it (the identity at time 0
-    is measured once per batch), so each result equals its
-    :func:`first_passage` bit for bit. A sequence leaves the stack when
+    sequence. The steps write into two buffers allocated once per batch,
+    never into the last checkpoint, and the drift is read once per stride
+    from the row sums of its steps. A batch takes sequences while their
+    kernels and stacks (:func:`_passage_bytes` each) fit in
+    ``_BATCH_BYTES``, and always at least one. Every slice of a stacked
+    step has the bits of the same step walked alone, and each sequence is
+    measured at the steps, and in the order, that :func:`first_passage`
+    measures it (the identity at time 0 is measured once per batch), so
+    each result equals its :func:`first_passage` bit for bit. A sequence leaves the stack when
     it finishes. ``seqs`` is read lazily, and a batch is walked and dropped
     as soon as not even a one-kernel sequence of its state count would fit,
     so a sequence waits outside a stack only when it has another state
@@ -184,8 +186,11 @@ def _passage_bytes(seq: KernelSequence) -> int:
     """Bytes one sequence adds to a :func:`first_passages` batch.
 
     Its kernels, which the batch reads where the sequence holds them, plus
-    its slice of the four stacks alive during a step: the last checkpoint,
-    the current matrices, the concatenated kernels and the fresh product.
+    its slice of the four stacks a batch allocates once: the last
+    checkpoint, the two buffers the steps alternate between (the current
+    matrices and the product being formed) and the concatenated kernels.
+    The per-step row sums, ``_PASSAGE_STRIDE · N`` numbers a sequence, are
+    not counted.
     """
     n = seq.space.size
     return 8 * n * n * (len(seq.kernels) + 4)
@@ -195,9 +200,12 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
     """:func:`first_passages` of one batch, walked as one stack.
 
-    The stack only steps and records each slice's drift. At a checkpoint a
-    slice is measured once, unless its stride drifted or its sequence is a
-    relative-sup sequence that has held an entry below ``_PASSAGE_TINY``.
+    The stack only steps, alternating between two buffers that are never
+    the checkpoint, and keeps each step's row sums in one
+    ``(_PASSAGE_STRIDE, R, N)`` array; each slice's drift is read from it
+    once per stride. At a checkpoint a slice is measured once, unless its
+    stride drifted or its sequence is a relative-sup sequence that has held
+    an entry below ``_PASSAGE_TINY``.
     Those strides, and a stride whose checkpoint lies inside the slack band,
     are walked again for that sequence alone by :func:`_replay`, the one
     place where steps between checkpoints are measured; a tiny-entry
@@ -217,27 +225,35 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
         return [result(0 if value <= epsilon else None, eye, value)] * len(seqs)
 
     stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
+    # the checkpoint, two buffers the steps alternate between, and the
+    # concatenated kernels; slices that leave are compacted to the front
+    stacks = [np.repeat(eye[None], len(seqs), axis=0)]
+    stacks += [np.empty_like(stacks[0]) for _ in range(2 if len(seqs) == 1 else 3)]
+    row_sums = np.empty((_PASSAGE_STRIDE,) + stacks[0].shape[:2])
 
     def fetch(live, start, stop):
         # the kernels of steps start..stop-1, one stack per step: a (1, N, N)
-        # view for a lone sequence, else a fresh (R, N, N) concatenation of them
+        # view for a lone sequence, else their concatenation into stacks[3]
         columns = [[stacks_of_one[r][k] for k in seqs[r].indices(start, stop).tolist()]
                    for r in live]
-        return columns[0] if len(columns) == 1 else (np.concatenate(step) for step in zip(*columns))
+        if len(columns) == 1:
+            return columns[0]
+        out = stacks[3][:len(live)]
+        return (np.concatenate(step, out=out) for step in zip(*columns))
 
     results: list = [None] * len(seqs)
     errors: dict[int, ArithmeticError] = {}
     tiny = [False] * len(seqs)  # relsup sequences that have held an entry below _PASSAGE_TINY
     live = list(range(len(seqs)))  # the sequence walked in each slice of the stack
-    p = np.repeat(eye[None], len(seqs), axis=0)
-    checkpoint, start = p, 0
+    start = 0
     while live:
+        width = len(live)
         stop = min(start + _PASSAGE_STRIDE, n_max)
-        drifts = []
-        for kernels in fetch(live, start + 1, stop + 1):
-            p, drift = renormalized_step(p, kernels)
-            drifts.append(drift)
-        worst = np.maximum.reduce(np.concatenate(drifts).reshape(-1, len(live)), axis=0)
+        checkpoint = p = stacks[0][:width]
+        steps = (stacks[1][:width], stacks[2][:width])
+        for j, kernels in enumerate(fetch(live, start + 1, stop + 1)):
+            p, row_sums[j, :width] = renormalized_step(p, kernels, out=steps[j % 2])
+        worst = np.maximum.reduce(np.abs(row_sums[:stop - start, :width] - 1.0), axis=(0, 2))
         keep = []
         for s, r in enumerate(live):
             tiny[r] = tiny[r] or (metric == "relsup"
@@ -254,10 +270,13 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                 results[r] = result(i if value <= epsilon else None, matrix, value)
             elif r < min(errors, default=len(seqs)):
                 keep.append(s)
-        if len(keep) < len(live):
-            p = p[keep]
+        # the buffer holding p becomes the next checkpoint; the old one takes steps
+        last = 1 + (stop - start - 1) % 2
+        stacks[0], stacks[last] = stacks[last], stacks[0]
+        if len(keep) < width:
+            stacks[0][:len(keep)] = p[keep]
             live = [live[s] for s in keep]
-        checkpoint, start = p, stop
+        start = stop
     if errors:
         raise errors[min(errors)]
     return results

@@ -147,10 +147,13 @@ def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, d
     hi = float(params.get("ratio_max", 2.0))
     hold_max = float(params.get("hold_max", 0.3))
     size = int(params.get("set_size", 32))
+    # one (log ratio, holding) pair per kernel, drawn in the order a loop of
+    # scalar draws takes them: rng.uniform applies each element's bounds alone
+    draws = rng.uniform(np.array([math.log(lo), 0.0]), np.array([math.log(hi), hold_max]),
+                        size=(size, 2))
     kernels = []
-    for _ in range(size):
-        ratio = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        r = rng.uniform(0.0, hold_max)
+    for log_ratio, r in draws.tolist():
+        ratio = math.exp(log_ratio)
         q = (1.0 - r) / (1.0 + ratio)
         kernels.append(constant_rate_bd(n, ratio * q, q, r))
     return KernelSequence.iid(kernels, seed=_seed_from(rng)), {}
@@ -163,6 +166,26 @@ def _gen_mirrored_bd_pair(params: dict, point: dict, rng) -> tuple[KernelSequenc
                                   constant_rate_bd(n, q, p, r)]), {}
 
 
+def _accepted_pairs(count: int, rng) -> np.ndarray:
+    """The first ``count`` draws ``(u, d)`` from ``U[1/4, 1/2)²`` with ``u + d <= 3/4``.
+
+    The pairs and the state ``rng`` is left in are those of a loop that
+    draws one pair at a time until ``count`` are accepted. Candidates are
+    drawn in blocks; then the state is rewound and exactly the pairs that
+    loop would have consumed are drawn again.
+    """
+    state = rng.bit_generator.state
+    drawn = np.empty((0, 2))
+    accepted = np.zeros(0, dtype=np.intp)
+    while accepted.size < count:
+        # about half of the pairs are accepted
+        drawn = np.concatenate((drawn, rng.uniform(0.25, 0.5, size=(2 * count + 8, 2))))
+        accepted = np.flatnonzero(drawn[:, 0] + drawn[:, 1] <= 0.75)
+    rng.bit_generator.state = state
+    rng.uniform(0.25, 0.5, size=(accepted[count - 1] + 1 if count else 0, 2))
+    return drawn[accepted[:count]]
+
+
 def _sample_banded_chain(n: int, rng):
     # rejection-sample until both class flags hold
     for _ in range(10000):
@@ -170,12 +193,7 @@ def _sample_banded_chain(n: int, rng):
         down = np.zeros(n + 1)
         up[0] = rng.uniform(0.25, 0.75)
         down[n] = rng.uniform(0.25, 0.75)
-        for x in range(1, n):
-            while True:
-                u, d = rng.uniform(0.25, 0.5, size=2)
-                if u + d <= 0.75:
-                    up[x], down[x] = u, d
-                    break
+        up[1:n], down[1:n] = _accepted_pairs(n - 1, rng).T
         spec = general_bd(n, up, down)
         if spec.within_rate_band and spec.within_measure_band:
             return spec

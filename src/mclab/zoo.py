@@ -8,6 +8,7 @@ Metropolis reweighting that pins a prescribed reversible measure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,21 +40,28 @@ def _check_detailed_balance(kernel: StochasticKernel, pi: ProbMeasure, what: str
 # birth-death chains on {0, ..., N}
 
 
+@functools.lru_cache(maxsize=32)
+def _segment_space(size: int) -> StateSpace:
+    # one default-labelled space per size; StateSpace is immutable, so kernels share it
+    return StateSpace(size)
+
+
 def _tridiagonal(up, down, hold) -> StochasticKernel:
     """Birth-death kernel on ``{0, ..., N}`` with ``N = len(hold) - 1``.
 
-    ``x -> x+1`` with ``up[x]``, ``x -> x-1`` with ``down[x]``, holding
-    ``hold[x]``; ``up[N]`` and ``down[0]`` are not read.
+    ``x -> x+1`` with ``up[x]`` for ``x < N``, ``x -> x-1`` with
+    ``down[x - 1]`` for ``x >= 1``, holding ``hold[x]``; ``up`` and ``down``
+    hold ``N`` values each, or one value for every site. Each diagonal is
+    one strided assignment into the flattened matrix, whose row stride is
+    ``N + 1``.
     """
     n = len(hold) - 1
     k = np.zeros((n + 1, n + 1))
-    for x in range(n + 1):
-        if x < n:
-            k[x, x + 1] = up[x]
-        if x > 0:
-            k[x, x - 1] = down[x]
-        k[x, x] = hold[x]
-    return StochasticKernel(StateSpace(n + 1), k)
+    flat = k.reshape(-1)
+    flat[::n + 2] = hold
+    flat[1::n + 2] = up
+    flat[n + 1::n + 2] = down
+    return StochasticKernel(_segment_space(n + 1), k)
 
 
 def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
@@ -67,8 +75,9 @@ def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
         raise ValueError("N must be >= 1")
     if min(p, q, r) < 0 or abs(p + q + r - 1.0) > VALUE_ATOL:
         raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}")
-    # lists, not arrays: indexing a Python list is the cheaper per-site read
-    return _tridiagonal([p] * N, [q] * (N + 1), [r + q] + [r] * (N - 1) + [r + p])
+    hold = np.full(N + 1, r)
+    hold[0], hold[N] = r + q, r + p
+    return _tridiagonal(p, q, hold)
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,7 @@ def general_bd(N: int, up, down) -> BirthDeathSpec:
         raise ValueError("per-site rates must form probability triples")
     if up[:N].min() <= 0 or down[1:].min() <= 0:
         raise ValueError("interior up and down rates must be positive (irreducible chain)")
-    kernel = _tridiagonal(up, down, hold)
+    kernel = _tridiagonal(up[:N], down[1:], hold)
 
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:N]) - np.log(down[1:]))))
     log_pi -= log_pi.max()
@@ -119,7 +128,7 @@ def general_bd(N: int, up, down) -> BirthDeathSpec:
     _check_detailed_balance(kernel, measure, "birth-death kernel")
 
     entries = kernel.entries
-    active = entries[np.abs(np.subtract.outer(np.arange(N + 1), np.arange(N + 1))) <= 1]
+    active = np.concatenate((entries.diagonal(-1), entries.diagonal(), entries.diagonal(1)))
     rate_band = bool((active >= 0.25 - 1e-15).all() and (active <= 0.75 + 1e-15).all())
     scaled = (N + 1) * measure.weights
     measure_band = bool((scaled >= 0.25 - 1e-15).all() and (scaled <= 4 + 1e-15).all())
@@ -153,7 +162,7 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
         # even sites move up with up_even, odd sites with down_even; the top leaves with 1 - eta
         up = [up_even, down_even] * ((N + 1) // 2)
         down = [down_even, up_even] * ((N - 1) // 2) + [down_even, 1.0 - eta]
-        return _tridiagonal(up, down, [down_even + r] + [r] * (N - 1) + [eta])
+        return _tridiagonal(up[:N], down[1:], [down_even + r] + [r] * (N - 1) + [eta])
 
     q1 = build(p, q, eta1)
     q2 = build(q, p, eta2)

@@ -16,6 +16,7 @@ import pytest
 
 from mclab import KernelSequence, StateSpace, StochasticKernel
 from mclab import merging, scenarios
+from mclab.chain_core import walk
 from mclab.merging import first_passage, first_passages, relsup_between_rows, tv_between_rows
 from mclab.rng import fold_path, substream
 from mclab.zoo import constant_rate_bd
@@ -174,6 +175,63 @@ def test_tiny_entries_make_one_replica_stepwise(metric):
     seqs = [slow_merger(space, 5), tiny, slow_merger(space, 9), tiny]
     for epsilon in (trajectory(tiny, metric, 60)[60], 0.5, 0.01):
         assert_batch_is_loop(seqs, epsilon, metric, 200)
+
+
+def stepwise(seq, epsilon, metric, n_max):
+    """The first passage measured at every step of ``walk``: the oracle of a stacked slice."""
+    measure = tv_between_rows if metric == "tv" else relsup_between_rows
+    i, p = 0, np.eye(seq.space.size)
+    value = measure(p)
+    if value > epsilon:
+        for i, p, _ in walk(seq, range(1, n_max + 1)):
+            value = measure(p)
+            if value <= epsilon:
+                break
+    return i if value <= epsilon else None, tv_between_rows(p), relsup_between_rows(p)
+
+
+def test_stride_buffers_keep_every_checkpoint(monkeypatch):
+    # one relsup stack whose slices leave at different strides, one replayed
+    # from a checkpoint inside the slack band, one replayed because its
+    # stride drifted after its hit, and one stepwise after turning tiny;
+    # every replay starts from a checkpoint the stack's steps must not touch
+    space, stride, n_max = StateSpace(3), merging._PASSAGE_STRIDE, 300
+    in_band = slow_merger(space, 5)
+    epsilon = trajectory(in_band, "relsup", 7 * stride)[7 * stride] - 0.5 * merging._PASSAGE_SLACK
+    base = slow_merger(space, 11)
+    hit = stepwise(base, epsilon, "relsup", n_max)[0]
+    assert hit > stride and hit % stride  # the drift comes later in the hit's own stride
+    drifting = KernelSequence.explicit(
+        [base.kernel_at(i) for i in range(1, hit + 1)]
+        + [StochasticKernel._unchecked(space, base.kernel_at(hit + 1).entries * (1 + 1e-10))])
+    k = np.array([[0.97, 0.03, 1e-295], [0.02, 0.98, 2e-295], [0.5, 0.5, 3e-295]])
+    tiny = KernelSequence.constant(StochasticKernel(space, k))
+    seqs = [slow_merger(space, 8), in_band, drifting, slow_merger(space, 12), tiny,
+            slow_merger(space, 1), KernelSequence.constant(StochasticKernel.identity(space))]
+    expected = [stepwise(seq, epsilon, "relsup", n_max) for seq in seqs]
+
+    widths, replays = [], []
+    batch, replay = merging._passage_batch, merging._replay
+
+    def batch_spy(batch_seqs, *args):
+        widths.append(len(batch_seqs))
+        return batch(batch_seqs, *args)
+
+    def replay_spy(seq, matrix, start, *args):
+        replays.append((seqs.index(seq), start))
+        return replay(seq, matrix, start, *args)
+
+    monkeypatch.setattr(merging, "_passage_batch", batch_spy)
+    monkeypatch.setattr(merging, "_replay", replay_spy)
+    assert first_passages(seqs, epsilon, "relsup", n_max) == expected
+    assert widths == [len(seqs)]
+    hits = [t for t, _, _ in expected]
+    assert expected[2][0] == hit and hits[-1] is None
+    assert len({t // stride for t in hits if t is not None}) >= 4
+    # the checkpoint at 7 strides lies inside the band: that stride is walked again, then the next
+    assert {(1, 6 * stride), (1, 7 * stride)} <= set(replays)
+    assert (2, hit // stride * stride) in replays
+    assert {start for r, start in replays if r == 4} >= {0, stride, 2 * stride}
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
