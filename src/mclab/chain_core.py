@@ -64,13 +64,35 @@ class StateSpace:
             raise ValueError("labels must be unique")
 
 
+def probability_rows(values: np.ndarray, atol: float) -> np.ndarray:
+    """``values``, a vector or a stack of rows, divided by its row sums, read-only.
+
+    The one probability rule: every entry finite and non-negative and every
+    sum within ``atol`` of 1, else ``ValueError``. Each test passes only for
+    accepted numbers, so NaN and ``±inf`` fail it.
+    """
+    # the reductions behind values.min() and values.sum(axis=-1), without their wrappers
+    low = np.minimum.reduce(values, axis=None)
+    if not low >= 0:
+        raise ValueError(f"entries must be finite and non-negative, found {low}")
+    sums = np.add.reduce(values, axis=-1)
+    deviation = abs(sums - 1.0)
+    if not np.maximum.reduce(deviation, axis=None) <= atol:
+        bad = ~(deviation <= atol)
+        where = f"rows {np.flatnonzero(bad).tolist()}" if sums.ndim else "entries"
+        raise ValueError(f"{where} sum to {sums[bad]}, not 1")
+    quotient = values / sums[..., None]  # a fresh quotient, so no other reference can write it
+    quotient.setflags(write=False)
+    return quotient
+
+
 @dataclass(frozen=True, eq=False)
 class ProbMeasure:
     """A probability vector on a :class:`StateSpace`.
 
-    Weights must be non-negative and sum to 1 within ``1e-9``; they are
-    renormalized on construction so the stored vector sums to 1 in working
-    precision. ``positive`` is true iff every weight is strictly positive.
+    Weights obey :func:`probability_rows` with ``ROW_SUM_ATOL`` (``1e-9``)
+    and are stored renormalized, summing to 1 in working precision.
+    ``positive`` is true iff every weight is strictly positive.
     """
 
     space: StateSpace
@@ -80,28 +102,11 @@ class ProbMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.space.size,):
             raise ValueError(f"weights shape {w.shape} does not match space size {self.space.size}")
-        if w.min() < 0:
-            raise ValueError(f"negative weight {w.min()}")
-        total = w.sum()
-        if abs(total - 1.0) > ROW_SUM_ATOL:
-            raise ValueError(f"weights sum to {total}, not 1")
-        weights = w / total  # a fresh quotient, so no other reference can write it
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", probability_rows(w, ROW_SUM_ATOL))
 
     @property
     def positive(self) -> bool:
         return bool(self.weights.min() > 0)
-
-    @classmethod
-    def _checked_by_caller(cls, space: StateSpace, weights: np.ndarray) -> "ProbMeasure":
-        # For weights the caller has already checked and normalized as
-        # __post_init__ would; ``weights`` must be a fresh, unshared array.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        weights.setflags(write=False)
-        object.__setattr__(obj, "weights", weights)
-        return obj
 
     @classmethod
     def uniform(cls, space: StateSpace) -> "ProbMeasure":
@@ -127,9 +132,8 @@ class ProbMeasure:
 class StochasticKernel:
     """A row-stochastic square matrix on a :class:`StateSpace`.
 
-    Entries must be non-negative and each row must sum to 1 within
-    ``1e-9``; rows are renormalized on construction so stored sums are 1
-    in working precision.
+    Each row obeys :func:`probability_rows` with ``ROW_SUM_ATOL`` (``1e-9``)
+    and is stored renormalized, summing to 1 in working precision.
     """
 
     space: StateSpace
@@ -140,17 +144,7 @@ class StochasticKernel:
         n = self.space.size
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space size {n}")
-        # the reductions behind m.min() and m.sum(axis=1), without their wrappers
-        low = np.minimum.reduce(m, axis=None)
-        if low < 0:
-            raise ValueError(f"negative entry {low}")
-        sums = np.add.reduce(m, axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_ATOL
-        if bad.any():
-            raise ValueError(f"rows {np.nonzero(bad)[0].tolist()} sum to {sums[bad]}, not 1")
-        entries = m / sums[:, None]  # a fresh quotient, so no other reference can write it
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", probability_rows(m, ROW_SUM_ATOL))
 
     @property
     def size(self) -> int:
@@ -197,7 +191,9 @@ class KernelSequence:
     a finite kernel alphabet, and seeded i.i.d. draws from a finite kernel
     alphabet. Cyclic and i.i.d. rules extend to indices ``i <= 0`` (used by
     backward-limit estimates); explicit lists extend by cyclic reuse and
-    carry ``extension_is_convention = True`` to flag that choice.
+    carry ``extension_is_convention = True`` to flag that choice. I.i.d.
+    ``probs`` obey :func:`probability_rows` with ``ROW_SUM_ATOL`` and are
+    stored as given, not renormalized, so the draws read them unchanged.
     """
 
     kind: str
@@ -226,8 +222,7 @@ class KernelSequence:
                 object.__setattr__(self, "probs", (1.0 / len(self.kernels),) * len(self.kernels))
             if len(self.probs) != len(self.kernels):
                 raise ValueError("probs length must match kernel set")
-            if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > ROW_SUM_ATOL:
-                raise ValueError("probs must be a probability vector")
+            probability_rows(np.asarray(self.probs, dtype=float), ROW_SUM_ATOL)
 
     @property
     def space(self) -> StateSpace:
@@ -393,32 +388,23 @@ def evolve(mu0: ProbMeasure, seq: KernelSequence, n: int) -> list[ProbMeasure]:
     """Distributions ``mu_0, ..., mu_n`` with ``mu_i = mu_{i-1} K_i``.
 
     Computed by iterated vector-matrix products; the full product matrix is
-    never materialized. Each step is checked and normalized here exactly as
-    the :class:`ProbMeasure` constructor would, so the weights are the ones
-    it gives, without a second check per measure.
+    never materialized. Each step's measure is built by the
+    :class:`ProbMeasure` constructor, so it obeys :func:`probability_rows`.
 
     Raises
     ------
     ValueError
-        If a step has a negative weight or its total is more than
-        ``ROW_SUM_ATOL`` from 1.
+        If a step breaks that rule; the message names the step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     space = _require_same_space(mu0, seq)
-    kernels = seq.kernels
     out = [mu0]
-    w = mu0.weights
     for i, k in enumerate(seq.indices(1, n + 1).tolist(), 1):
-        w = w @ kernels[k].entries
-        # the reductions behind w.min() and w.sum(), without their wrappers
-        low, total = np.minimum.reduce(w), np.add.reduce(w)
-        if low < 0:
-            raise ValueError(f"negative weight {low} at step {i}")
-        if abs(total - 1.0) > ROW_SUM_ATOL:
-            raise ValueError(f"weights sum to {total} at step {i}, not 1")
-        w = w / total
-        out.append(ProbMeasure._checked_by_caller(space, w))
+        try:
+            out.append(ProbMeasure(space, out[-1].weights @ seq.kernels[k].entries))
+        except ValueError as exc:
+            raise ValueError(f"{exc} at step {i}") from exc
     return out
 
 

@@ -20,6 +20,7 @@ from .chain_core import (
     StochasticKernel,
     _recurrent_classes,
     adjoint_kernel,
+    probability_rows,
     required_key,
     space_from_json,
     space_to_json,
@@ -28,6 +29,13 @@ from .chain_core import (
 from .rng import substream
 
 _REGULAR_GRAPH_TRIES = 2000  # pairing-model draws before random_regular_graph gives up
+
+
+def _check_rate_triple(p: float, q: float, r: float) -> None:
+    try:
+        probability_rows(np.array([p, q, r], dtype=float), VALUE_ATOL)
+    except ValueError as exc:
+        raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}") from exc
 
 
 def _check_detailed_balance(kernel: StochasticKernel, pi: ProbMeasure, what: str) -> None:
@@ -73,8 +81,7 @@ def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > VALUE_ATOL:
-        raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}")
+    _check_rate_triple(p, q, r)
     hold = np.full(N + 1, r)
     hold[0], hold[N] = r + q, r + p
     return _tridiagonal(p, q, hold)
@@ -153,8 +160,7 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
     """
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be odd and >= 3")
-    if min(p, q, r) < 0 or abs(p + q + r - 1.0) > VALUE_ATOL:
-        raise ValueError("p, q, r must be a probability triple")
+    _check_rate_triple(p, q, r)
     if not (0 <= eta1 < 1 and 0 <= eta2 < 1):
         raise ValueError("eta parameters must lie in [0, 1)")
 
@@ -323,7 +329,7 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.edges),):
             raise ValueError("weights must align with edges")
-        if len(self.edges) and w.min() <= 0:
+        if len(self.edges) and not w.min() > 0:
             raise ValueError("weights must be strictly positive")
         w = w.copy()
         w.setflags(write=False)
@@ -479,8 +485,8 @@ def metropolis_ratio_bound(g: WeightedGraph, pi_target: ProbMeasure) -> float:
 
 def random_weights(g: WeightedGraph, b: float, seed: int) -> np.ndarray:
     """I.i.d. log-uniform weights on ``[1, b]``; the weight ratio never exceeds ``b``."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    if not b >= 1:
+        raise ValueError(f"b must be a number >= 1, got {b}")
     rng = substream(seed, 0x9E1A)
     return np.exp(rng.uniform(0.0, np.log(b), size=len(g.edges)))
 

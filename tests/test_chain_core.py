@@ -33,6 +33,7 @@ from mclab.chain_core import (
     walk,
     walk_from_start,
 )
+from mclab.rng import substream
 
 from conftest import all_pairs_tv, random_kernel
 
@@ -445,9 +446,34 @@ class TestEvolveChecksEachStep:
     @pytest.mark.parametrize("matrix", [
         [[1.2, -0.2], [0.5, 0.5]],            # a negative weight after one step
         [[0.5, 0.5 + 1e-8], [0.5, 0.5 + 1e-8]],  # a total 1e-8 away from 1
-    ], ids=["negative", "drifting"])
+        [[np.nan, 0.5], [0.5, 0.5]],          # a NaN weight after one step
+    ], ids=["negative", "drifting", "nan"])
     def test_a_bad_step_raises_value_error(self, matrix):
         space = StateSpace(2)
         seq = KernelSequence.constant(StochasticKernel._unchecked(space, np.array(matrix)))
         with pytest.raises(ValueError, match="at step 1"):
             evolve(ProbMeasure.dirac(space, 0), seq, 3)
+
+
+class TestProbabilityRule:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("build, message", [
+        (lambda x: StochasticKernel(StateSpace(2), np.array([[0.5, 0.5], [x, 0.5]])), None),
+        (lambda x: ProbMeasure(StateSpace(3), np.array([0.5, x, 0.5])), None),
+        (lambda x: KernelSequence.iid([StochasticKernel.identity(StateSpace(2))] * 2,
+                                      probs=[0.5, x]), None),
+        (lambda x: constant_rate_bd(4, 0.5, x, 0.5), "probability triple"),
+        (lambda x: perturbed_stick_pair(5, 0.5, 0.5, x, 0.1, 0.2), "probability triple"),
+    ], ids=["kernel", "measure", "iid-probs", "constant_rate_bd", "perturbed_stick_pair"])
+    def test_non_finite_numbers_are_rejected(self, build, message, bad):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
+    def test_iid_probs_are_stored_and_drawn_as_given(self):
+        probs = (0.2, 0.3, 0.5 + 4e-10)  # within ROW_SUM_ATOL of 1, not exactly 1
+        seq = KernelSequence.iid([StochasticKernel.identity(StateSpace(2))] * 3, probs, seed=5)
+        assert seq.probs == probs
+        block = KernelSequence._BLOCK
+        u = substream(5, 0).random(block)
+        expected = np.searchsorted(np.cumsum(probs), u, side="right").clip(0, 2)
+        assert np.array_equal(seq.indices(0, block), expected)

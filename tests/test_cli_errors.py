@@ -192,6 +192,10 @@ def test_run_generator_missing_param_or_grid_key(tmp_path, capsys, generator, gr
 
 
 
+NAN_SEQUENCE = {"kind": "cyclic", "kernels": [
+    dict(KERNEL, matrix=[[float("nan"), 0.5], [0.5, 0.5]])]}  # json writes it as NaN
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectral", "--graph", "{graph}", "--weights", "random:3"],
      "--weights random:<seed> needs --b"),
@@ -199,10 +203,18 @@ def test_run_generator_missing_param_or_grid_key(tmp_path, capsys, generator, gr
      "word tree has 2147483647 nodes, budget is 1048576"),
     (["stability", "--kernels", "{pair}", "--depth", "4", "--budget-nodes", "30"],
      "word tree has 31 nodes, budget is 30"),
+    (["spectral", "--graph", "{graph}", "--b", "nan"], "b must be a number >= 1, got nan"),
+    (["spectral", "--graph", "{graph}", "--weights", "random:1", "--b", "nan"],
+     "b must be a number >= 1, got nan"),
+    (["merge", "--sequence", "{nan}"], "entries must be finite and non-negative, found nan"),
+    (["bound", "--sequence", "{nan}"], "entries must be finite and non-negative, found nan"),
+    (["stability", "--kernels", "{nan}", "--depth", "2"],
+     "entries must be finite and non-negative, found nan"),
 ])
 def test_rejected_value_gets_the_subcommand_usage(tmp_path, capsys, argv, message):
-    paths = {"graph": tmp_path / "graph.json", "pair": tmp_path / "pair.json"}
+    paths = {name: tmp_path / f"{name}.json" for name in ("graph", "pair", "nan")}
     paths["graph"].write_text(json.dumps(GRAPH))
+    paths["nan"].write_text(json.dumps(NAN_SEQUENCE))
     assert cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
                      "-P", "q=0.4", "--out", str(paths["pair"])]) == 0
     err = run_failing([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")],

@@ -252,3 +252,9 @@ def test_connectivity_matches_depth_first_search():
             with pytest.raises(ValueError, match="graph must be connected"):
                 WeightedGraph(StateSpace(n), edges, np.ones(len(edges)))
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan])
+def test_graph_weights_must_be_strictly_positive(weight):
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        WeightedGraph(StateSpace(2), ((0, 1), (1, 1)), np.array([1.0, weight]))
