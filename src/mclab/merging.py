@@ -149,10 +149,13 @@ def first_passages(seqs, epsilon: float, metric: str,
     count or the stack had room for a one-kernel sequence but not for it.
     When walks fail, the error raised is the one of the first failing
     sequence, the one a loop over :func:`first_passage` raises; when
-    reading ``seqs`` fails, the batch read so far is walked first.
+    reading ``seqs`` fails, the batch read so far is walked first. A NaN or
+    negative ``epsilon`` raises ``ValueError`` before anything is walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
     results = []
     batch: list[KernelSequence] = []
     used = 0
@@ -362,7 +365,7 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "tv" and not 0 < epsilon < 1:
         raise ValueError("tv epsilon must lie in (0, 1)")
-    if metric == "relsup" and epsilon <= 0:
+    if metric == "relsup" and not epsilon > 0:
         raise ValueError("relsup epsilon must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

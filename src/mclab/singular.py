@@ -30,7 +30,8 @@ from .chain_core import (
     write_csv,
 )
 
-#: measures consistent with the kernel step must match to this tolerance
+#: a step's residuals ``mᵀa − b`` and ``m b − a`` (see :func:`step_sigma`) must vanish to this
+#: tolerance, and its computed σ₂ must not exceed 1 by more
 STEP_ATOL = 1e-10
 #: entries at or below this are a hard error: the bound weights blow up and
 #: clamping would silently fabricate finite bounds
@@ -50,15 +51,21 @@ def _lapack():
 
 
 def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> None:
-    if mu_prev.weights.min() <= POSITIVITY_FLOOR or mu_next.weights.min() <= POSITIVITY_FLOOR:
+    """The one check of a step, as :func:`step_sigma` states it; raises ``ValueError``."""
+    prev, nxt = mu_prev.weights, mu_next.weights
+    if prev.min() <= POSITIVITY_FLOOR or nxt.min() <= POSITIVITY_FLOOR:
         raise ValueError("measures must be strictly positive (entries above 1e-300)")
-    drift = np.abs(mu_prev.weights @ k.entries - mu_next.weights).max()
-    if drift > STEP_ATOL:
+    # np.dot rather than @: on the small matrices of a long walk its lower call cost shows
+    drift = np.maximum.reduce(np.abs(np.dot(prev, k.entries) - nxt) / np.sqrt(nxt))
+    if not drift <= STEP_ATOL:
         raise ValueError(f"mu_next is not mu_prev K (residual {drift:.2e})")
+    rows = np.maximum.reduce(np.sqrt(prev) * np.abs(np.dot(k.entries, np.ones(len(prev))) - 1.0))
+    if not rows <= STEP_ATOL:
+        raise ValueError(f"kernel rows do not sum to 1 (residual {rows:.2e})")
 
 
 class _BandLayout(NamedTuple):
-    """Flat indices for the band path at one state count ``N``.
+    """Flat indices for the band path at one state count ``N``: forming ``m``, then ``mᵀm``.
 
     A band is a flat array of ``3N`` entries: ``3i + c`` holds entry
     ``(i, i + c − 1)`` of a tridiagonal matrix, for ``c = 0, 1, 2``. The two
@@ -67,7 +74,6 @@ class _BandLayout(NamedTuple):
 
     kernel: np.ndarray   # (3N,) into K: K(i, i+c−1); the corners read K(0, N−1), 0 on this path
     scale: np.ndarray    # (2, 3N) into (a, b): b_{i+c−1} (any b at a corner), then a_i
-    sums: np.ndarray     # (6N,) slot of m(i, j)·b_j in m b (slot i), of m(i, j)·a_i in mᵀa (N + j)
     pairs: np.ndarray    # (2, 6N) into a band: the factors of m(i, j)·m(i, j + d), 0 <= d <= 2
     gram: np.ndarray     # (6N,) slot 3j + d of that product in the lower band of mᵀm
 
@@ -88,7 +94,6 @@ def _band_layout(n: int) -> _BandLayout:
     return _BandLayout(
         kernel=np.where(col == inside, row * n + col, n - 1),
         scale=np.stack((n + inside, row)),
-        sums=np.concatenate((row, n + inside)),
         pairs=np.stack((first, second)),
         # a product outside the band has a zero corner factor, so any slot takes it
         gram=np.clip(3 * col[first] + second - first, 0, 3 * n - 1),
@@ -168,14 +173,15 @@ def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) 
     is 9e-13 at 129 states near σ₂ = 1 but grows as σ₂ falls, up to about
     ``N·√u`` at σ₂ = 0.
 
-    In place of the SVD's "top singular value is 1", the step is checked:
-    ``m b − a`` and ``mᵀ a − b`` must be within ``STEP_ATOL`` of 0 in the
-    max norm (on the dense path as ``A b`` and ``Aᵀ a``, in O(N²), as
-    ``‖a‖ = ‖b‖ = 1``; on the band path in O(N)), and the computed σ₂ at
-    most ``1 + STEP_ATOL``. That last check reads ``√λ̂`` (``√λ̂₂``) before
-    the round-up, which alone reaches ``STEP_ATOL`` on a periodic step of
-    about 800 states. A failure, or a nonzero ``info`` from LAPACK, raises
-    ``ArithmeticError``.
+    In place of the SVD's "top singular value is 1", the step is checked
+    once, before either path, in O(N²): both measures must be strictly
+    positive, and ``mᵀ a − b = (mu_prev K − mu_next) / b`` and
+    ``m b − a = a·(K 1 − 1)`` within ``STEP_ATOL`` of 0 in the max norm (a
+    NaN fails). A failure raises ``ValueError``. The paths then check that
+    the computed σ₂ is at most ``1 + STEP_ATOL``, reading ``√λ̂`` (``√λ̂₂``)
+    before the round-up, which alone reaches ``STEP_ATOL`` on a periodic
+    step of about 800 states. A failure there, or a nonzero ``info`` from
+    LAPACK, raises ``ArithmeticError``.
     """
     _check_step(k, mu_prev, mu_next)
     if k.size >= 3 and k.bandwidth <= 1:
@@ -189,11 +195,6 @@ def _dense_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) 
     deflated = entries - mu_next
     deflated *= a[:, None]
     deflated /= b
-    # np.dot rather than @: on the small matrices of a long walk its lower call cost shows
-    residuals = np.concatenate((np.dot(deflated, b), np.dot(a, deflated)))
-    residual = np.maximum.reduce(np.abs(residuals))
-    if not residual <= STEP_ATOL:
-        raise ArithmeticError(f"top singular pair of the step is off by {residual:.2e}")
     gram = np.dot(deflated.T, deflated)
     # summed in Python: on a few states a numpy reduction costs more than the sum
     trace = sum(gram.diagonal().tolist())
@@ -222,11 +223,6 @@ def _band_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) -
     scale = roots[layout.scale]
     m = band * scale[1]
     m /= scale[0]
-    residuals = np.bincount(layout.sums, (m * scale).ravel(), 2 * n)
-    residuals -= roots
-    residual = np.maximum.reduce(np.abs(residuals))
-    if not residual <= STEP_ATOL:
-        raise ArithmeticError(f"top singular pair of the step is off by {residual:.2e}")
     factors = m.take(layout.pairs)
     # lower band storage: gram[d, j] = (mᵀm)[j + d, j], Fortran-ordered for dsbevx
     gram = np.bincount(layout.gram, factors[0] * factors[1], 3 * n).reshape(n, 3).T
@@ -252,7 +248,8 @@ def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -
     largest eigenvalue is ``σ₂²``, the square of the second singular value
     of the step operator. :func:`step_sigma` returns that ``σ₂`` rounded up
     by the bound its docstring states, so its square sits just above this
-    eigenvalue.
+    eigenvalue. The step is checked as there, and an inconsistent one
+    raises ``ValueError``.
     """
     _check_step(k, mu_prev, mu_next)
     p = (k.entries.T @ (mu_prev.weights[:, None] * k.entries)) / mu_next.weights[:, None]

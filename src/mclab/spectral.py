@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chain_core import UNIT_ROUNDOFF, VALUE_ATOL, ProbMeasure, StochasticKernel, write_csv
-from .zoo import WeightedGraph, graph_kernel
+from .zoo import WeightedGraph, check_weight_band, graph_kernel
 
 _BLOCK = 16              # steps per truncation test in comparison_check; its workspace is _BLOCK·N² floats
 
@@ -198,8 +198,8 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     """Verify the gap comparison and emit the convergence bound trajectory.
 
     ``weights`` defaults to the graph's own; ``b`` defaults to their exact
-    ratio, and a given ``b`` must be a number ``>= 1`` (NaN is not) and at
-    least that ratio. With ``n_max > 0`` the exact deviations
+    ratio, and a given ``b`` must be a finite number ``>= 1`` (NaN is not)
+    and at least that ratio. With ``n_max > 0`` the exact deviations
     ``exact[n] = max_xy |K^n(x,y)/pi(y) - 1|`` of the weighted chain are
     computed for ``n <= n_max``. Both they and ``sigma_w``, the
     second largest absolute eigenvalue (:func:`_second_absolute`), come from
@@ -272,9 +272,9 @@ def comparison_check(g: WeightedGraph, weights=None, b: float | None = None,
     ratio = graph.weight_ratio
     if b is None:
         b = ratio
-    elif not b >= 1:
-        raise ValueError(f"b must be a number >= 1, got {b}")
-    elif ratio > b * (1 + VALUE_ATOL):
+    else:
+        check_weight_band(b)
+    if ratio > b * (1 + VALUE_ATOL):
         raise ValueError(f"weight ratio {ratio:.6g} exceeds the declared b={b}")
     unit = srw_spectrum(g)
     kernel, pi = graph_kernel(graph)

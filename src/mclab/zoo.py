@@ -329,8 +329,8 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.edges),):
             raise ValueError("weights must align with edges")
-        if len(self.edges) and not w.min() > 0:
-            raise ValueError("weights must be strictly positive")
+        if len(self.edges) and not (w.min() > 0 and w.max() < np.inf):
+            raise ValueError("weights must be strictly positive and finite")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -483,10 +483,15 @@ def metropolis_ratio_bound(g: WeightedGraph, pi_target: ProbMeasure) -> float:
     return a * a * (b ** 3 + b * g.max_degree)
 
 
+def check_weight_band(b: float) -> None:
+    """A weight-ratio band ``b`` must be a finite number ``>= 1``; NaN and ``+inf`` are not."""
+    if not 1 <= b < np.inf:
+        raise ValueError(f"b must be a number >= 1, got {b}")
+
+
 def random_weights(g: WeightedGraph, b: float, seed: int) -> np.ndarray:
     """I.i.d. log-uniform weights on ``[1, b]``; the weight ratio never exceeds ``b``."""
-    if not b >= 1:
-        raise ValueError(f"b must be a number >= 1, got {b}")
+    check_weight_band(b)
     rng = substream(seed, 0x9E1A)
     return np.exp(rng.uniform(0.0, np.log(b), size=len(g.edges)))
 

@@ -80,6 +80,25 @@ def test_hit_at_step_zero(metric):
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("epsilon", [math.nan, -0.1])
+def test_nan_or_negative_epsilon_is_rejected_before_the_walk(metric, epsilon):
+    # every computed distance compares False with NaN, so a walk would never hit
+    read = []
+
+    def sequences():
+        for seq in bd_sequences():
+            read.append(seq)
+            yield seq
+
+    message = f"epsilon must be a number >= 0, got {epsilon}"
+    with pytest.raises(ValueError, match=message):
+        first_passages(sequences(), epsilon, metric, 100)
+    assert read == []
+    with pytest.raises(ValueError, match=message):
+        first_passage(bd_sequences()[0], epsilon, metric, 100)
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
 def test_one_sequence_never_reaches_epsilon(metric):
     space = StateSpace(9)
     stuck = KernelSequence.constant(StochasticKernel.identity(space))

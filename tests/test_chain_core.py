@@ -427,6 +427,14 @@ class TestSequences:
         k = random_kernel(rng, 4)
         assert np.array_equal(kernel_from_json(kernel_to_json(k)).entries, k.entries)
 
+    def test_explicit_json_round_trip(self, rng):
+        kernels = [random_kernel(rng, 3) for _ in range(3)]
+        back = sequence_from_json(sequence_to_json(KernelSequence.explicit(kernels)))
+        assert back.kind == "explicit" and back.extension_is_convention
+        for i in range(-3, 6):
+            # an explicit list extends to every index by cyclic reuse
+            assert np.array_equal(back.kernel_at(i).entries, kernels[(i - 1) % 3].entries)
+
 
 class TestEvolveChecksEachStep:
     def test_weights_are_the_validated_measures(self, rng):

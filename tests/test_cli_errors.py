@@ -99,6 +99,10 @@ DOUBLING_CHECK = {"kind": "doubling_ratio_min", "column": "t_merge", "by": "N", 
      "missing required key 'M'"),
     (dict(SCENARIO, generator=MIRRORED_GENERATOR, checks=[dict(DOUBLING_CHECK, column="nope")]),
      "missing required key 'nope'"),
+    # the schema's exclusiveMinimum lets NaN through; json writes it as NaN
+    (dict(SCENARIO, generator=MIRRORED_GENERATOR,
+          analysis={"kind": "merging_time", "epsilon": float("nan")}),
+     "epsilon must be a number >= 0, got nan"),
 ])
 def test_run_usage_errors(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
@@ -194,6 +198,15 @@ def test_run_generator_missing_param_or_grid_key(tmp_path, capsys, generator, gr
 
 NAN_SEQUENCE = {"kind": "cyclic", "kernels": [
     dict(KERNEL, matrix=[[float("nan"), 0.5], [0.5, 0.5]])]}  # json writes it as NaN
+# input files that break one rule of a sequence or a measure each
+BAD_FILES = {
+    "kind": dict(SEQUENCE, kind="markov"),
+    "empty": dict(SEQUENCE, kernels=[]),
+    "word": dict(SEQUENCE, word=[0, 1]),
+    "probs": {"kind": "iid", "kernels": [KERNEL], "probs": [0.5, 0.5]},
+    "shape": dict(SEQUENCE, kernels=[dict(KERNEL, matrix=[[1.0]])]),
+    "short": {"space": KERNEL["space"], "weights": [1.0]},
+}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -210,11 +223,25 @@ NAN_SEQUENCE = {"kind": "cyclic", "kernels": [
     (["bound", "--sequence", "{nan}"], "entries must be finite and non-negative, found nan"),
     (["stability", "--kernels", "{nan}", "--depth", "2"],
      "entries must be finite and non-negative, found nan"),
+    (["spectral", "--graph", "{graph}", "--b", "inf", "--n-max", "3"],
+     "b must be a number >= 1, got inf"),
+    (["spectral", "--graph", "{graph}", "--weights", "random:1", "--b", "inf", "--n-max", "3"],
+     "b must be a number >= 1, got inf"),
+    (["merge", "--sequence", "{pair}", "--metric", "relsup", "--epsilon", "nan"],
+     "relsup epsilon must be positive"),
+    (["merge", "--sequence", "{kind}"], "unknown sequence kind 'markov'"),
+    (["merge", "--sequence", "{empty}"], "kernel set must be non-empty"),
+    (["merge", "--sequence", "{word}"], "cyclic word indexes outside the kernel set"),
+    (["merge", "--sequence", "{probs}"], "probs length must match kernel set"),
+    (["bound", "--sequence", "{shape}"], "matrix shape (1, 1) does not match space size 2"),
+    (["bound", "--sequence", "{pair}", "--mu0", "{short}"],
+     "weights shape (1,) does not match space size 2"),
 ])
 def test_rejected_value_gets_the_subcommand_usage(tmp_path, capsys, argv, message):
-    paths = {name: tmp_path / f"{name}.json" for name in ("graph", "pair", "nan")}
-    paths["graph"].write_text(json.dumps(GRAPH))
-    paths["nan"].write_text(json.dumps(NAN_SEQUENCE))
+    files = {"graph": GRAPH, "nan": NAN_SEQUENCE, **BAD_FILES}
+    paths = {name: tmp_path / f"{name}.json" for name in ("pair", *files)}
+    for name, obj in files.items():
+        paths[name].write_text(json.dumps(obj))
     assert cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
                      "-P", "q=0.4", "--out", str(paths["pair"])]) == 0
     err = run_failing([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")],

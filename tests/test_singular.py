@@ -10,6 +10,7 @@ from mclab import (
     ProbMeasure,
     StateSpace,
     StochasticKernel,
+    adjoint_kernel,
     constant_rate_bd,
     graph_kernel,
     homogeneous_bounds,
@@ -62,6 +63,33 @@ class TestStepSigma:
         mu1 = ProbMeasure(k.space, (np.array([0.0, 0.5, 0.5]) @ k.entries))
         with pytest.raises(ValueError):
             step_sigma(k, mu0, mu1)
+
+    @pytest.mark.parametrize("path", ["dense", "band"])
+    @pytest.mark.parametrize("check", [step_sigma, pi_kernel])
+    def test_non_stochastic_adjoint_rejected(self, rng, path, check):
+        # with a uniform mu that K does not keep, mu K* = mu holds exactly, so only
+        # the row sums of the raw adjoint give the step away
+        k = random_kernel(rng, 4) if path == "dense" else constant_rate_bd(5, 0.5, 0.3, 0.2)
+        mu = ProbMeasure.uniform(k.space)
+        with pytest.warns(UserWarning, match="not invariant"):
+            adjoint = adjoint_kernel(k, mu)
+        with pytest.raises(ValueError, match="kernel rows do not sum to 1"):
+            check(adjoint, mu, mu)
+
+    @pytest.mark.parametrize("path", ["dense", "band"])
+    def test_drift_is_scaled_by_the_root_of_mu_next(self, rng, path):
+        # a drift of 8e-11 passes an absolute 1e-10, but not at an entry of mu_next
+        # below 0.64, where it exceeds 1e-10·sqrt(mu_next)
+        k = random_kernel(rng, 4) if path == "dense" else constant_rate_bd(5, 0.5, 0.3, 0.2)
+        mu_prev = ProbMeasure(k.space, rng.dirichlet(np.full(k.size, 2.0)))
+        weights = mu_prev.weights @ k.entries
+        low, high = weights.argmin(), weights.argmax()
+        weights[low] += 8e-11
+        weights[high] -= 8e-11
+        mu_next = ProbMeasure(k.space, weights)
+        assert np.abs(mu_prev.weights @ k.entries - mu_next.weights).max() <= 1e-10
+        with pytest.raises(ValueError, match="mu_next is not mu_prev K"):
+            step_sigma(k, mu_prev, mu_next)
 
 
 class TestPiKernel:

@@ -254,7 +254,7 @@ def test_connectivity_matches_depth_first_search():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
 def test_graph_weights_must_be_strictly_positive(weight):
     with pytest.raises(ValueError, match="weights must be strictly positive"):
         WeightedGraph(StateSpace(2), ((0, 1), (1, 1)), np.array([1.0, weight]))
