@@ -11,7 +11,6 @@ import csv
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -165,8 +164,8 @@ class StochasticKernel:
 
     @classmethod
     def _unchecked(cls, space: StateSpace, matrix: np.ndarray) -> "StochasticKernel":
-        # Bypass used only where the contract explicitly disables the
-        # stochasticity check (adjoint of a non-invariant measure).
+        # Bypasses the probability rule; only tests build kernels this way,
+        # to check that walks and steps reject rows that do not sum to 1.
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         entries = np.array(matrix, dtype=float)  # a copy the caller cannot write
@@ -325,27 +324,23 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
     return acc
 
 
-def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward",
-                      out: np.ndarray | None = None):
+def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward"):
     """One walk step on a matrix or on a stack of matrices.
 
     Forms the product ``P K`` (``forward``) or ``K P`` (``backward``) of two
-    ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice, into
-    ``out`` (a fresh array by default), then divides each row of it in
-    place by the row's sum. Returns ``(Q, sums)``: ``sums`` holds the row
-    sums before the division, shape ``(N,)`` for one matrix and ``(R, N)``
-    for a stack, for the caller to check their deviation from 1 against
-    ``DRIFT_ATOL``. Neither operand is modified; ``out`` must not share
-    memory with either, so a matrix returned by one step stays valid while
-    the next writes elsewhere.
+    ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice, into a
+    fresh array, then divides each row of it in place by the row's sum.
+    Returns ``(Q, sums)``: ``sums`` holds the row sums before the division,
+    shape ``(N,)`` for one matrix and ``(R, N)`` for a stack, for the
+    caller to check their deviation from 1 against ``DRIFT_ATOL``. Neither
+    operand is modified.
 
     A stacked step gives each slice the bits the same step gives that
-    slice alone, with or without ``out``: ``np.matmul`` multiplies a stack
-    one slice at a time with the same BLAS call, the row sums reduce along
-    the same contiguous axis in the same order, and the division is
-    elementwise.
+    slice alone: ``np.matmul`` multiplies a stack one slice at a time with
+    the same BLAS call, the row sums reduce along the same contiguous axis
+    in the same order, and the division is elementwise.
     """
-    q = np.matmul(p, k, out=out) if order == "forward" else np.matmul(k, p, out=out)
+    q = np.matmul(p, k) if order == "forward" else np.matmul(k, p)
     sums = np.add.reduce(q, axis=-1)
     np.divide(q, sums[..., None], out=q)
     return q, sums
@@ -513,21 +508,19 @@ def classify_structure(k: StochasticKernel) -> StructureReport:
 def adjoint_kernel(k: StochasticKernel, pi: ProbMeasure) -> StochasticKernel:
     """Adjoint ``K*(x, y) = pi(y) K(y, x) / pi(x)`` on ``l2(pi)``.
 
-    ``pi`` must be strictly positive. When ``pi K = pi`` (checked to
-    ``1e-10``) the adjoint is row-stochastic; otherwise a warning is
-    emitted and the raw adjoint matrix is returned with the stochasticity
-    check disabled.
+    ``pi`` must be strictly positive and invariant, ``pi K = pi`` to
+    ``1e-10`` in the max norm; then the adjoint is row-stochastic. A
+    measure that breaks either rule raises ``ValueError``.
     """
     _require_same_space(k, pi)
     if not pi.positive:
         raise ValueError("adjoint needs a strictly positive measure")
     w = pi.weights
-    adj = (w[None, :] * k.entries.T) / w[:, None]
-    if np.abs(w @ k.entries - w).max() > 1e-10:
-        warnings.warn("measure is not invariant for the kernel; adjoint rows may not sum to 1",
-                      stacklevel=2)
-        return StochasticKernel._unchecked(k.space, adj)
-    return StochasticKernel(k.space, adj)
+    residual = np.abs(w @ k.entries - w).max()
+    if not residual <= 1e-10:
+        raise ValueError(f"measure is not invariant for the kernel (residual {residual:.2e}); "
+                         "its adjoint is not stochastic")
+    return StochasticKernel(k.space, (w[None, :] * k.entries.T) / w[:, None])
 
 
 def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:

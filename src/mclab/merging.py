@@ -2,11 +2,13 @@
 
 Distances are computed from the full iterated-kernel matrix, never from
 sampled trajectories, so the reported values are exact at desk scale.
-Every walk over time accumulates that matrix one
-:func:`~mclab.chain_core.renormalized_step` at a time, through
-:func:`~mclab.chain_core.walk` or, for first passages, a stack of walks;
-both raise when a step drifts by more than ``DRIFT_ATOL``. :func:`product`
-is the literal compose fold the walk is checked against. The worst-pair total
+Walks over time accumulate that matrix one
+:func:`~mclab.chain_core.renormalized_step` at a time through
+:func:`~mclab.chain_core.walk`, which raises when a step drifts by more
+than ``DRIFT_ATOL``; first passages instead multiply a stack of walks and
+renormalize it once per stride, under the rounding bound stated in
+:func:`first_passage`. :func:`product` is the literal compose fold the
+walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
 :func:`~mclab.chain_core.tv_between_rows`, which caps the distance at its
 ceiling of 1: a trajectory or ``tv_final`` value that rounding would put
@@ -29,19 +31,18 @@ import numpy as np
 
 from .chain_core import (
     DRIFT_ATOL,
+    UNIT_ROUNDOFF,
     KernelSequence,
     contraction_coefficient,
     dump_json,
     product,
-    renormalized_step,
     tv_between_rows,
     walk,
     walk_from_start,
     write_csv,
 )
 
-_PASSAGE_STRIDE = 16    # first_passage evaluates its metric every this many steps
-_PASSAGE_SLACK = 1e-9   # rise of a computed distance ruled out over one stride
+_PASSAGE_STRIDE = 16    # first_passage renormalizes and evaluates its metric every this many steps
 _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
 _DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
 _BATCH_BYTES = 1 << 20  # kernels plus stacks of one first_passages batch
@@ -82,41 +83,69 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     when only the passage time is needed. This is :func:`first_passages`
     of the one sequence.
 
-    Every step is a :func:`~mclab.chain_core.renormalized_step` with the
-    drift check of :func:`~mclab.chain_core.walk`, but the metric is
-    evaluated only at checkpoints: time 0, every ``_PASSAGE_STRIDE`` steps
-    and ``n_max``. A checkpoint value above
-    ``epsilon + _PASSAGE_SLACK * (1 + epsilon)`` rules out every step since
-    the previous checkpoint. Every evaluation between two checkpoints walks
-    that stride again, for this sequence alone, from the previous
-    checkpoint's matrix, and measures its steps in order up to the first
-    one at or below ``epsilon``, the hit. A stride is walked again when its
-    checkpoint lies inside the band, when one of its steps drifted (the
-    walk's error is raised at that step, so only when no step before it is
-    a hit), and, for relative-sup, once tiny entries have been seen (below).
-    The result is the one a step-by-step evaluation gives, bit for bit,
-    because the same matrices are measured by the same kernels.
+    **Contract.** The time is the one the stepwise walk gives:
+    :func:`~mclab.chain_core.walk` with the metric evaluated at every step.
+    ``tv`` and ``relsup`` lie within ``δ = _passage_bound(stop, N)`` of that
+    walk's values at the stopping step (absolute for TV, relative to
+    ``1 + value`` for relative-sup), and equal them bit for bit when the
+    sequence took the stepwise route below. A walk whose step drifts by
+    more than ``DRIFT_ATOL`` before its hit raises the walk's error for
+    that step.
 
-    Skipping is sound because both statistics are non-increasing under
-    right multiplication by a stochastic kernel (TV by Dobrushin's
-    contraction, relative-sup by the mediant inequality), so a computed
-    value can rise only by rounding. Per step, the multiply of non-negative
-    matrices moves each entry by at most ``γ_N = N·u / (1 - N·u)``
-    relative (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    §3.1, with ``u = 2^-53``), and the renormalization divides each row by
-    a sum the walk's drift check keeps within ``DRIFT_ATOL`` of 1. TV
-    compares two rows and relative-sup divides a column maximum by a
-    column minimum, so the computed value rises by at most about
-    ``2·DRIFT_ATOL + γ_N`` per step (plus the few ulps of evaluating it):
-    absolute for TV, relative to ``1 + value`` for relative-sup. Over one
-    stride at ``N <= 512`` that is below 4e-11, which leaves 25x headroom
-    under ``_PASSAGE_SLACK``.
+    **Walk.** Between checkpoints (every ``_PASSAGE_STRIDE`` steps and
+    ``n_max``) each step is one ``np.matmul``; at a checkpoint each row is
+    divided by its sum and the metric is evaluated. Below, a threshold
+    ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. A checkpoint value
+    above ``ε + 2δ`` rules out every step since the previous checkpoint.
+    Otherwise :func:`_replay` walks that stride again through ``walk``
+    from the previous checkpoint and measures its steps in order: a value
+    below ``ε - δ`` is a hit and one above ``ε + δ`` is not, because the
+    stepwise walk's value lies within ``δ`` of it. A value within ``δ`` of
+    ``ε`` cannot be decided, so the sequence takes the stepwise route:
+    :func:`_stepwise` walks it again from step 0 and measures every step
+    from that one on, to its hit or ``n_max``. Steps ruled out before are
+    not measured again. The stepwise route is also taken from the first
+    step of a stride that uses a kernel failing the drift screen (below),
+    and of the stride whose checkpoint first holds a positive entry below
+    ``_PASSAGE_TINY`` in a relative-sup walk.
 
-    The relative bound assumes the entries stay in the normal
-    floating-point range. For relative-sup, once a checkpoint matrix holds
-    a positive entry below ``_PASSAGE_TINY``, that stride and every later
-    one are walked again and measured at every step, so such a sequence is
-    stepped twice per stride.
+    **Rounding bound.** With ``u = 2^-53`` and ``γ_N = N·u / (1 - N·u)``, a
+    product of non-negative matrices is exact up to a factor ``1 ± γ_N`` on
+    each entry (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1), and a division up to ``1 ± u``. A factor ``1 ± e`` on each entry
+    moves a row by at most ``log((1 + e)/(1 - e))`` in Hilbert's projective
+    metric, and so does replacing a kernel whose exact row sums lie within
+    ``e`` of 1 by its exactly stochastic rescaling. A non-negative kernel
+    never expands that metric (Birkhoff), so the moves add up linearly:
+    every walk used here, with or without a division after a step, keeps
+    each row of its step-``t`` matrix within ``t·λ`` of the exact product
+    of the rescaled kernels, ``λ = -log(1 - 8(N + 1)·u)`` for kernels whose
+    row sums lie within ``(3N + 2)·u`` of 1, which the screen guarantees.
+    A measured row sums to ``1 ± γ_{N+1}``, which costs one more ``λ``, so
+    its entries lie within a factor ``exp((t + 1)λ)`` of the exact ones.
+    TV then moves by at most ``expm1((t + 1)λ)`` plus the ``γ_N`` of its
+    sum, and ``1 + relsup``, a ratio of two entries, by a factor
+    ``exp(2(t + 1)λ)`` and the two roundings of its quotient. Two walks
+    therefore differ by at most ``δ(t, N) = expm1(4(t + 2)λ)``, about
+    ``32(t + 2)(N + 1)·u``: 1.4e-11 at N = 9 and t = 400, 2.3e-8 at N = 65
+    and t = 1e5. The exact statistics are non-increasing under right
+    multiplication by a stochastic kernel (TV by Dobrushin's contraction,
+    relative-sup by the mediant inequality), so a checkpoint above
+    ``ε + δ`` already puts every stepwise value of its stride above ``ε``;
+    the band ``ε + 2δ`` doubles that margin.
+
+    **Drift screen.** Each kernel is screened once per batch: its computed
+    row sums must lie within ``min(2(N + 1)·u, DRIFT_ATOL - 4(N + 1)·u)``
+    of 1. Its exact row sums then lie within ``(3N + 2)·u`` of 1, as the
+    bound needs, and a stepwise step by it cannot drift past
+    ``DRIFT_ATOL``: the computed drift is at most the kernel's own plus
+    ``γ_{3N}`` from the product, the sums and the previous division. Every
+    kernel built through the probability rule passes up to 1500 states.
+
+    The bound assumes entries in the normal floating-point range. For TV
+    an entry lost to underflow is below ``2^-1022`` and moves the distance
+    by far less than ``δ``; relative-sup divides by entries, hence its
+    stepwise route once a checkpoint holds tiny ones.
 
     An ``epsilon`` at or below about 1e-12 measures rounding, not merging:
     the computed TV stops falling at a floor set by the rounding of each
@@ -131,26 +160,26 @@ def first_passages(seqs, epsilon: float, metric: str,
     """:func:`first_passage` of each sequence, walked together as a stack.
 
     The sequences are walked in batches of consecutive sequences with one
-    state count, each an ``(R, N, N)`` stack advanced one
-    :func:`~mclab.chain_core.renormalized_step` at a time, so the per-step
-    call overhead is paid once for the batch rather than once per
-    sequence. The steps write into two buffers allocated once per batch,
-    never into the last checkpoint, and the drift is read once per stride
-    from the row sums of its steps. A batch takes sequences while their
-    kernels and stacks (:func:`_passage_bytes` each) fit in
-    ``_BATCH_BYTES``, and always at least one. Every slice of a stacked
-    step has the bits of the same step walked alone, and each sequence is
-    measured at the steps, and in the order, that :func:`first_passage`
-    measures it (the identity at time 0 is measured once per batch), so
-    each result equals its :func:`first_passage` bit for bit. A sequence leaves the stack when
-    it finishes. ``seqs`` is read lazily, and a batch is walked and dropped
-    as soon as not even a one-kernel sequence of its state count would fit,
-    so a sequence waits outside a stack only when it has another state
-    count or the stack had room for a one-kernel sequence but not for it.
-    When walks fail, the error raised is the one of the first failing
-    sequence, the one a loop over :func:`first_passage` raises; when
-    reading ``seqs`` fails, the batch read so far is walked first. A NaN or
-    negative ``epsilon`` raises ``ValueError`` before anything is walked.
+    state count, each an ``(R, N, N)`` stack advanced one ``np.matmul`` at
+    a time and renormalized once per stride, so the per-step call overhead
+    is paid once for the batch rather than once per sequence. The steps
+    write into two buffers allocated once per batch, never into the last
+    checkpoint. A batch takes sequences while their kernels and stacks
+    (:func:`_passage_bytes` each) fit in ``_BATCH_BYTES``, and always at
+    least one. Every slice of a stacked step, and of its renormalization,
+    has the bits of the same step walked alone, and each sequence is
+    screened, measured and walked again exactly as :func:`first_passage`
+    does it (the identity at time 0 is measured once per batch), so each
+    result equals its :func:`first_passage` bit for bit. A sequence leaves
+    the stack when it finishes. ``seqs`` is read lazily, and a batch is
+    walked and dropped as soon as not even a one-kernel sequence of its
+    state count would fit, so a sequence waits outside a stack only when it
+    has another state count or the stack had room for a one-kernel sequence
+    but not for it. When walks fail, the error raised is the one of the
+    first failing sequence, the one a loop over :func:`first_passage`
+    raises; when reading ``seqs`` fails, the batch read so far is walked
+    first. A NaN or negative ``epsilon`` raises ``ValueError`` before
+    anything is walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -192,53 +221,65 @@ def _passage_bytes(seq: KernelSequence) -> int:
     its slice of the four stacks a batch allocates once: the last
     checkpoint, the two buffers the steps alternate between (the current
     matrices and the product being formed) and the concatenated kernels.
-    The per-step row sums, ``_PASSAGE_STRIDE · N`` numbers a sequence, are
-    not counted.
+    The row sums of a checkpoint, ``N`` numbers a sequence, are not counted.
     """
     n = seq.space.size
     return 8 * n * n * (len(seq.kernels) + 4)
+
+
+def _passage_bound(t: int, n: int) -> float:
+    """``δ(t, N)``: how far two first-passage walks of ``N`` states may differ at step ``t``.
+
+    Absolute for TV, relative to ``1 + value`` for relative-sup; derived in
+    :func:`first_passage`.
+    """
+    return math.expm1(-4 * (t + 2) * math.log1p(-8 * (n + 1) * UNIT_ROUNDOFF))
 
 
 def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
     """:func:`first_passages` of one batch, walked as one stack.
 
-    The stack only steps, alternating between two buffers that are never
-    the checkpoint, and keeps each step's row sums in one
-    ``(_PASSAGE_STRIDE, R, N)`` array; each slice's drift is read from it
-    once per stride. At a checkpoint a slice is measured once, unless its
-    stride drifted or its sequence is a relative-sup sequence that has held
-    an entry below ``_PASSAGE_TINY``.
-    Those strides, and a stride whose checkpoint lies inside the slack band,
-    are walked again for that sequence alone by :func:`_replay`, the one
-    place where steps between checkpoints are measured; a tiny-entry
-    sequence is therefore stepped twice per stride.
+    The stack only multiplies, alternating between two buffers that are
+    never the checkpoint, and at each checkpoint divides every row by its
+    sum in one pass. There a slice's TV is first bounded from below by the
+    L1 distances of row 0 to every other row, one ``O(N²)`` pass: a
+    non-final checkpoint whose bound already lies above the band needs no
+    full scan. Any value that is reported, or compared with ``epsilon`` to
+    decide a hit, is the full :func:`~mclab.chain_core.tv_between_rows`.
+    A slice whose
+    stride used a kernel failing the drift screen, or whose relative-sup
+    checkpoint holds an entry below ``_PASSAGE_TINY``, is finished by
+    :func:`_stepwise`; a checkpoint inside the band is walked again by
+    :func:`_replay`.
     """
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
-    band = epsilon + _PASSAGE_SLACK * (1.0 + epsilon)
+    scale = 1.0 if metric == "tv" else 1.0 + epsilon  # δ is relative to 1 + value for relsup
 
     def result(hit, matrix, value):
         if metric == "tv":
             return hit, value, relsup_between_rows(matrix)
         return hit, tv_between_rows(matrix), value
 
-    eye = np.eye(seqs[0].space.size)
+    n = seqs[0].space.size
+    eye = np.eye(n)
     value = measure(eye)
     if value <= epsilon or n_max <= 0:
         return [result(0 if value <= epsilon else None, eye, value)] * len(seqs)
 
+    limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
+    screened = [np.array([np.abs(np.add.reduce(k.entries, axis=1) - 1.0).max() <= limit
+                          for k in seq.kernels]) for seq in seqs]
     stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
     # the checkpoint, two buffers the steps alternate between, and the
     # concatenated kernels; slices that leave are compacted to the front
     stacks = [np.repeat(eye[None], len(seqs), axis=0)]
     stacks += [np.empty_like(stacks[0]) for _ in range(2 if len(seqs) == 1 else 3)]
-    row_sums = np.empty((_PASSAGE_STRIDE,) + stacks[0].shape[:2])
 
-    def fetch(live, start, stop):
-        # the kernels of steps start..stop-1, one stack per step: a (1, N, N)
+    def fetch(live, indices):
+        # the kernels of the stride's steps, one stack per step: a (1, N, N)
         # view for a lone sequence, else their concatenation into stacks[3]
-        columns = [[stacks_of_one[r][k] for k in seqs[r].indices(start, stop).tolist()]
-                   for r in live]
+        columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
         if len(columns) == 1:
             return columns[0]
         out = stacks[3][:len(live)]
@@ -246,7 +287,6 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
 
     results: list = [None] * len(seqs)
     errors: dict[int, ArithmeticError] = {}
-    tiny = [False] * len(seqs)  # relsup sequences that have held an entry below _PASSAGE_TINY
     live = list(range(len(seqs)))  # the sequence walked in each slice of the stack
     start = 0
     while live:
@@ -254,22 +294,32 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
         stop = min(start + _PASSAGE_STRIDE, n_max)
         checkpoint = p = stacks[0][:width]
         steps = (stacks[1][:width], stacks[2][:width])
-        for j, kernels in enumerate(fetch(live, start + 1, stop + 1)):
-            p, row_sums[j, :width] = renormalized_step(p, kernels, out=steps[j % 2])
-        worst = np.maximum.reduce(np.abs(row_sums[:stop - start, :width] - 1.0), axis=(0, 2))
+        indices = [seqs[r].indices(start + 1, stop + 1) for r in live]
+        for j, kernels in enumerate(fetch(live, indices)):
+            p = np.matmul(p, kernels, out=steps[j % 2])
+        np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
+        band = epsilon + 2.0 * _passage_bound(stop, n) * scale
+        stepwise = ruled_out = np.zeros(width, dtype=bool)
+        if metric == "relsup":
+            stepwise = ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
+        elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
+            pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
+            ruled_out = np.minimum(pivot, 1.0) > band
         keep = []
         for s, r in enumerate(live):
-            tiny[r] = tiny[r] or (metric == "relsup"
-                                  and bool(((p[s] > 0) & (p[s] < _PASSAGE_TINY)).any()))
-            step = None if tiny[r] or worst[s] > DRIFT_ATOL else (stop, p[s], measure(p[s]))
-            if step is None or step[2] <= band:
-                try:
-                    step = _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon)
-                except ArithmeticError as exc:
-                    errors[r] = exc
-                    continue
-            i, matrix, value = step
-            if value <= epsilon or stop == n_max:
+            step = None
+            try:
+                if stepwise[s] or not screened[r][indices[s]].all():
+                    step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
+                elif not ruled_out[s]:
+                    value = measure(p[s])
+                    step = (stop, p[s], value) if value > band else \
+                        _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale, n_max)
+            except ArithmeticError as exc:
+                errors[r] = exc
+                continue
+            if step is not None and (step[2] <= epsilon or step[0] == n_max):
+                i, matrix, value = step
                 results[r] = result(i if value <= epsilon else None, matrix, value)
             elif r < min(errors, default=len(seqs)):
                 keep.append(s)
@@ -285,18 +335,38 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     return results
 
 
-def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon):
+def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon,
+            scale, n_max):
     """``(i, P_i, value)`` at the first ``start < i <= stop`` with value <= epsilon, else at ``stop``.
 
     The steps are walked again by :func:`~mclab.chain_core.walk` from
     ``matrix``, the product at ``start``, and measured in order up to the
-    first hit; a step that drifts raises the walk's error before it is
-    measured.
+    first hit. A value within ``δ(i, N)·scale`` of ``epsilon`` does not
+    tell whether the stepwise walk hits at ``i``, so from there the result
+    is that of :func:`_stepwise`.
     """
+    n = matrix.shape[0]
     for i, matrix, _ in walk(seq, range(start + 1, stop + 1), start=matrix):
         value = measure(matrix)
+        if abs(value - epsilon) <= _passage_bound(i, n) * scale:
+            return _stepwise(seq, i, n_max, measure, epsilon)
         if value <= epsilon:
             break
+    return i, matrix, value
+
+
+def _stepwise(seq: KernelSequence, first: int, n_max: int, measure, epsilon):
+    """``(i, P_i, value)`` of the stepwise walk at its first hit from step ``first`` on, else at ``n_max``.
+
+    The walk starts again from the identity and measures no step before
+    ``first``; :func:`~mclab.chain_core.walk` raises at the first step that
+    drifts.
+    """
+    for i, matrix, _ in walk(seq, range(1, n_max + 1)):
+        if i >= first:
+            value = measure(matrix)
+            if value <= epsilon:
+                break
     return i, matrix, value
 
 

@@ -124,8 +124,9 @@ def test_thresholds_on_and_inside_the_band(metric):
     seqs = bd_sequences()
     stride = merging._PASSAGE_STRIDE
     traj = trajectory(seqs[0], metric, 6 * stride)
-    for epsilon in (traj[5 * stride + 7], traj[6 * stride - 1], traj[5 * stride],
-                    traj[5 * stride] - 0.5 * merging._PASSAGE_SLACK):
+    value = traj[5 * stride]
+    delta = merging._passage_bound(5 * stride, 9) * (1.0 if metric == "tv" else 1.0 + value)
+    for epsilon in (traj[5 * stride + 7], traj[6 * stride - 1], value, value - 1.5 * delta):
         assert_batch_is_loop(seqs, epsilon, metric, 200)
 
 
@@ -211,12 +212,13 @@ def stepwise(seq, epsilon, metric, n_max):
 
 def test_stride_buffers_keep_every_checkpoint(monkeypatch):
     # one relsup stack whose slices leave at different strides, one replayed
-    # from a checkpoint inside the slack band, one replayed because its
+    # from a checkpoint inside the band, one walked stepwise because its
     # stride drifted after its hit, and one stepwise after turning tiny;
     # every replay starts from a checkpoint the stack's steps must not touch
     space, stride, n_max = StateSpace(3), merging._PASSAGE_STRIDE, 300
     in_band = slow_merger(space, 5)
-    epsilon = trajectory(in_band, "relsup", 7 * stride)[7 * stride] - 0.5 * merging._PASSAGE_SLACK
+    value = trajectory(in_band, "relsup", 7 * stride)[7 * stride]
+    epsilon = value - 1.5 * merging._passage_bound(7 * stride, 3) * (1.0 + value)
     base = slow_merger(space, 11)
     hit = stepwise(base, epsilon, "relsup", n_max)[0]
     assert hit > stride and hit % stride  # the drift comes later in the hit's own stride
@@ -229,8 +231,8 @@ def test_stride_buffers_keep_every_checkpoint(monkeypatch):
             slow_merger(space, 1), KernelSequence.constant(StochasticKernel.identity(space))]
     expected = [stepwise(seq, epsilon, "relsup", n_max) for seq in seqs]
 
-    widths, replays = [], []
-    batch, replay = merging._passage_batch, merging._replay
+    widths, replays, stepwise_from = [], [], []
+    batch, replay, walk_stepwise = merging._passage_batch, merging._replay, merging._stepwise
 
     def batch_spy(batch_seqs, *args):
         widths.append(len(batch_seqs))
@@ -240,17 +242,28 @@ def test_stride_buffers_keep_every_checkpoint(monkeypatch):
         replays.append((seqs.index(seq), start))
         return replay(seq, matrix, start, *args)
 
+    def stepwise_spy(seq, first, *args):
+        stepwise_from.append((seqs.index(seq), first))
+        return walk_stepwise(seq, first, *args)
+
     monkeypatch.setattr(merging, "_passage_batch", batch_spy)
     monkeypatch.setattr(merging, "_replay", replay_spy)
-    assert first_passages(seqs, epsilon, "relsup", n_max) == expected
+    monkeypatch.setattr(merging, "_stepwise", stepwise_spy)
+    got = first_passages(seqs, epsilon, "relsup", n_max)
+    assert [t for t, _, _ in got] == [t for t, _, _ in expected]
+    for (t, tv, relsup), (_, tv_ref, relsup_ref) in zip(got, expected):
+        delta = merging._passage_bound(n_max if t is None else t, 3)
+        assert abs(tv - tv_ref) <= delta
+        assert relsup == relsup_ref or abs(relsup - relsup_ref) <= delta * (1 + relsup_ref)
     assert widths == [len(seqs)]
     hits = [t for t, _, _ in expected]
     assert expected[2][0] == hit and hits[-1] is None
     assert len({t // stride for t in hits if t is not None}) >= 4
     # the checkpoint at 7 strides lies inside the band: that stride is walked again, then the next
     assert {(1, 6 * stride), (1, 7 * stride)} <= set(replays)
-    assert (2, hit // stride * stride) in replays
-    assert {start for r, start in replays if r == 4} >= {0, stride, 2 * stride}
+    # the drifting stride and the tiny sequence's first stride are walked stepwise from their first step
+    assert (2, hit // stride * stride + 1) in stepwise_from
+    assert (4, 1) in stepwise_from and 4 not in [r for r, _ in replays]
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])

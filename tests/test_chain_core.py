@@ -314,10 +314,18 @@ class TestAdjoint:
         assert np.abs(back.entries - k.entries).max() <= 1e-12
 
     def test_non_invariant_measure_warns(self, rng):
+        # now raises: the raw adjoint of a measure the kernel does not keep is no kernel
         k = random_kernel(rng, 4)
         mu = ProbMeasure(k.space, np.array([0.7, 0.1, 0.1, 0.1]))
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="not invariant"):
             adjoint_kernel(k, mu)
+
+    def test_uniform_measure_of_a_drifted_birth_death_chain_is_rejected(self):
+        # the raw adjoint's end rows sum to 0.8 and 1.2, but the uniform
+        # measure's mass stays 1 under it, so nothing later would notice
+        k = constant_rate_bd(5, 0.5, 0.3, 0.2)
+        with pytest.raises(ValueError, match="not invariant"):
+            adjoint_kernel(k, ProbMeasure.uniform(k.space))
 
     def test_zero_entry_rejected(self, rng):
         k = random_kernel(rng, 3)

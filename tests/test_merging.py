@@ -139,11 +139,11 @@ class TestMergingTime:
                                                                  n_max):
         seq = KernelSequence.iid([random_kernel(rng, 5) for _ in range(2)], seed=9)
         rep = merging_time(seq, epsilon, metric, max(n_max, 1))
-        t, tv, relsup = first_passage(seq, epsilon, metric, n_max)
-        stop = n_max if t is None else t
-        assert t == rep.time(metric)
-        assert tv == rep.tv_trajectory[stop]
-        assert relsup == rep.relsup_trajectory[stop]
+        got = first_passage(seq, epsilon, metric, n_max)
+        stop = n_max if got[0] is None else got[0]
+        assert got[0] == rep.time(metric)
+        assert_within_passage_bound(got, (rep.time(metric), rep.tv_trajectory[stop],
+                                          rep.relsup_trajectory[stop]), 5, stop)
 
     def test_capped_trajectory_on_the_mirrored_pair(self):
         # the 65-state pair stays at distance 1 for about 30 steps, some of
@@ -162,7 +162,7 @@ class TestMergingTime:
         assert (changed == (uncapped > 1.0)).all()
         assert (rep.tv_trajectory[changed] == 1.0).all()
         t, tv, _ = first_passage(seq, epsilon, "tv", n_max)
-        assert t == rep.tv_time and tv == uncapped[t]
+        assert t == rep.tv_time and abs(tv - uncapped[t]) <= merging._passage_bound(t, 65)
         assert first_passage(seq, 1e3, "relsup", 20)[1] == 1.0 < uncapped[20]
 
     def test_report_serialization(self, rng, tmp_path):
@@ -212,6 +212,14 @@ def stepwise_passage(seq, epsilon, metric, n_max):
     return hit, tv_between_rows(p), relsup_between_rows(p)
 
 
+def assert_within_passage_bound(got, expected, n_states, stop):
+    """Same time as ``expected``, distances within the first passage's rounding bound at ``stop``."""
+    delta = merging._passage_bound(stop, n_states)
+    assert got[0] == expected[0]
+    assert abs(got[1] - expected[1]) <= delta
+    assert got[2] == expected[2] or abs(got[2] - expected[2]) <= delta * (1 + expected[2])
+
+
 def metric_trajectory(seq, metric, n):
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     return [measure(np.eye(seq.space.size))] + [measure(p) for _, p, _ in
@@ -254,13 +262,17 @@ class TestStridedFirstPassage:
             assert got[0] == step
 
     def test_threshold_inside_the_slack_band(self, kind, metric):
+        # the checkpoint lies inside the band epsilon + 2δ, though not within
+        # δ of epsilon: its stride is walked again and the hit comes later
         seq = PASSAGE_SEQUENCES[kind]()
         checkpoint = 5 * merging._PASSAGE_STRIDE
         value = metric_trajectory(seq, metric, checkpoint)[checkpoint]
-        epsilon = value - 0.5 * merging._PASSAGE_SLACK
-        assert epsilon < value <= epsilon + merging._PASSAGE_SLACK * (1 + epsilon)
+        delta = merging._passage_bound(checkpoint, 9) * (1.0 if metric == "tv" else 1.0 + value)
+        epsilon = value - 1.5 * delta
+        assert epsilon + delta < value <= epsilon + 2 * delta
         got = first_passage(seq, epsilon, metric, self.N_MAX)
-        assert got == stepwise_passage(seq, epsilon, metric, self.N_MAX)
+        expected = stepwise_passage(seq, epsilon, metric, self.N_MAX)
+        assert_within_passage_bound(got, expected, 9, expected[0])
         assert got[0] > checkpoint
 
     @pytest.mark.parametrize("n_max", [0, 1, 15, 37, 90])
@@ -269,8 +281,11 @@ class TestStridedFirstPassage:
         traj = metric_trajectory(seq, metric, n_max)
         never = 0.5 * min(traj[-1], 1.0)
         assert first_passage(seq, never, metric, n_max)[0] is None
-        # not reached, and reached in the last partial stride
-        for epsilon in [never] + traj[-3:-2]:
+        # not reached, within the bound; reached in the last partial stride, at
+        # a computed value and so bit for bit
+        assert_within_passage_bound(first_passage(seq, never, metric, n_max),
+                                    stepwise_passage(seq, never, metric, n_max), 9, n_max)
+        for epsilon in traj[-3:-2]:
             assert first_passage(seq, epsilon, metric, n_max) == \
                 stepwise_passage(seq, epsilon, metric, n_max)
 
@@ -310,9 +325,42 @@ def test_first_passage_measures_once_per_stride(monkeypatch, reached):
         return relsup_between_rows(matrix)
 
     monkeypatch.setattr(merging, "relsup_between_rows", counted)
-    assert first_passage(seq, epsilon, "relsup", n_max) == expected
+    got = first_passage(seq, epsilon, "relsup", n_max)
+    if reached:  # at a computed value, so bit for bit
+        assert got == expected
+    else:
+        assert_within_passage_bound(got, expected, 9, n_max)
     assert expected[0] == (390 if reached else None)
     assert len(calls) <= n_max / merging._PASSAGE_STRIDE + merging._PASSAGE_STRIDE + 2
+
+
+@pytest.mark.parametrize("computed", [False, True])
+def test_a_threshold_near_1e9_walks_no_stride_again_before_the_crossing(monkeypatch, computed):
+    # the band above epsilon is the rounding bound's, about 3e-11 here, so
+    # the checkpoints that fall below epsilon + 1e-9 strides before the
+    # crossing rule their strides out
+    seq = PASSAGE_SEQUENCES["cyclic"]()
+    n_max = 400
+    traj = metric_trajectory(seq, "relsup", n_max)
+    epsilon = traj[390] if computed else 2.5e-9
+    expected = stepwise_passage(seq, epsilon, "relsup", n_max)
+    assert expected[0] == 390
+    assert traj[24 * merging._PASSAGE_STRIDE] < epsilon + 1e-9
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return relsup_between_rows(matrix)
+
+    monkeypatch.setattr(merging, "relsup_between_rows", counted)
+    got = first_passage(seq, epsilon, "relsup", n_max)
+    assert_within_passage_bound(got, expected, 9, 390)
+    # time 0, 25 checkpoints and the hit's stride up to the hit; a computed
+    # epsilon lies within δ of the walked-again value, so the hit is
+    # measured once more on the stepwise route
+    assert len(calls) == 1 + 25 + 6 + computed
+    if computed:
+        assert got == expected
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])

@@ -71,8 +71,9 @@ class TestStepSigma:
         # the row sums of the raw adjoint give the step away
         k = random_kernel(rng, 4) if path == "dense" else constant_rate_bd(5, 0.5, 0.3, 0.2)
         mu = ProbMeasure.uniform(k.space)
-        with pytest.warns(UserWarning, match="not invariant"):
-            adjoint = adjoint_kernel(k, mu)
+        with pytest.raises(ValueError, match="not invariant"):
+            adjoint_kernel(k, mu)
+        adjoint = StochasticKernel._unchecked(k.space, k.entries.T)  # the raw adjoint under uniform mu
         with pytest.raises(ValueError, match="kernel rows do not sum to 1"):
             check(adjoint, mu, mu)
 
