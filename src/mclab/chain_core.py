@@ -23,6 +23,8 @@ VALUE_ATOL = 1e-12         # tolerance quoted in the public contracts
 DRIFT_ATOL = 1e-12         # per-step renormalization drift allowed in a walk
 UNIT_ROUNDOFF = 2.0 ** -53  # unit roundoff of float64
 _TV_CHUNK = 1 << 14        # elements per block of row differences in tv_between_rows
+_BAND_BLOCK = 16           # columns (forward) or rows (backward) of a kernel product per BLAS call
+_NUMERIC_CELLS = frozenset((int, float))  # cell types write_csv writes without the csv module
 
 
 class ReducibleKernelError(ValueError):
@@ -299,10 +301,80 @@ class KernelSequence:
 # operations
 
 
+def kernel_matmul(p: np.ndarray, k: np.ndarray, band: int, order: str = "forward",
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``P K`` (``forward``) or ``K P`` (``backward``) by a kernel ``K`` of bandwidth ``band`` or less.
+
+    The operands are two ``(N, N)`` matrices or two ``(R, N, N)`` stacks;
+    the product goes to ``out`` when given, else to a fresh array. With
+    ``B = _BAND_BLOCK`` and ``w = band``, ``forward`` forms the product in
+    column blocks ``J`` of ``B`` columns, ``out[..., J] = P[..., J±w] @
+    K[..., J±w, J]``, and ``backward`` in row blocks, ``out[..., J, :] =
+    K[..., J, J±w] @ P[..., J±w, :]``, where ``J±w`` is ``J`` widened by
+    ``w`` on each side: every entry ``K`` holds outside it is zero. Each
+    block is one BLAS call, so a stacked product gives each slice the bits
+    of that slice's product alone.
+
+    Blocks take ``N²(B + 2w)`` multiply-adds a matrix against the
+    ``N³`` of one ``np.matmul``, but in ``N / B`` narrow calls, each
+    slower per operation and with its own fixed cost. So the product is
+    one ``np.matmul`` whenever ``N < 4(B + 2w)``, where blocks would save
+    less than three quarters of the work: every product by a kernel of
+    bandwidth 1 or more at 71 states or fewer, and by a kernel of bandwidth
+    above ``N/8 − 8``, a dense one among them, at any size.
+
+    **Rounding.** An entry is a sum of at most ``B + 2w`` non-negative
+    products, of which at most ``2w + 1`` are nonzero, and adding an exact
+    zero is exact. So it lies within ``γ_{2w+1} ≤ γ_N`` times the same
+    entry of ``|P||K|`` of the exact product, as the dense product does.
+    """
+    n = k.shape[-1]
+    if _one_matmul(n, band):
+        return np.matmul(p, k, out=out) if order == "forward" else np.matmul(k, p, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(p.shape, k.shape))
+    for first in range(0, n, _BAND_BLOCK):
+        last = min(first + _BAND_BLOCK, n)
+        lo, hi = max(first - band, 0), min(last + band, n)
+        if order == "forward":
+            np.matmul(p[..., :, lo:hi], k[..., lo:hi, first:last], out=out[..., :, first:last])
+        else:
+            np.matmul(k[..., first:last, lo:hi], p[..., lo:hi, :], out=out[..., first:last, :])
+    return out
+
+
+def _one_matmul(n: int, band: int) -> bool:
+    """Whether :func:`kernel_matmul` forms a product at ``n`` states and ``band`` as one ``np.matmul``."""
+    return n < 4 * (_BAND_BLOCK + 2 * band)
+
+
+def forward_matmul(n: int, band: int):
+    """:func:`kernel_matmul` forward at ``n`` states and ``band``, as a function ``(p, k, out=None)``.
+
+    ``np.matmul`` itself where that product is one ``np.matmul``, so a loop
+    that multiplies at every step pays nothing for the choice.
+    """
+    return np.matmul if _one_matmul(n, band) else functools.partial(kernel_matmul, band=band)
+
+
+def matmul_band(k: StochasticKernel) -> int:
+    """The ``band`` to give :func:`kernel_matmul` for ``k``.
+
+    ``k.bandwidth``, except below ``4 · _BAND_BLOCK`` states, where every
+    band multiplies densely: there it is ``k.size`` and the bandwidth is
+    not computed.
+    """
+    return k.bandwidth if k.size >= 4 * _BAND_BLOCK else k.size
+
+
 def compose(a: StochasticKernel, b: StochasticKernel) -> StochasticKernel:
-    """Matrix product ``ab(x, y) = sum_z a(x, z) b(z, y)``."""
+    """Matrix product ``ab(x, y) = sum_z a(x, z) b(z, y)``.
+
+    Formed by :func:`kernel_matmul` with ``b`` as the kernel, so it is the
+    forward step of :func:`product` and :func:`walk` bit for bit.
+    """
     space = _require_same_space(a, b)
-    return StochasticKernel(space, a.entries @ b.entries)
+    return StochasticKernel(space, kernel_matmul(a.entries, b.entries, matmul_band(b)))
 
 
 def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> StochasticKernel:
@@ -310,8 +382,10 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
 
     ``forward`` returns ``K_{m+1} ... K_n`` and ``backward`` returns
     ``K_n ... K_{m+1}``; ``n == m`` gives the identity. Implemented as a
-    literal fold of :func:`compose`, so the result carries the same
-    floating-point operations as step-by-step composition.
+    literal fold: each step is :func:`kernel_matmul` of the product so far
+    and ``K_i`` in ``order``, and the constructor's row division. Forward,
+    a step is :func:`compose` of the product and ``K_i``; in either order
+    it carries the floating-point operations of the :func:`walk` step.
     """
     if m > n:
         raise ValueError(f"need m <= n, got m={m} n={n}")
@@ -320,27 +394,29 @@ def product(seq: KernelSequence, m: int, n: int, order: str = "forward") -> Stoc
     acc = StochasticKernel.identity(seq.space)
     for i in range(m + 1, n + 1):
         k = seq.kernel_at(i)
-        acc = compose(acc, k) if order == "forward" else compose(k, acc)
+        step = kernel_matmul(acc.entries, k.entries, matmul_band(k), order)
+        acc = StochasticKernel(seq.space, step)
     return acc
 
 
-def renormalized_step(p: np.ndarray, k: np.ndarray, order: str = "forward"):
+def renormalized_step(p: np.ndarray, k: np.ndarray, band: int, order: str = "forward"):
     """One walk step on a matrix or on a stack of matrices.
 
-    Forms the product ``P K`` (``forward``) or ``K P`` (``backward``) of two
-    ``(N, N)`` matrices or two ``(R, N, N)`` stacks, slice by slice, into a
-    fresh array, then divides each row of it in place by the row's sum.
-    Returns ``(Q, sums)``: ``sums`` holds the row sums before the division,
-    shape ``(N,)`` for one matrix and ``(R, N)`` for a stack, for the
-    caller to check their deviation from 1 against ``DRIFT_ATOL``. Neither
-    operand is modified.
+    Forms the :func:`kernel_matmul` ``P K`` (``forward``) or ``K P``
+    (``backward``) of two ``(N, N)`` matrices or two ``(R, N, N)`` stacks,
+    slice by slice, with ``k`` of bandwidth at most ``band``, into a fresh
+    array, then divides each row of it in place by the row's sum. Returns
+    ``(Q, sums)``: ``sums`` holds the row sums before the division, shape
+    ``(N,)`` for one matrix and ``(R, N)`` for a stack, for the caller to
+    check their deviation from 1 against ``DRIFT_ATOL``. Neither operand is
+    modified.
 
     A stacked step gives each slice the bits the same step gives that
-    slice alone: ``np.matmul`` multiplies a stack one slice at a time with
-    the same BLAS call, the row sums reduce along the same contiguous axis
-    in the same order, and the division is elementwise.
+    slice alone: :func:`kernel_matmul` multiplies a stack one slice at a
+    time with the same BLAS calls, the row sums reduce along the same
+    contiguous axis in the same order, and the division is elementwise.
     """
-    q = np.matmul(p, k) if order == "forward" else np.matmul(k, p)
+    q = kernel_matmul(p, k, band, order)
     sums = np.add.reduce(q, axis=-1)
     np.divide(q, sums[..., None], out=q)
     return q, sums
@@ -366,7 +442,8 @@ def walk(seq: KernelSequence, indices: Iterable[int], order: str = "forward",
         raise ValueError(f"unknown order {order!r}")
     p = np.eye(seq.space.size) if start is None else start
     for i in indices:
-        p, sums = renormalized_step(p, seq.kernel_at(i).entries, order)
+        k = seq.kernel_at(i)
+        p, sums = renormalized_step(p, k.entries, matmul_band(k), order)
         drift = float(np.maximum.reduce(np.abs(sums - 1.0)))
         if drift > DRIFT_ATOL:
             raise ArithmeticError(f"row-sum drift {drift:.2e} at step {i}")
@@ -657,13 +734,21 @@ def write_csv(path, names: list[str], rows: Iterable[Sequence], comments: Iterab
     Lines end in ``\\r\\n``. Each of ``comments`` is written first as a
     ``# `` line. Cells holding a comma, quote or line break are quoted. The
     csv module writes a Python float as its ``repr``, so rows should hold
-    Python floats (``ndarray.tolist()`` gives them), not numpy scalars.
+    Python floats (``ndarray.tolist()`` gives them), not numpy scalars. A
+    row of ``int`` and ``float`` cells alone, which never need quoting, is
+    written as the join of their ``repr``s, the bytes the csv module writes
+    for it, without the csv module.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {line}\r\n" for line in comments)
         writer = csv.writer(fh)
         writer.writerow(names)
-        writer.writerows(rows)
+        write = fh.write
+        for row in rows:
+            if _NUMERIC_CELLS.issuperset(map(type, row)):
+                write(",".join(map(repr, row)) + "\r\n")
+            else:
+                writer.writerow(row)
 
 
 def write_plotdata(path, series: dict[str, list[tuple[float, float]]]) -> None:

@@ -7,8 +7,10 @@ Walks over time accumulate that matrix one
 :func:`~mclab.chain_core.walk`, which raises when a step drifts by more
 than ``DRIFT_ATOL``; first passages instead multiply a stack of walks and
 renormalize it once per stride, under the rounding bound stated in
-:func:`first_passage`. :func:`product` is the literal compose fold the
-walk is checked against. The worst-pair total
+:func:`first_passage`. Every product step, in a walk, a stack or
+:func:`product`, is one :func:`~mclab.chain_core.kernel_matmul`, which
+multiplies by a banded kernel in column blocks. :func:`product` is the
+literal fold the walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
 :func:`~mclab.chain_core.tv_between_rows`, which caps the distance at its
 ceiling of 1: a trajectory or ``tv_final`` value that rounding would put
@@ -35,6 +37,8 @@ from .chain_core import (
     KernelSequence,
     contraction_coefficient,
     dump_json,
+    forward_matmul,
+    matmul_band,
     product,
     tv_between_rows,
     walk,
@@ -93,7 +97,9 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     that step.
 
     **Walk.** Between checkpoints (every ``_PASSAGE_STRIDE`` steps and
-    ``n_max``) each step is one ``np.matmul``; at a checkpoint each row is
+    ``n_max``) each step is one :func:`~mclab.chain_core.kernel_matmul`,
+    with the largest :func:`~mclab.chain_core.matmul_band` of the
+    sequence's kernels as its band; at a checkpoint each row is
     divided by its sum and the metric is evaluated. Below, a threshold
     ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. A checkpoint value
     above ``ε + 2δ`` rules out every step since the previous checkpoint.
@@ -112,8 +118,12 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     **Rounding bound.** With ``u = 2^-53`` and ``γ_N = N·u / (1 - N·u)``, a
     product of non-negative matrices is exact up to a factor ``1 ± γ_N`` on
     each entry (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    §3.1), and a division up to ``1 ± u``. A factor ``1 ± e`` on each entry
-    moves a row by at most ``log((1 + e)/(1 - e))`` in Hilbert's projective
+    §3.1), and a division up to ``1 ± u``. A product by a kernel of
+    bandwidth ``w``, one ``np.matmul`` or formed in column blocks, sums at
+    most ``2w + 1`` nonzero terms an entry, so its factor is
+    ``1 ± γ_{2w+1}``, within ``1 ± γ_N``: nothing below depends on how the
+    product is formed. A factor ``1 ± e`` on each entry moves a row by at
+    most ``log((1 + e)/(1 - e))`` in Hilbert's projective
     metric, and so does replacing a kernel whose exact row sums lie within
     ``e`` of 1 by its exactly stochastic rescaling. A non-negative kernel
     never expands that metric (Birkhoff), so the moves add up linearly:
@@ -160,26 +170,28 @@ def first_passages(seqs, epsilon: float, metric: str,
     """:func:`first_passage` of each sequence, walked together as a stack.
 
     The sequences are walked in batches of consecutive sequences with one
-    state count, each an ``(R, N, N)`` stack advanced one ``np.matmul`` at
-    a time and renormalized once per stride, so the per-step call overhead
-    is paid once for the batch rather than once per sequence. The steps
-    write into two buffers allocated once per batch, never into the last
-    checkpoint. A batch takes sequences while their kernels and stacks
-    (:func:`_passage_bytes` each) fit in ``_BATCH_BYTES``, and always at
-    least one. Every slice of a stacked step, and of its renormalization,
-    has the bits of the same step walked alone, and each sequence is
-    screened, measured and walked again exactly as :func:`first_passage`
-    does it (the identity at time 0 is measured once per batch), so each
-    result equals its :func:`first_passage` bit for bit. A sequence leaves
-    the stack when it finishes. ``seqs`` is read lazily, and a batch is
-    walked and dropped as soon as not even a one-kernel sequence of its
-    state count would fit, so a sequence waits outside a stack only when it
-    has another state count or the stack had room for a one-kernel sequence
-    but not for it. When walks fail, the error raised is the one of the
-    first failing sequence, the one a loop over :func:`first_passage`
-    raises; when reading ``seqs`` fails, the batch read so far is walked
-    first. A NaN or negative ``epsilon`` raises ``ValueError`` before
-    anything is walked.
+    state count and one band (the largest
+    :func:`~mclab.chain_core.matmul_band` of a sequence's kernels), each an
+    ``(R, N, N)`` stack advanced one
+    :func:`~mclab.chain_core.kernel_matmul` at a time and renormalized once
+    per stride, so the per-step call overhead is paid once for the batch
+    rather than once per sequence. The steps write into two buffers
+    allocated once per batch, never into the last checkpoint. A batch takes
+    sequences while their kernels and stacks (:func:`_passage_bytes` each)
+    fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
+    stacked step, and of its renormalization, has the bits of the same step
+    walked alone, and each sequence is screened, measured and walked again
+    exactly as :func:`first_passage` does it (the identity at time 0 is
+    measured once per batch), so each result equals its
+    :func:`first_passage` bit for bit. A sequence leaves the stack when it
+    finishes. ``seqs`` is read lazily, and a batch is walked and dropped as
+    soon as not even a one-kernel sequence of its state count would fit, so
+    a sequence waits outside a stack only when it has another state count
+    or band, or the stack had room for a one-kernel sequence but not for
+    it. When walks fail, the error raised is the one of the first failing
+    sequence, the one a loop over :func:`first_passage` raises; when
+    reading ``seqs`` fails, the batch read so far is walked first. A NaN or
+    negative ``epsilon`` raises ``ValueError`` before anything is walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -187,6 +199,7 @@ def first_passages(seqs, epsilon: float, metric: str,
         raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
     results = []
     batch: list[KernelSequence] = []
+    batch_key = None  # (state count, band) of the sequences in batch
     used = 0
 
     def walk_batch():
@@ -198,9 +211,11 @@ def first_passages(seqs, epsilon: float, metric: str,
         for seq in seqs:
             n = seq.space.size
             cost = _passage_bytes(seq)
-            if batch and (used + cost > _BATCH_BYTES or n != batch[0].space.size):
+            key = (n, _stack_band(seq))
+            if batch and (used + cost > _BATCH_BYTES or key != batch_key):
                 walk_batch()
             batch.append(seq)
+            batch_key = key
             used += cost
             del seq  # held by the batch alone, and dropped with it
             if used + 8 * n * n * 5 > _BATCH_BYTES:  # _passage_bytes of a one-kernel sequence
@@ -227,6 +242,11 @@ def _passage_bytes(seq: KernelSequence) -> int:
     return 8 * n * n * (len(seq.kernels) + 4)
 
 
+def _stack_band(seq: KernelSequence) -> int:
+    """The band of a stacked product by ``seq``'s kernels: their largest ``matmul_band``."""
+    return max(map(matmul_band, seq.kernels))
+
+
 def _passage_bound(t: int, n: int) -> float:
     """``δ(t, N)``: how far two first-passage walks of ``N`` states may differ at step ``t``.
 
@@ -240,7 +260,8 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
     """:func:`first_passages` of one batch, walked as one stack.
 
-    The stack only multiplies, alternating between two buffers that are
+    The stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul`
+    with the batch's largest band, alternating between two buffers that are
     never the checkpoint, and at each checkpoint divides every row by its
     sum in one pass. There a slice's TV is first bounded from below by the
     L1 distances of row 0 to every other row, one ``O(N²)`` pass: a
@@ -270,6 +291,7 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
     screened = [np.array([np.abs(np.add.reduce(k.entries, axis=1) - 1.0).max() <= limit
                           for k in seq.kernels]) for seq in seqs]
+    multiply = forward_matmul(n, max(map(_stack_band, seqs)))
     stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
     # the checkpoint, two buffers the steps alternate between, and the
     # concatenated kernels; slices that leave are compacted to the front
@@ -296,7 +318,7 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
         steps = (stacks[1][:width], stacks[2][:width])
         indices = [seqs[r].indices(start + 1, stop + 1) for r in live]
         for j, kernels in enumerate(fetch(live, indices)):
-            p = np.matmul(p, kernels, out=steps[j % 2])
+            p = multiply(p, kernels, out=steps[j % 2])
         np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
         band = epsilon + 2.0 * _passage_bound(stop, n) * scale
         stepwise = ruled_out = np.zeros(width, dtype=bool)

@@ -12,6 +12,7 @@ result depends only on the seed and its index. Scenarios marked
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -343,14 +344,27 @@ def _locate_scenario(source):
     return Path(source)
 
 
+@functools.cache
+def _scenario_validator():
+    """The validator of ``SCENARIO_SCHEMA``, the schema itself checked once, on first use."""
+    # imported here so that `import mclab` does not load jsonschema for this one check
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
 def load_scenario(source) -> tuple[dict, bytes]:
     """Load a scenario from a path or a built-in name; returns (config, bytes)."""
     text = _locate_scenario(source).read_bytes()
     config = json.loads(text.decode("utf-8"))
-    # imported here so that `import mclab` does not load jsonschema for this one check
-    import jsonschema
+    # the error jsonschema.validate raises, without checking the schema again on every load
+    from jsonschema.exceptions import best_match
 
-    jsonschema.validate(config, SCENARIO_SCHEMA)
+    error = best_match(_scenario_validator().iter_errors(config))
+    if error is not None:
+        raise error
     if config["generator"]["family"] not in GENERATORS:
         raise ValueError(f"unknown generator family {config['generator']['family']!r}; "
                          f"known: {sorted(GENERATORS)}")

@@ -211,30 +211,30 @@ def closed_form_invariant(N: int, p: float, q: float, eta1: float, eta2: float) 
         alpha = [(1-eta2) eta1 - (1-eta1) eta2 (p/q)^(2N)] / [same denominator]
 
     and weight 1 at relabeling position 0. Requires ``p + q = 1`` and
-    ``p != q``. Evaluated in extended precision: ``(p/q)^(2N)`` spans many
-    decades already for moderate ``N`` and the terms combine with mixed
-    signs.
+    ``p != q``. Evaluated in decimal arithmetic at ``40 + 2N|log10(p/q)| +
+    N`` digits from the parameters' exact binary values: ``(p/q)^(2N)``
+    spans many decades already for moderate ``N`` and the terms combine
+    with mixed signs.
     """
     if abs(p + q - 1.0) > VALUE_ATOL:
         raise ValueError("closed form needs r = 0, so p + q = 1")
     if p == q:
         raise ValueError("closed form degenerates at p = q")
-    # imported here so that `import mclab` does not load mpmath for this one function
-    from mpmath import mp
+    # imported here so that `import mclab` does not load decimal for this one function
+    import decimal
 
     digits = 40 + int(2 * N * abs(np.log10(p / q))) + N
-    with mp.workdps(digits):
-        mp_p, mp_q = mp.mpf(p), mp.mpf(q)
-        mp_e1, mp_e2 = mp.mpf(eta1), mp.mpf(eta2)
-        t = (mp_p / mp_q) ** 2
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        p, q, eta1, eta2 = map(decimal.Decimal, (p, q, eta1, eta2))
+        t = (p / q) ** 2
         t_pow_n = t ** N
-        den = mp_q - mp_p + mp_p * mp_e2 * (1 - t_pow_n)
-        beta = ((1 - mp_e1) * (mp_q / mp_p) - (1 - mp_e2)) / den
-        alpha = ((1 - mp_e2) * mp_e1 - (1 - mp_e1) * mp_e2 * t_pow_n) / den
-        vals = [mp.mpf(1)]
+        den = q - p + p * eta2 * (1 - t_pow_n)
+        beta = ((1 - eta1) * (q / p) - (1 - eta2)) / den
+        alpha = ((1 - eta2) * eta1 - (1 - eta1) * eta2 * t_pow_n) / den
+        vals = [decimal.Decimal(1)]
         for i in range(1, N + 1):
             vals.append(alpha + beta * t ** i)
-        total = mp.fsum(vals)
+        total = sum(vals)
         normalized = [v / total for v in vals]
     weights = np.zeros(N + 1)
     for i, state in enumerate(circle_relabeling(N)):

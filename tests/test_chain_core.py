@@ -1,4 +1,7 @@
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +27,20 @@ from mclab import (
     total_variation,
 )
 from mclab.chain_core import (
+    _BAND_BLOCK,
     DRIFT_ATOL,
+    UNIT_ROUNDOFF,
+    forward_matmul,
     kernel_from_json,
+    kernel_matmul,
+    matmul_band,
     kernel_to_json,
     sequence_from_json,
     sequence_to_json,
     tv_between_rows,
     walk,
     walk_from_start,
+    write_csv,
 )
 from mclab.rng import substream
 
@@ -493,3 +502,105 @@ class TestProbabilityRule:
         u = substream(5, 0).random(block)
         expected = np.searchsorted(np.cumsum(probs), u, side="right").clip(0, 2)
         assert np.array_equal(seq.indices(0, block), expected)
+
+
+def banded_kernel(rng, n, band):
+    """A random kernel whose nonzero entries fill the band ``|x - y| <= band``."""
+    m = rng.uniform(0.05, 1.0, (n, n))
+    rows, cols = np.indices((n, n))
+    m[np.abs(rows - cols) > band] = 0.0
+    return StochasticKernel(StateSpace(n), m / m.sum(axis=1, keepdims=True))
+
+
+def gamma(k):
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+class TestKernelMatmul:
+    """The band path: sizes where ``kernel_matmul`` multiplies in blocks."""
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("kind", ["cyclic", "iid"])
+    @pytest.mark.parametrize("band", [1, 2])
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_walk_equals_product_bitwise(self, rng, n, band, kind, order):
+        kernels = [banded_kernel(rng, n, band) for _ in range(3)]
+        assert all(matmul_band(k) == band for k in kernels)
+        assert n >= 4 * (_BAND_BLOCK + 2 * band)  # the block path, not one np.matmul
+        seq = (KernelSequence.cyclic(kernels, word=[2, 0, 1, 1]) if kind == "cyclic"
+               else KernelSequence.iid(kernels, seed=11))
+        for i, p, _ in walk(seq, range(1, 9), order):
+            assert np.array_equal(p, product(seq, 0, i, order).entries)
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("band", [1, 2])
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_entries_within_the_rounding_bound_of_one_matmul(self, rng, n, band, order):
+        p = random_kernel(rng, n).entries
+        for _ in range(3):  # a product a few steps in, with rounding in its low bits
+            p = compose(StochasticKernel(StateSpace(n), p), banded_kernel(rng, n, band)).entries
+        k = banded_kernel(rng, n, band).entries
+        blocks = kernel_matmul(p, k, band, order)
+        dense, scale = (p @ k, np.abs(p) @ np.abs(k)) if order == "forward" else \
+            (k @ p, np.abs(k) @ np.abs(p))
+        assert np.all(np.abs(blocks - dense) <= (gamma(2 * band + 1) + gamma(n)) * scale)
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_dense_kernel_at_257_states_is_one_matmul(self, rng, order):
+        p, k = random_kernel(rng, 257).entries, random_kernel(rng, 257)
+        assert matmul_band(k) == 256
+        dense = p @ k.entries if order == "forward" else k.entries @ p
+        assert np.array_equal(kernel_matmul(p, k.entries, matmul_band(k), order), dense)
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_every_product_at_71_states_is_one_matmul(self, rng, order):
+        # 71 < 4 (B + 2): a tridiagonal kernel there keeps np.matmul's bits
+        p, k = random_kernel(rng, 71).entries, banded_kernel(rng, 71, 1)
+        dense = p @ k.entries if order == "forward" else k.entries @ p
+        assert np.array_equal(kernel_matmul(p, k.entries, matmul_band(k), order), dense)
+
+    def test_band_is_not_read_below_64_states(self, rng):
+        k = banded_kernel(rng, 63, 1)
+        assert matmul_band(k) == 63 and "bandwidth" not in vars(k)
+        assert matmul_band(banded_kernel(rng, 64, 1)) == 1
+
+    def test_forward_matmul_is_kernel_matmul_bound_once(self, rng):
+        assert forward_matmul(71, 1) is np.matmul and forward_matmul(257, 120) is np.matmul
+        p, k = random_kernel(rng, 129).entries, banded_kernel(rng, 129, 2).entries
+        assert np.array_equal(forward_matmul(129, 2)(p, k), kernel_matmul(p, k, 2))
+
+    def test_compose_is_the_forward_step(self, rng):
+        a, b = random_kernel(rng, 129), banded_kernel(rng, 129, 1)
+        seq = KernelSequence.explicit([a, b])
+        assert np.array_equal(compose(product(seq, 0, 1), b).entries, product(seq, 0, 2).entries)
+
+
+class TestWriteCsv:
+    ROWS = [
+        [0, 1, -7, 2 ** 70],
+        [0.1, -0.0, 1e-300, 5e-324],
+        [math.inf, -math.inf, math.nan, 1.0],
+        [3, 0.25, True, 1e22],
+        ["a,b", 'say "hi"', "plain", "line\nbreak"],
+        [None, 1.5, None, 2],
+        [1.5, "x", 0, -0.0],
+        [],
+    ]
+
+    def test_bytes_equal_the_csv_module(self, tmp_path):
+        path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_csv(path, ["a", "b", "c", "d"], self.ROWS, comments=["one", "two"])
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            fh.write("# one\r\n# two\r\n")
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "c", "d"])
+            writer.writerows(self.ROWS)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_tuples_from_a_generator(self, tmp_path):
+        path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        rows = [(i, i / 7, -i * 1e-9) for i in range(50)]
+        write_csv(path, ["n", "x", "y"], iter(rows))
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("n", "x", "y"), *rows])
+        assert path.read_bytes() == ref.read_bytes()

@@ -63,6 +63,25 @@ class TestScenarioRunner:
         with pytest.raises(jsonschema.ValidationError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("bad", [
+        {"name": "x"},
+        {"name": "", "seed": -1, "generator": {"family": 3}, "analysis": {}, "grid": {}},
+        {"name": "x", "seed": 1, "generator": {"family": "bd_ratio_set"},
+         "analysis": {"kind": "merging_time"}, "grid": {"N": []}, "extra": 1},
+        [],
+    ])
+    def test_schema_error_is_the_one_validate_raises(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bad, scenarios.SCENARIO_SCHEMA)
+        for _ in range(2):  # the first load builds the validator, the second reuses it
+            with pytest.raises(jsonschema.ValidationError) as got:
+                load_scenario(path)
+            assert (got.value.message, list(got.value.absolute_path), got.value.validator) == \
+                (expected.value.message, list(expected.value.absolute_path),
+                 expected.value.validator)
+
     def test_unknown_family_rejected(self, tmp_path):
         cfg = {"name": "x", "seed": 1, "generator": {"family": "nope"},
                "analysis": {"kind": "merging_time"}, "grid": {"N": [2]}}

@@ -3,16 +3,19 @@
 ``first_passages`` walks several sequences as one ``(R, N, N)`` stack and
 promises each the bits of its walk alone. That holds only while numpy and
 the BLAS give a stacked operation the bits of the same operation on each
-slice. If a numpy or BLAS release breaks one of these identities, the test
-named after it fails here, instead of scenario rows moving silently.
+slice: the product (one ``np.matmul`` at the sizes in ``SIZES``, blocks of
+columns or rows at those in ``BLOCK_SIZES``), the row sums and the
+division. If a numpy or BLAS release breaks one of these identities, the
+test named after it fails here, instead of scenario rows moving silently.
 """
 
 import numpy as np
 import pytest
 
-from mclab.chain_core import renormalized_step
+from mclab.chain_core import _BAND_BLOCK, kernel_matmul, renormalized_step
 
 SIZES = [9, 17, 33, 65]
+BLOCK_SIZES = [129, 257]
 WIDTH = 8
 
 
@@ -74,15 +77,20 @@ def test_in_place_divide_is_divide(rng, n):
     assert all(same_bits(q[r], expected[r]) for r in range(WIDTH))
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_stacked_drift_is_per_slice_drift(rng, n):
-    q = np.matmul(walked_stack(rng, n), stochastic_stack(rng, n))
-    q[2, 4] *= 1 + 1e-10  # one row out of tolerance
-    sums = np.add.reduce(q, axis=-1)
-    drift = np.abs(sums - 1.0).max(axis=-1)
-    assert drift.shape == (WIDTH,)
-    assert all(drift[r] == np.abs(q[r].sum(axis=1) - 1.0).max() for r in range(WIDTH))
-    assert drift[2] > 1e-12
+@pytest.mark.parametrize("order", ["forward", "backward"])
+@pytest.mark.parametrize("band", [1, 2])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_stacked_block_product_is_per_slice_block_product(rng, n, band, order):
+    assert n >= 4 * (_BAND_BLOCK + 2 * band)  # the block path, not one np.matmul
+    rows, cols = np.indices((n, n))
+    k = np.where(np.abs(rows - cols) <= band, stochastic_stack(rng, n, zero_prob=0.0), 0.0)
+    k /= k.sum(axis=-1, keepdims=True)
+    p = walked_stack(rng, n)
+    stacked = kernel_matmul(p, k, band, order)
+    assert all(same_bits(stacked[r], kernel_matmul(p[r], k[r], band, order)) for r in range(WIDTH))
+    assert same_bits(kernel_matmul(p[:1], k[:1], band, order)[0], stacked[0])  # a batch of one
+    out = np.empty_like(p)  # the stack writes into a buffer it allocated once
+    assert kernel_matmul(p, k, band, order, out=out) is out and same_bits(out, stacked)
 
 
 @pytest.mark.parametrize("order", ["forward", "backward"])
@@ -92,13 +100,13 @@ def test_renormalized_step_on_a_stack_is_the_walk_step(rng, n, order):
     # or on each slice alone
     p, k = walked_stack(rng, n), stochastic_stack(rng, n)
     p_bits, k_bits = p.tobytes(), k.tobytes()
-    q, sums = renormalized_step(p, k, order)
+    q, sums = renormalized_step(p, k, n, order)
     assert sums.shape == (WIDTH, n)
     for r in range(WIDTH):
         ref = p[r] @ k[r] if order == "forward" else k[r] @ p[r]
         ref_sums = ref.sum(axis=1)
         assert same_bits(sums[r], ref_sums)
         assert same_bits(q[r], ref / ref_sums[:, None])
-        one, one_sums = renormalized_step(p[r], k[r], order)
+        one, one_sums = renormalized_step(p[r], k[r], n, order)
         assert same_bits(one, q[r]) and same_bits(one_sums, sums[r])
     assert p.tobytes() == p_bits and k.tobytes() == k_bits  # neither operand is written
