@@ -318,10 +318,13 @@ def kernel_matmul(p: np.ndarray, k: np.ndarray, band: int, order: str = "forward
     Blocks take ``N²(B + 2w)`` multiply-adds a matrix against the
     ``N³`` of one ``np.matmul``, but in ``N / B`` narrow calls, each
     slower per operation and with its own fixed cost. So the product is
-    one ``np.matmul`` whenever ``N < 4(B + 2w)``, where blocks would save
-    less than three quarters of the work: every product by a kernel of
-    bandwidth 1 or more at 71 states or fewer, and by a kernel of bandwidth
-    above ``N/8 − 8``, a dense one among them, at any size.
+    one ``np.matmul`` whenever ``N < 5(B + 2w)``, where blocks would save
+    less than four fifths of the work: every product by a kernel of
+    bandwidth 1 or more at 89 states or fewer, and by a kernel of bandwidth
+    above ``N/10 − 8``, a dense one among them, at any size. With ``w = 1``
+    and one BLAS thread on a 2-vCPU Xeon VM, blocks take about 1.2 times
+    as long as one matmul at 73 and 81 states, as long at 89, about 6%
+    less at 97 and about half at 101 and 105.
 
     **Rounding.** An entry is a sum of at most ``B + 2w`` non-negative
     products, of which at most ``2w + 1`` are nonzero, and adding an exact
@@ -345,7 +348,7 @@ def kernel_matmul(p: np.ndarray, k: np.ndarray, band: int, order: str = "forward
 
 def _one_matmul(n: int, band: int) -> bool:
     """Whether :func:`kernel_matmul` forms a product at ``n`` states and ``band`` as one ``np.matmul``."""
-    return n < 4 * (_BAND_BLOCK + 2 * band)
+    return n < 5 * (_BAND_BLOCK + 2 * band)
 
 
 def forward_matmul(n: int, band: int):
@@ -608,25 +611,43 @@ def total_variation(mu: np.ndarray, nu: np.ndarray) -> float:
 def tv_between_rows(matrix: np.ndarray) -> float:
     """Largest total-variation distance between two rows, capped at 1.
 
-    Each block of rows is compared with every row after the block's first,
-    with the block sized so the difference array stays near ``_TV_CHUNK``
-    elements. Between two probability rows the distance is at most 1, but
-    rounding can put the computed L1 difference above 2 (``1.0000000000000002``
+    Each block of rows is compared with the rows after the block's first,
+    one chunk of them at a time, the last chunk first, so that the rows
+    farthest from the block come first. Block and chunk are sized so that
+    their difference holds at most ``_TV_CHUNK`` elements (a single pair of
+    rows longer than that is compared alone). It is formed in one buffer of
+    that size: the block is copied in, then the chunk is subtracted and the
+    absolute value taken in place. So a call allocates nothing else of
+    order ``N²``. Subtracting a broadcast block instead would make numpy
+    allocate a ufunc buffer of up to 64 KiB when a block is one row, that
+    is above 128 states.
+
+    Between two probability rows the distance is at most 1, but rounding
+    can put the computed L1 difference above 2 (``1.0000000000000002``
     after halving, as on every step of a chain that has not yet started to
-    merge). So the scan returns ``1.0`` at the first block whose largest L1
-    difference reaches 2.0 and skips the blocks after it. Halving is exact,
-    so the result equals ``min(all-pairs value, 1.0)`` bit for bit: values
-    below 1 are the ones the full scan gives, and values at or above 1 read
-    ``1.0``.
+    merge). So the scan returns ``1.0`` at the first chunk whose largest L1
+    difference reaches 2.0 and skips the rest. Every L1 sum runs over one
+    contiguous row of the buffer, as over a row of ``matrix``, and halving
+    is exact, so the result equals ``min(all-pairs value, 1.0)`` bit for
+    bit: values below 1 are the ones the full scan gives, and values at or
+    above 1 read ``1.0``.
     """
     n = matrix.shape[0]
-    rows = max(1, _TV_CHUNK // (n * n))
+    rows = max(1, _TV_CHUNK // (n * n))      # rows of a block
+    later = max(1, _TV_CHUNK // (rows * n))  # rows of a chunk
+    buffer = np.empty(min(rows, n) * min(later, n) * n)
     best = 0.0
     for i in range(0, n - 1, rows):
-        d = np.abs(matrix[i:i + rows, None, :] - matrix[None, i + 1:, :]).sum(axis=-1)
-        best = max(best, float(d.max()))
-        if best >= 2.0:
-            return 1.0
+        block = matrix[i:i + rows, None, :]
+        for j in reversed(range(i + 1, n, later)):
+            chunk = matrix[None, j:j + later, :]
+            diff = buffer[:block.shape[0] * chunk.shape[1] * n].reshape(block.shape[0], -1, n)
+            np.copyto(diff, block)
+            np.subtract(diff, chunk, out=diff)
+            np.abs(diff, out=diff)
+            best = max(best, float(np.add.reduce(diff, axis=-1).max()))
+            if best >= 2.0:
+                return 1.0
     return 0.5 * best
 
 
@@ -642,7 +663,9 @@ def contraction_coefficient(k: StochasticKernel) -> float:
 # ---------------------------------------------------------------------------
 # JSON wire formats
 #
-# kernel:   {"space": {"labels": [...]}, "matrix": [[...]]}
+# kernel:   {"space": {"labels": [...]}, "matrix": [[...]]}, or, when its
+#           bandwidth w has 2w + 1 < N, {"space": {...}, "band": w,
+#           "diagonals": [[...], ...]}: diagonals d = -w..w of the matrix
 # measure:  {"space": {"labels": [...]}, "weights": [...]}
 # sequence: {"kind": "cyclic"|"explicit"|"iid", "kernels": [...],
 #            "word": [...], "probs": [...], "seed": <u64>}
@@ -666,12 +689,56 @@ def space_from_json(obj: dict) -> StateSpace:
 
 
 def kernel_to_json(k: StochasticKernel) -> dict:
-    return {"space": space_to_json(k.space), "matrix": k.entries.tolist()}
+    """``k`` as a JSON object: banded when its bandwidth ``w`` has ``2w + 1 < N``, else dense.
+
+    The banded form holds ``"band": w`` and ``"diagonals"``, the
+    ``np.diagonal(entries, d)`` for ``d = −w..w``: ``N(2w + 1) − w(w + 1)``
+    numbers instead of ``N²``.
+    """
+    w, entries = k.bandwidth, k.entries
+    if 2 * w + 1 >= k.size:
+        return {"space": space_to_json(k.space), "matrix": entries.tolist()}
+    return {"space": space_to_json(k.space), "band": w,
+            "diagonals": [np.diagonal(entries, d).tolist() for d in range(-w, w + 1)]}
 
 
 def kernel_from_json(obj: dict) -> StochasticKernel:
-    return StochasticKernel(space_from_json(required_key(obj, "space")),
-                            np.asarray(required_key(obj, "matrix"), dtype=float))
+    """A kernel from either form :func:`kernel_to_json` writes.
+
+    Both forms build the same ``(N, N)`` array, zero off the band, before
+    the probability rule, so a kernel loads with the same bits from either,
+    save an off-band ``-0.0``, which the banded form cannot hold.
+    """
+    space = space_from_json(required_key(obj, "space"))
+    if "band" in obj:
+        entries = _band_entries(space.size, obj["band"], required_key(obj, "diagonals"))
+    else:
+        entries = _numbers(required_key(obj, "matrix"))
+    return StochasticKernel(space, entries)
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as a float array; an entry that is not a number raises ``ValueError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except TypeError as exc:  # a JSON object where a number belongs
+        raise ValueError(f"kernel entries must be numbers: {exc}") from exc
+
+
+def _band_entries(n: int, band, diagonals) -> np.ndarray:
+    """The ``(n, n)`` array with ``diagonals[band + d]`` on diagonal ``d``, ``|d| <= band``, and zeros elsewhere."""
+    if isinstance(band, bool) or not isinstance(band, int) or not 0 <= band < n:
+        raise ValueError(f"band must be an integer from 0 to {n - 1}, got {band!r}")
+    if not isinstance(diagonals, list) or len(diagonals) != 2 * band + 1:
+        raise ValueError(f"a kernel of band {band} needs a list of {2 * band + 1} diagonals")
+    entries = np.zeros((n, n))
+    for d, values in enumerate(diagonals, -band):
+        values = _numbers(values)
+        rows = np.arange(max(-d, 0), min(n - d, n))
+        if values.shape != rows.shape:
+            raise ValueError(f"diagonal {d} needs {rows.size} entries, got shape {values.shape}")
+        entries[rows, rows + d] = values
+    return entries
 
 
 def measure_to_json(mu: ProbMeasure) -> dict:

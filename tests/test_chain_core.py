@@ -1,6 +1,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from mclab import (
 )
 from mclab.chain_core import (
     _BAND_BLOCK,
+    _TV_CHUNK,
+    _one_matmul,
     DRIFT_ATOL,
     UNIT_ROUNDOFF,
     forward_matmul,
@@ -412,6 +415,19 @@ class TestContraction:
         assert 0.7 < oracle < 1.0
         assert tv_between_rows(e) == oracle
 
+    def test_a_full_scan_at_257_states_allocates_one_chunk(self, rng):
+        # every pair of rows overlaps, so no chunk reaches 2 and all are scanned
+        e = random_kernel(rng, 257).entries
+        tv_between_rows(e)  # the first call may set up numpy state
+        tracemalloc.start()
+        try:
+            value = tv_between_rows(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value < 1.0
+        assert peak <= 8 * _TV_CHUNK + 16 * 257
+
 
 class TestSequences:
     def test_iid_is_deterministic_and_random_access(self, rng):
@@ -558,6 +574,18 @@ class TestKernelMatmul:
         p, k = random_kernel(rng, 71).entries, banded_kernel(rng, 71, 1)
         dense = p @ k.entries if order == "forward" else k.entries @ p
         assert np.array_equal(kernel_matmul(p, k.entries, matmul_band(k), order), dense)
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("n, one_matmul", [(73, True), (81, True), (89, True), (97, False)])
+    def test_birth_death_products_are_one_matmul_below_90_states(self, rng, n, one_matmul, order):
+        # with one BLAS thread, one matmul is faster at 73 and 81 states, level at 89; blocks win at 97
+        kernels = [banded_kernel(rng, n, 1) for _ in range(3)]
+        assert all(matmul_band(k) == 1 for k in kernels)
+        assert _one_matmul(n, 1) is one_matmul
+        assert (forward_matmul(n, 1) is np.matmul) is one_matmul
+        seq = KernelSequence.cyclic(kernels, word=[0, 2, 1, 1])
+        for i, p, _ in walk(seq, range(1, 9), order):
+            assert np.array_equal(p, product(seq, 0, i, order).entries)
 
     def test_band_is_not_read_below_64_states(self, rng):
         k = banded_kernel(rng, 63, 1)
