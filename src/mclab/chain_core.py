@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -679,6 +680,41 @@ def required_key(obj, key: str):
     return obj[key]
 
 
+def numbers(values, name: str, ndim: int, integer: bool = False) -> np.ndarray:
+    """``values``, a number (``ndim`` 0) or lists of numbers read from input, as a float array.
+
+    The one rule for numbers in input files and scenario configs. A JSON
+    object, a string that is not a number, ragged lists or another ``ndim``
+    raise ``ValueError`` naming the field, ``name``; so does, with
+    ``integer``, an entry that is not a whole number, and the array then
+    holds integers.
+    """
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not a number in {name}: {exc}") from exc
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be {('a number', 'a list', 'a list of lists')[ndim]}, "
+                         f"got {reprlib.repr(values)}")
+    if not integer:
+        return array
+    whole = (np.abs(array) < 2.0 ** 63) & (array == np.trunc(array))  # fits an int64; NaN fails
+    if not whole.all():
+        raise ValueError(f"not an integer in {name}: {array[~whole][0].item()!r}")
+    return array.astype(int)
+
+
+def number(value, name: str, integer: bool = False) -> float | int:
+    """One finite number by the rule of :func:`numbers`: a Python ``float``, or ``int``
+    with ``integer``."""
+    if integer and isinstance(value, int):  # as given: a seed may exceed 2**53
+        return value
+    x = numbers(value, name, 0, integer).item()
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return x
+
+
 def space_to_json(space: StateSpace) -> dict:
     return {"labels": list(space.labels)}
 
@@ -713,16 +749,8 @@ def kernel_from_json(obj: dict) -> StochasticKernel:
     if "band" in obj:
         entries = _band_entries(space.size, obj["band"], required_key(obj, "diagonals"))
     else:
-        entries = _numbers(required_key(obj, "matrix"))
+        entries = numbers(required_key(obj, "matrix"), "matrix", 2)
     return StochasticKernel(space, entries)
-
-
-def _numbers(values) -> np.ndarray:
-    """``values`` as a float array; an entry that is not a number raises ``ValueError``."""
-    try:
-        return np.asarray(values, dtype=float)
-    except TypeError as exc:  # a JSON object where a number belongs
-        raise ValueError(f"kernel entries must be numbers: {exc}") from exc
 
 
 def _band_entries(n: int, band, diagonals) -> np.ndarray:
@@ -733,7 +761,7 @@ def _band_entries(n: int, band, diagonals) -> np.ndarray:
         raise ValueError(f"a kernel of band {band} needs a list of {2 * band + 1} diagonals")
     entries = np.zeros((n, n))
     for d, values in enumerate(diagonals, -band):
-        values = _numbers(values)
+        values = numbers(values, f"diagonal {d}", 1)
         rows = np.arange(max(-d, 0), min(n - d, n))
         if values.shape != rows.shape:
             raise ValueError(f"diagonal {d} needs {rows.size} entries, got shape {values.shape}")
@@ -747,7 +775,7 @@ def measure_to_json(mu: ProbMeasure) -> dict:
 
 def measure_from_json(obj: dict) -> ProbMeasure:
     return ProbMeasure(space_from_json(required_key(obj, "space")),
-                       np.asarray(required_key(obj, "weights"), dtype=float))
+                       numbers(required_key(obj, "weights"), "weights", 1))
 
 
 def sequence_to_json(seq: KernelSequence) -> dict:
@@ -766,9 +794,11 @@ def sequence_from_json(obj: dict) -> KernelSequence:
     if kind == "explicit":
         return KernelSequence.explicit(kernels)
     if kind == "cyclic":
-        return KernelSequence.cyclic(kernels, obj.get("word"))
+        word = numbers(obj.get("word", []), "word", 1, True)
+        return KernelSequence.cyclic(kernels, word.tolist())
     if kind == "iid":
-        return KernelSequence.iid(kernels, obj.get("probs"), obj.get("seed", 0))
+        return KernelSequence.iid(kernels, numbers(obj.get("probs", []), "probs", 1).tolist(),
+                                  number(obj.get("seed", 0), "seed", True))
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

@@ -24,6 +24,7 @@ from .chain_core import (
     load_json,
     measure_from_json,
     measure_to_json,
+    numbers,
     required_key,
     sequence_from_json,
     sequence_to_json,
@@ -157,7 +158,7 @@ def _cmd_spectral(args) -> int:
             raise ValueError("--weights random:<seed> needs --b, the weight-ratio band")
         weights = random_weights(graph, args.b, int(args.weights.split(":", 1)[1]))
     else:
-        weights = np.asarray(required_key(load_json(args.weights), "weights"), dtype=float)
+        weights = numbers(required_key(load_json(args.weights), "weights"), "weights", 1)
     report = comparison_check(graph, weights, args.b, args.n_max)
     out = Path(args.out)
     dump_json({"srw": report.unit.to_json(), "sigma_w": report.sigma_w,

@@ -32,6 +32,7 @@ from .chain_core import (
     ProbMeasure,
     dump_json,
     load_json,
+    number,
     required_key,
     sequence_from_json,
     write_csv,
@@ -138,16 +139,23 @@ class ResultSet:
 # generators: family name -> (sequence, metadata) for one grid point
 
 
+def _number(obj: dict, key: str, default=None, integer: bool = False):
+    """``obj[key]``, or ``default`` when absent (required if ``None``), by the rule of
+    :func:`~mclab.chain_core.number`."""
+    value = required_key(obj, key) if default is None else obj.get(key, default)
+    return number(value, repr(key), integer)
+
+
 def _seed_from(rng) -> int:
     return int(rng.integers(0, 2 ** 62))
 
 
 def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(required_key(point, "N"))
-    lo = float(params.get("ratio_min", 1.2))
-    hi = float(params.get("ratio_max", 2.0))
-    hold_max = float(params.get("hold_max", 0.3))
-    size = int(params.get("set_size", 32))
+    n = _number(point, "N", integer=True)
+    lo = _number(params, "ratio_min", 1.2)
+    hi = _number(params, "ratio_max", 2.0)
+    hold_max = _number(params, "hold_max", 0.3)
+    size = _number(params, "set_size", 32, integer=True)
     # one (log ratio, holding) pair per kernel, drawn in the order a loop of
     # scalar draws takes them: rng.uniform applies each element's bounds alone
     draws = rng.uniform(np.array([math.log(lo), 0.0]), np.array([math.log(hi), hold_max]),
@@ -161,8 +169,8 @@ def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, d
 
 
 def _gen_mirrored_bd_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(required_key(point, "N"))
-    p, q, r = (float(required_key(params, key)) for key in ("p", "q", "r"))
+    n = _number(point, "N", integer=True)
+    p, q, r = (_number(params, key) for key in ("p", "q", "r"))
     return KernelSequence.cyclic([constant_rate_bd(n, p, q, r),
                                   constant_rate_bd(n, q, p, r)]), {}
 
@@ -202,26 +210,23 @@ def _sample_banded_chain(n: int, rng):
 
 
 def _gen_uniform_bd_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(required_key(point, "N"))
-    size = int(params.get("set_size", 8))
+    n = _number(point, "N", integer=True)
+    size = _number(params, "set_size", 8, integer=True)
     kernels = [_sample_banded_chain(n, rng).kernel for _ in range(size)]
     return KernelSequence.iid(kernels, seed=_seed_from(rng)), {}
 
 
 def _gen_stick_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(required_key(point, "N"))
-    q1, q2 = perturbed_stick_pair(n, float(required_key(params, "p")),
-                                  float(required_key(params, "q")),
-                                  float(params.get("r", 0.0)),
-                                  float(params.get("eta1", 0.0)),
-                                  float(params.get("eta2", 0.0)))
+    n = _number(point, "N", integer=True)
+    q1, q2 = perturbed_stick_pair(n, _number(params, "p"), _number(params, "q"),
+                                  *(_number(params, key, 0.0) for key in ("r", "eta1", "eta2")))
     return KernelSequence.cyclic([q1, q2]), {}
 
 
 def _gen_lazy_stick_weights(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
-    n = int(required_key(point, "N"))
-    b = float(params.get("b", 2.0))
-    size = int(params.get("set_size", 8))
+    n = _number(point, "N", integer=True)
+    b = _number(params, "b", 2.0)
+    size = _number(params, "set_size", 8, integer=True)
     graph = lazy_stick(n)
     weight_draws = [random_weights(graph, b, _seed_from(rng)) for _ in range(size)]
     kernels = [graph_kernel(graph.with_weights(w))[0] for w in weight_draws]

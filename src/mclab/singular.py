@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,42 +61,6 @@ def _check_step(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure)
     rows = np.maximum.reduce(np.sqrt(prev) * np.abs(np.dot(k.entries, np.ones(len(prev))) - 1.0))
     if not rows <= STEP_ATOL:
         raise ValueError(f"kernel rows do not sum to 1 (residual {rows:.2e})")
-
-
-class _BandLayout(NamedTuple):
-    """Flat indices for the band path at one state count ``N``: forming ``m``, then ``mᵀm``.
-
-    A band is a flat array of ``3N`` entries: ``3i + c`` holds entry
-    ``(i, i + c − 1)`` of a tridiagonal matrix, for ``c = 0, 1, 2``. The two
-    corners ``(0, −1)`` and ``(N − 1, N)`` lie outside the matrix and hold 0.
-    """
-
-    kernel: np.ndarray   # (3N,) into K: K(i, i+c−1); the corners read K(0, N−1), 0 on this path
-    scale: np.ndarray    # (2, 3N) into (a, b): b_{i+c−1} (any b at a corner), then a_i
-    pairs: np.ndarray    # (2, 6N) into a band: the factors of m(i, j)·m(i, j + d), 0 <= d <= 2
-    gram: np.ndarray     # (6N,) slot 3j + d of that product in the lower band of mᵀm
-
-
-@functools.lru_cache(maxsize=16)
-def _band_layout(n: int) -> _BandLayout:
-    # Kept for the last few state counts: on a few states, index arithmetic per call
-    # would cost more than the band itself. Left writable, as numpy copies a read-only
-    # index array on every gather and bincount; nothing writes to them.
-    entry = np.arange(3 * n)
-    row = entry // 3
-    col = row + entry % 3 - 1
-    inside = np.clip(col, 0, n - 1)
-    # the six products of row i: entries c <= c2 of it
-    c, c2 = np.triu_indices(3)
-    first = (3 * np.arange(n)[:, None] + c).reshape(-1)
-    second = (3 * np.arange(n)[:, None] + c2).reshape(-1)
-    return _BandLayout(
-        kernel=np.where(col == inside, row * n + col, n - 1),
-        scale=np.stack((n + inside, row)),
-        pairs=np.stack((first, second)),
-        # a product outside the band has a zero corner factor, so any slot takes it
-        gram=np.clip(3 * col[first] + second - first, 0, 3 * n - 1),
-    )
 
 
 def step_sigma(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> float:
@@ -204,11 +167,7 @@ def _dense_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) 
     # costs about 1 µs a call. gram is symmetric, so its transpose is a
     # Fortran-ordered array dsyevr may overwrite in place.
     w, _, _, _, info = _lapack().dsyevr(gram.T, 0, "I", 0, 0.0, 1.0, n, n, 0.0, 26 * n, 10 * n, 1)
-    if info != 0:
-        raise ArithmeticError(f"dsyevr failed (info {info})")
-    lam = max(float(w[0]), 0.0)
-    if not lam <= (1.0 + STEP_ATOL) ** 2:
-        raise ArithmeticError(f"second singular value {math.sqrt(lam)} exceeds 1")
+    lam = _checked_eigenvalue("dsyevr", w, info)
     u = UNIT_ROUNDOFF
     e_gram = 2.0 * n * u / (1.0 - n * u) * trace
     top = math.sqrt((lam + e_gram) / (1.0 - n * n * u))
@@ -217,27 +176,41 @@ def _dense_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) 
 
 def _band_sigma(entries: np.ndarray, mu_prev: np.ndarray, mu_next: np.ndarray) -> float:
     n = len(entries)
-    layout = _band_layout(n)
-    band = entries.ravel()[layout.kernel]
-    roots = np.sqrt(np.concatenate((mu_prev, mu_next)))    # (a, b)
-    scale = roots[layout.scale]
-    m = band * scale[1]
-    m /= scale[0]
-    factors = m.take(layout.pairs)
-    # lower band storage: gram[d, j] = (mᵀm)[j + d, j], Fortran-ordered for dsbevx
-    gram = np.bincount(layout.gram, factors[0] * factors[1], 3 * n).reshape(n, 3).T
+    a = np.sqrt(mu_prev)
+    b = np.sqrt(mu_next)
+    # column j of m: upper[j] = m(j − 1, j), diag[j] = m(j, j), lower[j] = m(j + 1, j), each
+    # (K·a)/b; upper[0] and lower[n − 1] lie outside m and stay 0
+    upper, lower = np.zeros(n), np.zeros(n)
+    upper[1:] = entries.diagonal(1) * a[:-1]
+    diag = entries.diagonal() * a
+    lower[:-1] = entries.diagonal(-1) * a[1:]
+    for column in (upper, diag, lower):
+        column /= b
+    # lower band storage: gram[d, j] = (mᵀm)[j + d, j], Fortran-ordered for dsbevx; each
+    # entry sums its products in row order
+    gram = np.zeros((n, 3)).T
+    gram[0] = upper * upper + diag * diag + lower * lower
+    gram[1, :-1] = diag[:-1] * upper[1:] + lower[:-1] * diag[1:]
+    gram[2, :-2] = lower[:-2] * upper[2:]
     # The top two eigenvalues: vl, vu, il = n - 1, iu = n, ldab=3, compute_v=0,
     # range="I" (2), lower=1, abstol=0, mmax=1, overwrite_ab=1; positional, as for dsyevr.
     w, _, _, _, info = _lapack().dsbevx(gram, 0.0, 1.0, n - 1, n, 3, 0, 2, 1, 0.0, 1, 1)
-    if info != 0:
-        raise ArithmeticError(f"dsbevx failed (info {info})")
-    lam = max(float(w[0]), 0.0)
-    if not lam <= (1.0 + STEP_ATOL) ** 2:
-        raise ArithmeticError(f"second singular value {math.sqrt(lam)} exceeds 1")
+    lam = _checked_eigenvalue("dsbevx", w, info)
     u = UNIT_ROUNDOFF
     e = (n * n + 4) * u
     s = float(w[1]) / (1.0 - e)
     return (math.sqrt(lam + e * s) + 5.0 * u * math.sqrt(s)) * (1.0 + 8.0 * u)
+
+
+def _checked_eigenvalue(routine: str, w: np.ndarray, info: int) -> float:
+    """``w[0]``, the computed σ₂², clamped at 0; raises ``ArithmeticError`` as
+    :func:`step_sigma` states."""
+    if info != 0:
+        raise ArithmeticError(f"{routine} failed (info {info})")
+    lam = max(float(w[0]), 0.0)
+    if not lam <= (1.0 + STEP_ATOL) ** 2:
+        raise ArithmeticError(f"second singular value {math.sqrt(lam)} exceeds 1")
+    return lam
 
 
 def pi_kernel(k: StochasticKernel, mu_prev: ProbMeasure, mu_next: ProbMeasure) -> StochasticKernel:

@@ -20,6 +20,7 @@ from .chain_core import (
     StochasticKernel,
     _recurrent_classes,
     adjoint_kernel,
+    numbers,
     probability_rows,
     required_key,
     space_from_json,
@@ -309,8 +310,9 @@ def small_example(name: str, a: float | None = None,
 class WeightedGraph:
     """A connected non-oriented graph with loops allowed and positive weights.
 
-    Edges are pairs ``(x, y)`` with ``x <= y``; a loop is ``(x, x)`` and
-    counts once in the degree. ``weights`` is parallel to ``edges``.
+    Edges are pairs of integer vertex indices ``(x, y)`` with ``x <= y``; a
+    loop is ``(x, x)`` and counts once in the degree. ``weights`` is
+    parallel to ``edges``.
     """
 
     space: StateSpace
@@ -408,11 +410,10 @@ class WeightedGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedGraph":
-        return cls(
-            space_from_json(required_key(obj, "space")),
-            tuple((min(x, y), max(x, y)) for x, y in required_key(obj, "edges")),
-            np.asarray(required_key(obj, "weights"), dtype=float),
-        )
+        space = space_from_json(required_key(obj, "space"))
+        edges = numbers(required_key(obj, "edges"), "edges", 2, True).tolist()
+        return cls(space, tuple((min(x, y), max(x, y)) for x, y in edges),
+                   numbers(required_key(obj, "weights"), "weights", 1))
 
 
 def graph_kernel(g: WeightedGraph) -> tuple[StochasticKernel, ProbMeasure]:

@@ -99,6 +99,12 @@ DOUBLING_CHECK = {"kind": "doubling_ratio_min", "column": "t_merge", "by": "N", 
      "missing required key 'M'"),
     (dict(SCENARIO, generator=MIRRORED_GENERATOR, checks=[dict(DOUBLING_CHECK, column="nope")]),
      "missing required key 'nope'"),
+    (dict(SCENARIO, generator=dict(MIRRORED_GENERATOR, params={"p": {}, "q": 0.36, "r": 0.1})),
+     "not a number in 'p': "),
+    (dict(SCENARIO, generator=MIRRORED_GENERATOR, grid={"N": [[4]]}),
+     "'N' must be a number, got [4]"),
+    (dict(SCENARIO, generator={"family": "bd_ratio_set", "params": {"hold_max": float("nan")}}),
+     "'hold_max' must be a finite number, got nan"),
     # the schema's exclusiveMinimum lets NaN through; json writes it as NaN
     (dict(SCENARIO, generator=MIRRORED_GENERATOR,
           analysis={"kind": "merging_time", "epsilon": float("nan")}),
@@ -206,6 +212,14 @@ BAD_FILES = {
     "probs": {"kind": "iid", "kernels": [KERNEL], "probs": [0.5, 0.5]},
     "shape": dict(SEQUENCE, kernels=[dict(KERNEL, matrix=[[1.0]])]),
     "short": {"space": KERNEL["space"], "weights": [1.0]},
+    "object_weight": {"space": KERNEL["space"], "weights": [{}, 0.5]},
+    "object_weights_file": {"weights": [{}]},
+    "object_graph_weight": dict(GRAPH, weights=[{}]),
+    "object_edge": dict(GRAPH, edges=[[0, {}]]),
+    "fractional_edge": dict(GRAPH, edges=[[0, 1.5]]),
+    "object_word": dict(SEQUENCE, word=[{}]),
+    "object_probs": {"kind": "iid", "kernels": [KERNEL], "probs": [{}]},
+    "object_seed": {"kind": "iid", "kernels": [KERNEL], "seed": {}},
 }
 
 
@@ -236,6 +250,19 @@ BAD_FILES = {
     (["bound", "--sequence", "{shape}"], "matrix shape (1, 1) does not match space size 2"),
     (["bound", "--sequence", "{pair}", "--mu0", "{short}"],
      "weights shape (1,) does not match space size 2"),
+    (["bound", "--sequence", "{pair}", "--mu0", "{object_weight}"], "not a number in weights: "),
+    (["stability", "--kernels", "{pair}", "--depth", "2", "--pi", "{object_weight}"],
+     "not a number in weights: "),
+    (["stability", "--kernels", "{pair}", "--depth", "2", "--mu0", "{object_weight}"],
+     "not a number in weights: "),
+    (["spectral", "--graph", "{graph}", "--weights", "{object_weights_file}"],
+     "not a number in weights: "),
+    (["spectral", "--graph", "{object_graph_weight}"], "not a number in weights: "),
+    (["spectral", "--graph", "{object_edge}"], "not a number in edges: "),
+    (["spectral", "--graph", "{fractional_edge}"], "not an integer in edges: 1.5"),
+    (["merge", "--sequence", "{object_word}"], "not a number in word: "),
+    (["merge", "--sequence", "{object_probs}"], "not a number in probs: "),
+    (["merge", "--sequence", "{object_seed}"], "not a number in seed: "),
 ])
 def test_rejected_value_gets_the_subcommand_usage(tmp_path, capsys, argv, message):
     files = {"graph": GRAPH, "nan": NAN_SEQUENCE, **BAD_FILES}

@@ -159,6 +159,17 @@ def test_malformed_kernel_object_exits_2_from_merge(tmp_path, capsys, obj):
     assert not any(tmp_path.glob("m.*"))
 
 
+def test_sequence_fields_load_exactly():
+    # generator seeds are drawn below 2**62, where float64 no longer holds every integer
+    kernels = [constant_rate_bd(4, 0.5, 0.3, 0.2), constant_rate_bd(4, 0.3, 0.5, 0.2)]
+    for seq in (KernelSequence.iid(kernels, [0.1, 0.9], seed=2 ** 62 + 1),
+                KernelSequence.cyclic(kernels, [1, 0, 0])):
+        back = sequence_from_json(json.loads(json.dumps(sequence_to_json(seq))))
+        assert (back.word, back.probs, back.seed) == (seq.word, seq.probs, seq.seed)
+        assert type(back.seed) is int and all(type(i) is int for i in back.word)
+        assert np.array_equal(back.indices(0, 2000), seq.indices(0, 2000))
+
+
 def test_a_kernel_with_neither_form_names_the_matrix():
     with pytest.raises(ValueError, match="missing required key 'matrix'"):
         kernel_from_json({"space": LABELS})

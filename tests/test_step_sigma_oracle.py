@@ -107,7 +107,7 @@ def test_step_sigma_bounds_mpmath_svd_from_above(rng, family):
         assert sigma - exact <= 1e-12, (family.__name__, n, float(exact), float(sigma - exact))
 
 
-@pytest.mark.parametrize("size", [65, 129])
+@pytest.mark.parametrize("size", [3, 4, 65, 129])
 def test_band_and_dense_paths_agree_within_their_round_ups(size):
     seq, _ = GENERATORS["bd_ratio_set"]({"set_size": 8}, {"N": size - 1}, substream(17, size))
     measures = evolve(ProbMeasure.uniform(seq.space), seq, 30)
