@@ -156,10 +156,23 @@ class StochasticKernel:
     def bandwidth(self) -> int:
         """Largest ``|x − y|`` with ``K(x, y) != 0``: 1 for a birth-death kernel.
 
-        Computed on first access and kept, as the entries are read-only.
+        Computed on first access and kept, as the entries are read-only. A
+        kernel whose nonzeros all lie on its three middle diagonals, as a
+        birth-death kernel's do, is settled by counting them. Otherwise row
+        ``i`` reaches from its first nonzero column to its last, so it
+        contributes the larger of ``i − first`` and ``last − i``, and a row
+        of zeros contributes nothing.
         """
-        rows, cols = np.nonzero(self.entries)
-        return int(np.abs(rows - cols).max(initial=0))
+        entries = self.entries
+        lower, upper = np.count_nonzero(entries.diagonal(-1)), np.count_nonzero(entries.diagonal(1))
+        if lower + upper + np.count_nonzero(entries.diagonal()) == np.count_nonzero(entries):
+            return int(lower + upper > 0)
+        support = entries != 0
+        rows = np.arange(self.size)
+        first = support.argmax(axis=1)  # 0 for a row of zeros, which the mask below drops
+        last = (self.size - 1) - support[:, ::-1].argmax(axis=1)
+        reach = np.maximum(rows - first, last - rows)
+        return int(reach.max(where=support[rows, first], initial=0))
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StochasticKernel":

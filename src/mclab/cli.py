@@ -24,6 +24,7 @@ from .chain_core import (
     load_json,
     measure_from_json,
     measure_to_json,
+    number,
     numbers,
     required_key,
     sequence_from_json,
@@ -57,6 +58,14 @@ class _Params(dict):
     def __missing__(self, key):
         raise ValueError(f"missing parameter {key!r}; pass -P {key}=<value>")
 
+    def number(self, key: str, integer: bool = False):
+        """``-P key`` by the rule of :func:`~mclab.chain_core.number`."""
+        return number(self[key], f"-P {key}", integer)
+
+    def optional(self, key: str, default=None):
+        """``-P key`` as :meth:`number` reads it, or ``default`` when not given."""
+        return self.number(key) if key in self else default
+
 
 def _parse_params(pairs: list[str]) -> dict:
     out = _Params()
@@ -85,20 +94,21 @@ def _cmd_zoo_emit(args) -> int:
     params = _parse_params(args.param)
     name = args.name
     if name == "constant_rate_bd":
-        k = constant_rate_bd(int(params["N"]), params["p"], params["q"], params["r"])
+        k = constant_rate_bd(params.number("N", integer=True), params.number("p"),
+                             params.number("q"), params.number("r"))
         obj = kernel_to_json(k)
     elif name == "perturbed_stick_pair":
-        q1, q2 = perturbed_stick_pair(int(params["N"]), params["p"], params["q"],
-                                      params.get("r", 0.0), params.get("eta1", 0.0),
-                                      params.get("eta2", 0.0))
+        q1, q2 = perturbed_stick_pair(params.number("N", integer=True), params.number("p"),
+                                      params.number("q"), params.optional("r", 0.0),
+                                      params.optional("eta1", 0.0), params.optional("eta2", 0.0))
         obj = sequence_to_json(KernelSequence.cyclic([q1, q2]))
     elif name in ("two_point", "five_point", "seven_point", "adjoint_pair"):
-        kernels = small_example(name, a=params.get("a"), b=params.get("b"))
+        kernels = small_example(name, a=params.optional("a"), b=params.optional("b"))
         obj = sequence_to_json(KernelSequence.cyclic(list(kernels)))
     elif name == "lazy_stick":
-        obj = lazy_stick(int(params["N"])).to_json()
+        obj = lazy_stick(params.number("N", integer=True)).to_json()
     elif name == "lazy_stick_kernel":
-        kernel, pi = graph_kernel(lazy_stick(int(params["N"])))
+        kernel, pi = graph_kernel(lazy_stick(params.number("N", integer=True)))
         obj = kernel_to_json(kernel)
         obj["reversible_measure"] = measure_to_json(pi)["weights"]
     else:

@@ -5,7 +5,8 @@ sampled trajectories, so the reported values are exact at desk scale.
 Walks over time accumulate that matrix one
 :func:`~mclab.chain_core.renormalized_step` at a time through
 :func:`~mclab.chain_core.walk`, which raises when a step drifts by more
-than ``DRIFT_ATOL``; first passages instead multiply a stack of walks and
+than ``DRIFT_ATOL``; first passages instead multiply a stack of walks,
+by two consecutive kernels at a time where they are all tridiagonal, and
 renormalize it once per stride, under the rounding bound stated in
 :func:`first_passage`. Every product step, in a walk, a stack or
 :func:`product`, is one :func:`~mclab.chain_core.kernel_matmul`, which
@@ -97,10 +98,16 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     that step.
 
     **Walk.** Between checkpoints (every ``_PASSAGE_STRIDE`` steps and
-    ``n_max``) each step is one :func:`~mclab.chain_core.kernel_matmul`,
-    with the largest :func:`~mclab.chain_core.matmul_band` of the
-    sequence's kernels as its band; at a checkpoint each row is
-    divided by its sum and the metric is evaluated. Below, a threshold
+    ``n_max``) the matrix is only multiplied, by one
+    :func:`~mclab.chain_core.kernel_matmul` a factor; at a checkpoint
+    each row is divided by its sum and the metric is evaluated. When every
+    kernel of the sequence is tridiagonal (bandwidth at most 1, as every
+    birth-death kernel is), a factor is the product ``K_a K_b`` of two
+    consecutive kernels, pentadiagonal and formed from their diagonals in
+    ``O(N)`` elementwise work, with band 2; a stride of odd length ends
+    with its last kernel alone. Otherwise a factor is one kernel, with
+    the largest :func:`~mclab.chain_core.matmul_band` of the sequence's
+    kernels as its band. Below, a threshold
     ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. A checkpoint value
     above ``ε + 2δ`` rules out every step since the previous checkpoint.
     Otherwise :func:`_replay` walks that stride again through ``walk``
@@ -131,6 +138,15 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     each row of its step-``t`` matrix within ``t·λ`` of the exact product
     of the rescaled kernels, ``λ = -log(1 - 8(N + 1)·u)`` for kernels whose
     row sums lie within ``(3N + 2)·u`` of 1, which the screen guarantees.
+    A pair step counts as two steps. Each entry of the formed ``K_a K_b``
+    sums at most ``min(3, N)`` non-negative products, so it lies within
+    ``1 ± γ_3`` of the exact pair's entry, and as ``P`` is non-negative,
+    each entry of the exact product of ``P`` by the formed pair lies
+    within the same factor of ``P K_a K_b``. Each entry of the computed
+    product sums at most ``min(5, N)`` nonzero terms, within ``1 ± γ_5``.
+    Both are within ``1 ± γ_N``, the factor allowed to each of two single
+    steps, and rescaling the pair's two kernels moves a row as much as it
+    does for two single steps; so ``δ(t, N)`` below holds unchanged.
     A measured row sums to ``1 ± γ_{N+1}``, which costs one more ``λ``, so
     its entries lie within a factor ``exp((t + 1)λ)`` of the exact ones.
     TV then moves by at most ``expm1((t + 1)λ)`` plus the ``γ_N`` of its
@@ -171,12 +187,14 @@ def first_passages(seqs, epsilon: float, metric: str,
 
     The sequences are walked in batches of consecutive sequences with one
     state count and one band (the largest
-    :func:`~mclab.chain_core.matmul_band` of a sequence's kernels), each an
-    ``(R, N, N)`` stack advanced one
-    :func:`~mclab.chain_core.kernel_matmul` at a time and renormalized once
-    per stride, so the per-step call overhead is paid once for the batch
-    rather than once per sequence. The steps write into two buffers
-    allocated once per batch, never into the last checkpoint. A batch takes
+    :func:`~mclab.chain_core.matmul_band` of a sequence's kernels). In a
+    batch, the sequences whose kernels are all tridiagonal walk as one
+    ``(R, N, N)`` stack, advanced one :func:`~mclab.chain_core.kernel_matmul`
+    by a pair of kernels at a time, and the others as another, advanced a
+    kernel at a time; each stack is renormalized once per stride, so the
+    per-step call overhead is paid once for the stack rather than once per
+    sequence. The steps write into two buffers allocated once per stack,
+    never into the last checkpoint. A batch takes
     sequences while their kernels and stacks (:func:`_passage_bytes` each)
     fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
     stacked step, and of its renormalization, has the bits of the same step
@@ -218,7 +236,7 @@ def first_passages(seqs, epsilon: float, metric: str,
             batch_key = key
             used += cost
             del seq  # held by the batch alone, and dropped with it
-            if used + 8 * n * n * 5 > _BATCH_BYTES:  # _passage_bytes of a one-kernel sequence
+            if used + 8 * n * (5 * n + 4) > _BATCH_BYTES:  # the least a one-kernel sequence adds
                 walk_batch()
     except Exception:
         if batch:  # reading failed; the sequences read before it come first
@@ -235,16 +253,26 @@ def _passage_bytes(seq: KernelSequence) -> int:
     Its kernels, which the batch reads where the sequence holds them, plus
     its slice of the four stacks a batch allocates once: the last
     checkpoint, the two buffers the steps alternate between (the current
-    matrices and the product being formed) and the concatenated kernels.
-    The row sums of a checkpoint, ``N`` numbers a sequence, are not counted.
+    matrices and the product being formed) and the factor of a step, which
+    is either the concatenated kernels or the product of a pair of kernels
+    with its four columns of padding (``N × (N + 4)``). A sequence that
+    steps in pairs also adds its kernels' three diagonals, padded to
+    ``N + 2`` each. The row sums of a checkpoint and the diagonals of a
+    stride's pairs, ``O(N)`` numbers a step, are not counted.
     """
-    n = seq.space.size
-    return 8 * n * n * (len(seq.kernels) + 4)
+    n, m = seq.space.size, len(seq.kernels)
+    diagonals = 3 * (n + 2) * m if _tridiagonal(seq) else 0
+    return 8 * (n * (n * (m + 4) + 4) + diagonals)
 
 
 def _stack_band(seq: KernelSequence) -> int:
     """The band of a stacked product by ``seq``'s kernels: their largest ``matmul_band``."""
     return max(map(matmul_band, seq.kernels))
+
+
+def _tridiagonal(seq: KernelSequence) -> bool:
+    """Whether every kernel of ``seq`` has bandwidth at most 1: its stack steps in pairs."""
+    return all(k.bandwidth <= 1 for k in seq.kernels)
 
 
 def _passage_bound(t: int, n: int) -> float:
@@ -258,10 +286,13 @@ def _passage_bound(t: int, n: int) -> float:
 
 def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
-    """:func:`first_passages` of one batch, walked as one stack.
+    """:func:`first_passages` of one batch, walked as one stack per step kind.
 
-    The stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul`
-    with the batch's largest band, alternating between two buffers that are
+    The sequences whose kernels are all tridiagonal form one stack that
+    steps a pair of kernels at a time (:func:`_pair_factors`); the others
+    form one that steps a kernel at a time (:func:`_kernel_factors`). A
+    stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
+    the band of its factors, alternating between two buffers that are
     never the checkpoint, and at each checkpoint divides every row by its
     sum in one pass. There a slice's TV is first bounded from below by the
     L1 distances of row 0 to every other row, one ``O(N²)`` pass: a
@@ -291,70 +322,160 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
     screened = [np.array([np.abs(np.add.reduce(k.entries, axis=1) - 1.0).max() <= limit
                           for k in seq.kernels]) for seq in seqs]
-    multiply = forward_matmul(n, max(map(_stack_band, seqs)))
-    stacks_of_one = [[k.entries[None] for k in seq.kernels] for seq in seqs]
-    # the checkpoint, two buffers the steps alternate between, and the
-    # concatenated kernels; slices that leave are compacted to the front
-    stacks = [np.repeat(eye[None], len(seqs), axis=0)]
-    stacks += [np.empty_like(stacks[0]) for _ in range(2 if len(seqs) == 1 else 3)]
-
-    def fetch(live, indices):
-        # the kernels of the stride's steps, one stack per step: a (1, N, N)
-        # view for a lone sequence, else their concatenation into stacks[3]
-        columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
-        if len(columns) == 1:
-            return columns[0]
-        out = stacks[3][:len(live)]
-        return (np.concatenate(step, out=out) for step in zip(*columns))
-
     results: list = [None] * len(seqs)
     errors: dict[int, ArithmeticError] = {}
-    live = list(range(len(seqs)))  # the sequence walked in each slice of the stack
-    start = 0
-    while live:
-        width = len(live)
-        stop = min(start + _PASSAGE_STRIDE, n_max)
-        checkpoint = p = stacks[0][:width]
-        steps = (stacks[1][:width], stacks[2][:width])
-        indices = [seqs[r].indices(start + 1, stop + 1) for r in live]
-        for j, kernels in enumerate(fetch(live, indices)):
-            p = multiply(p, kernels, out=steps[j % 2])
-        np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
-        band = epsilon + 2.0 * _passage_bound(stop, n) * scale
-        stepwise = ruled_out = np.zeros(width, dtype=bool)
-        if metric == "relsup":
-            stepwise = ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
-        elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
-            pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
-            ruled_out = np.minimum(pivot, 1.0) > band
-        keep = []
-        for s, r in enumerate(live):
-            step = None
-            try:
-                if stepwise[s] or not screened[r][indices[s]].all():
-                    step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
-                elif not ruled_out[s]:
-                    value = measure(p[s])
-                    step = (stop, p[s], value) if value > band else \
-                        _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale, n_max)
-            except ArithmeticError as exc:
-                errors[r] = exc
-                continue
-            if step is not None and (step[2] <= epsilon or step[0] == n_max):
-                i, matrix, value = step
-                results[r] = result(i if value <= epsilon else None, matrix, value)
-            elif r < min(errors, default=len(seqs)):
-                keep.append(s)
-        # the buffer holding p becomes the next checkpoint; the old one takes steps
-        last = 1 + (stop - start - 1) % 2
-        stacks[0], stacks[last] = stacks[last], stacks[0]
-        if len(keep) < width:
-            stacks[0][:len(keep)] = p[keep]
-            live = [live[s] for s in keep]
-        start = stop
+    pairs = [_tridiagonal(seq) for seq in seqs]
+    for paired in (True, False):
+        live = [r for r in range(len(seqs)) if pairs[r] == paired]  # the sequence walked in each slice
+        if not live:
+            continue
+        if paired:
+            multiply, factors = forward_matmul(n, 2), _pair_factors(seqs, live, n)
+        else:
+            multiply = forward_matmul(n, max(_stack_band(seqs[r]) for r in live))
+            factors = _kernel_factors(seqs, live, n)
+        # the checkpoint and two buffers the steps alternate between; slices
+        # that leave are compacted to the front
+        stacks = [np.repeat(eye[None], len(live), axis=0)]
+        stacks += [np.empty_like(stacks[0]) for _ in range(2)]
+        start = 0
+        while live:
+            width = len(live)
+            stop = min(start + _PASSAGE_STRIDE, n_max)
+            checkpoint = p = stacks[0][:width]
+            steps = (stacks[1][:width], stacks[2][:width])
+            indices = [seqs[r].indices(start + 1, stop + 1) for r in live]
+            for j, factor in enumerate(factors(live, indices)):
+                p = multiply(p, factor, out=steps[j % 2])
+            np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
+            band = epsilon + 2.0 * _passage_bound(stop, n) * scale
+            stepwise = ruled_out = np.zeros(width, dtype=bool)
+            if metric == "relsup":
+                stepwise = ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
+            elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
+                pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
+                ruled_out = np.minimum(pivot, 1.0) > band
+            keep = []
+            for s, r in enumerate(live):
+                step = None
+                try:
+                    if stepwise[s] or not screened[r][indices[s]].all():
+                        step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
+                    elif not ruled_out[s]:
+                        value = measure(p[s])
+                        step = (stop, p[s], value) if value > band else \
+                            _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale,
+                                    n_max)
+                except ArithmeticError as exc:
+                    errors[r] = exc
+                    continue
+                if step is not None and (step[2] <= epsilon or step[0] == n_max):
+                    i, matrix, value = step
+                    results[r] = result(i if value <= epsilon else None, matrix, value)
+                elif r < min(errors, default=len(seqs)):
+                    keep.append(s)
+            # the buffer holding p becomes the next checkpoint; the old one takes steps
+            last = 1 + j % 2
+            stacks[0], stacks[last] = stacks[last], stacks[0]
+            if len(keep) < width:
+                stacks[0][:len(keep)] = p[keep]
+                live = [live[s] for s in keep]
+            start = stop
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
+    """The factors of a stride's steps for the sequences ``members``: a kernel a step.
+
+    Returns ``factors(live, indices)``, which yields, for each step of the
+    stride, one stack of the kernels that the sequences ``live`` (a subset
+    of ``members``, in order) take at that step: ``indices[s]`` holds the
+    kernel positions of slice ``s``. A lone sequence's kernel is a
+    ``(1, N, N)`` view; kernels of several sequences are concatenated into
+    one buffer allocated once.
+    """
+    stacks_of_one = {r: [k.entries[None] for k in seqs[r].kernels] for r in members}
+    out = np.empty((len(members), n, n)) if len(members) > 1 else None
+
+    def factors(live, indices):
+        columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
+        if len(columns) == 1:
+            return columns[0]
+        return (np.concatenate(step, out=out[:len(live)]) for step in zip(*columns))
+    return factors
+
+
+def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
+    """The factors of a stride's steps for tridiagonal sequences: two kernels a step.
+
+    Returns ``factors(live, indices)`` as :func:`_kernel_factors` does, but
+    each factor is the product ``K_a K_b`` of two consecutive kernels of a
+    slice, and the last kernel of a stride of odd length is paired with the
+    identity, which gives that kernel exactly. A product of two tridiagonal
+    kernels is pentadiagonal: its five diagonals are formed from the two
+    kernels' three by :func:`_pair_diagonals`, for every pair of the stride
+    and every live slice in one pass, and each pair is written over the
+    same five diagonals of one ``(R, N, N)`` buffer, zero elsewhere. Its
+    rows carry two columns of padding on each side, so the band is one
+    strided view: row ``i`` of diagonal ``c − 2`` lies ``i(N + 5) + c``
+    elements into a slice, and a write never wraps into another row.
+    """
+    first = np.zeros(len(seqs), dtype=np.intp)  # each member's first row of table
+    count = 0
+    for r in members:
+        first[r], count = count, count + len(seqs[r].kernels)
+    # table[s, j, i + 1] = K_j(i, i + s − 1), zero outside the matrix; the last K_j is I
+    table = np.zeros((3, count + 1, n + 2))
+    kernels = (k.entries for r in members for k in seqs[r].kernels)
+    for j, k in enumerate(kernels):
+        table[0, j, 2:n + 1] = k.diagonal(-1)
+        table[1, j, 1:n + 1] = k.diagonal()
+        table[2, j, 1:n] = k.diagonal(1)
+    table[1, count, 1:n + 1] = 1.0
+    padded = np.zeros((len(members), n, n + 4))
+    product = padded[:, :, 2:n + 2]
+    item = padded.itemsize
+    band = np.lib.stride_tricks.as_strided(padded, (len(members), 5, n),
+                                           (padded.strides[0], item, (n + 5) * item), writeable=True)
+
+    def factors(live, indices):
+        width = len(live)
+        rows = np.add(indices, first[live][:, None])
+        if rows.shape[1] % 2:
+            rows = np.concatenate((rows, np.full((width, 1), count)), axis=1)
+        # (3, 2, h, R, N + 2): the first kernel of each of h pairs, then the second
+        pair = np.take(table, rows.reshape(width, -1, 2).transpose(2, 1, 0), axis=1)
+        target, factor = band[:width], product[:width]
+        for diagonals in _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3):
+            np.copyto(target, diagonals)
+            yield factor
+    return factors
+
+
+def _pair_diagonals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The five diagonals of ``K_a K_b`` for tridiagonal kernels given by their three.
+
+    ``a`` and ``b`` are ``(3, ..., N + 2)`` arrays laid out as the table of
+    :func:`_pair_factors`: ``a[s, ..., i + 1] = K_a(i, i + s − 1)``, with a
+    zero on each side of every row. Returns ``d`` of shape ``(5, ..., N)``
+    with ``d[c, ..., i] = (K_a K_b)(i, i + c − 2)``. Term ``s`` of row ``i``,
+    ``K_a(i, i + s − 1)`` times row ``i + s − 1`` of ``K_b``, lands on
+    diagonals ``s − 2`` to ``s``; so each entry is a sum of at most three
+    non-negative products, and a term that falls outside the matrix is an
+    exact zero. The rows are processed as one flat array: a shift by one
+    across the end of a row reads its zero padding.
+    """
+    shape, n = a.shape[1:-1], a.shape[-1] - 2
+    a, b = a.reshape(3, -1), b.reshape(3, -1)  # views when all but the first axis are contiguous
+    d = np.empty((5, a.shape[1]))
+    inner = d[:, 1:-1]  # every padded position but the flat array's ends
+    np.multiply(a[0, 1:-1], b[:, :-2], out=inner[:3])
+    inner[3:] = 0.0
+    np.add(inner[1:4], a[1, 1:-1] * b[:, 1:-1], out=inner[1:4])
+    np.add(inner[2:], a[2, 1:-1] * b[:, 2:], out=inner[2:])
+    return d.reshape((5,) + shape + (n + 2,))[..., 1:n + 1]
 
 
 def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon,

@@ -24,7 +24,6 @@ from itertools import product as iter_product
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chain_core import (
@@ -496,6 +495,8 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
             series[f"median {label}"] = [(float(k), v) for k, v in med.items() if math.isfinite(v)]
         except (TypeError, ValueError):
             pass
+    import scipy  # here, not at module level, so that `import mclab` does not load scipy
+
     return ResultSet(
         name=config["name"],
         scenario_hash=digest.hexdigest(),

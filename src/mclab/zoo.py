@@ -9,6 +9,7 @@ Metropolis reweighting that pins a prescribed reversible measure.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,11 @@ class WeightedGraph:
     def __post_init__(self):
         n = self.space.size
         seen = set()
-        for x, y in self.edges:
+        for edge in self.edges:
+            try:  # integers only: _ends would truncate 1.5 to 1 after the checks below
+                x, y = map(operator.index, edge)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"edge {edge!r} is not a pair of vertex indices") from exc
             if not (0 <= x <= y < n):
                 raise ValueError(f"edge ({x}, {y}) out of range or not ordered")
             if (x, y) in seen:
@@ -411,7 +416,11 @@ class WeightedGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedGraph":
         space = space_from_json(required_key(obj, "space"))
-        edges = numbers(required_key(obj, "edges"), "edges", 2, True).tolist()
+        edges = numbers(required_key(obj, "edges"), "edges", 2, True)
+        if edges.shape[1] != 2:
+            raise ValueError(f"edges must be pairs of vertex indices; these have "
+                             f"{edges.shape[1]} indices each")
+        edges = edges.tolist()
         return cls(space, tuple((min(x, y), max(x, y)) for x, y in edges),
                    numbers(required_key(obj, "weights"), "weights", 1))
 

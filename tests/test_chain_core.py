@@ -100,6 +100,24 @@ class TestConstruction:
         entries[4] /= entries[4].sum()
         assert StochasticKernel(StateSpace(7), entries).bandwidth == 2
 
+    def test_bandwidth_is_the_widest_gap_of_the_nonzero_index_pairs(self, rng):
+        # the formula it replaced, on sparse patterns within the three middle
+        # diagonals and wider, with rows and columns of zeros, one-sided
+        # supports and the 1- and 2-state spaces
+        def nonzero_formula(entries):
+            rows, cols = np.nonzero(entries)
+            return int(np.abs(rows - cols).max(initial=0))
+
+        for n in [1, 2, 3, 5, 9, 17]:
+            for density in [0.0, 0.05, 0.3, 1.0]:
+                for _ in range(30):
+                    entries = rng.random((n, n)) * (rng.random((n, n)) < density)
+                    k = StochasticKernel._unchecked(StateSpace(n), entries)
+                    assert k.bandwidth == nonzero_formula(entries)
+                    for one_sided in (np.triu(entries, 1), np.tril(entries, -1)):
+                        k = StochasticKernel._unchecked(StateSpace(n), one_sided)
+                        assert k.bandwidth == nonzero_formula(one_sided)
+
 
 class TestCompose:
     def test_identity_left(self, rng):

@@ -28,6 +28,13 @@ def run_failing(argv, capsys):
     ("lazy_stick", [], "missing parameter 'N'"),
     ("constant_rate_bd", ["-P", "N5"], "bad parameter 'N5'; expected key=value"),
     ("no_such_kernel", [], "unknown zoo name 'no_such_kernel'"),
+    # every -P value goes through chain_core.number: no traceback, no silent truncation
+    ("constant_rate_bd", ["-P", "N=4", "-P", "p={}", "-P", "q=0.3", "-P", "r=0.1"],
+     "not a number in -P p"),
+    ("lazy_stick", ["-P", "N=4.5"], "not an integer in -P N: 4.5"),
+    ("perturbed_stick_pair", ["-P", "N=5", "-P", "p=0.6", "-P", "q=0.4", "-P", "eta1=x"],
+     "not a number in -P eta1"),
+    ("two_point", ["-P", "a=0.5", "-P", "b=NaN"], "-P b must be a finite number"),
 ])
 def test_zoo_emit_usage_errors(tmp_path, capsys, name, params, message):
     out = tmp_path / "x.json"
@@ -175,6 +182,17 @@ def test_import_leaves_heavy_dependencies_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_unloaded_until_a_scenario_records_it():
+    # scipy's version goes into a scenario's provenance; the import waits for it
+    src = Path(mclab.__file__).resolve().parents[1]
+    code = ("import sys, mclab; print('scipy' in sys.modules); "
+            "r = mclab.run_scenario('mirrored-pair'); "
+            "print('scipy' in sys.modules, r.provenance['scipy'] == sys.modules['scipy'].__version__)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert done.stdout.split() == ["False", "True", "True"]
 
 
 MIRRORED_PAIR = json.loads(

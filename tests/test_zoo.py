@@ -297,6 +297,17 @@ class TestWeightedGraph:
         assert back.edges == g.edges
         assert np.array_equal(back.weights, g.weights)
 
+    @pytest.mark.parametrize("edges", [((0, 1.5), (0, 1)), ((0, 1, 1),), ((0,),), (1,)])
+    def test_an_edge_that_is_not_an_integer_pair_fails_at_construction(self, edges):
+        # (0, 1.5) once built, and only graph_kernel failed, on rows summing to 0.5
+        with pytest.raises(ValueError, match="is not a pair of vertex indices"):
+            WeightedGraph(StateSpace(2), edges, np.ones(len(edges)))
+
+    def test_a_json_edge_that_is_not_a_pair_names_edges(self):
+        obj = dict(lazy_stick(1).to_json(), edges=[[0, 1, 1]], weights=[1.0])
+        with pytest.raises(ValueError, match="^edges must be pairs of vertex indices"):
+            WeightedGraph.from_json(obj)
+
 
 class TestMetropolis:
     def test_fixed_point_when_target_is_current(self, rng):
