@@ -60,6 +60,7 @@ from .zoo import (
     circle_relabeling,
     closed_form_invariant,
     constant_rate_bd,
+    constant_rate_bd_set,
     general_bd,
     graph_kernel,
     lazy_stick,

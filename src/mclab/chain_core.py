@@ -66,12 +66,15 @@ class StateSpace:
             raise ValueError("labels must be unique")
 
 
-def probability_rows(values: np.ndarray, atol: float) -> np.ndarray:
+def probability_rows(values: np.ndarray, atol: float, in_place: bool = False) -> np.ndarray:
     """``values``, a vector or a stack of rows, divided by its row sums, read-only.
 
     The one probability rule: every entry finite and non-negative and every
     sum within ``atol`` of 1, else ``ValueError``. Each test passes only for
-    accepted numbers, so NaN and ``±inf`` fail it.
+    accepted numbers, so NaN and ``±inf`` fail it. The quotient is a fresh
+    array, so no other reference can write it; with ``in_place`` it is
+    written over ``values`` instead, which the caller then no longer writes.
+    Either way it has the same bits.
     """
     # the reductions behind values.min() and values.sum(axis=-1), without their wrappers
     low = np.minimum.reduce(values, axis=None)
@@ -83,7 +86,7 @@ def probability_rows(values: np.ndarray, atol: float) -> np.ndarray:
         bad = ~(deviation <= atol)
         where = f"rows {np.flatnonzero(bad).tolist()}" if sums.ndim else "entries"
         raise ValueError(f"{where} sum to {sums[bad]}, not 1")
-    quotient = values / sums[..., None]  # a fresh quotient, so no other reference can write it
+    quotient = np.divide(values, sums[..., None], out=values if in_place else None)
     quotient.setflags(write=False)
     return quotient
 
@@ -156,27 +159,39 @@ class StochasticKernel:
     def bandwidth(self) -> int:
         """Largest ``|x − y|`` with ``K(x, y) != 0``: 1 for a birth-death kernel.
 
-        Computed on first access and kept, as the entries are read-only. A
-        kernel whose nonzeros all lie on its three middle diagonals, as a
-        birth-death kernel's do, is settled by counting them. Otherwise row
-        ``i`` reaches from its first nonzero column to its last, so it
-        contributes the larger of ``i − first`` and ``last − i``, and a row
-        of zeros contributes nothing.
+        Computed on first access, by :func:`_bandwidths` as a stack of one,
+        and kept, as the entries are read-only.
         """
-        entries = self.entries
-        lower, upper = np.count_nonzero(entries.diagonal(-1)), np.count_nonzero(entries.diagonal(1))
-        if lower + upper + np.count_nonzero(entries.diagonal()) == np.count_nonzero(entries):
-            return int(lower + upper > 0)
-        support = entries != 0
-        rows = np.arange(self.size)
-        first = support.argmax(axis=1)  # 0 for a row of zeros, which the mask below drops
-        last = (self.size - 1) - support[:, ::-1].argmax(axis=1)
-        reach = np.maximum(rows - first, last - rows)
-        return int(reach.max(where=support[rows, first], initial=0))
+        return int(_bandwidths(self.entries[None])[0])
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StochasticKernel":
         return cls(space, np.eye(space.size))
+
+    @classmethod
+    def stack(cls, space: StateSpace, values: np.ndarray) -> tuple["StochasticKernel", ...]:
+        """One kernel for each slice of the ``(m, N, N)`` array ``values``.
+
+        The whole stack obeys the probability rule in one
+        :func:`probability_rows` call, which divides ``values`` in place, so
+        the set is held once: each kernel's entries are a read-only view of
+        its slice, with the bits the constructor gives that slice alone.
+        Every :attr:`bandwidth` is found in one pass over the stack.
+        ``values`` is the caller's to give up, not to write again.
+        """
+        if values.dtype != np.float64 or values.ndim != 3 \
+                or values.shape[1:] != (space.size, space.size):
+            raise ValueError(f"a {values.dtype} stack of shape {values.shape} does not match "
+                             f"space size {space.size}")
+        probability_rows(values, ROW_SUM_ATOL, in_place=True)
+        kernels = []
+        for entries, band in zip(values, _bandwidths(values).tolist()):
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "space", space)
+            object.__setattr__(obj, "entries", entries)
+            obj.__dict__["bandwidth"] = band  # where cached_property keeps it
+            kernels.append(obj)
+        return tuple(kernels)
 
     @classmethod
     def _unchecked(cls, space: StateSpace, matrix: np.ndarray) -> "StochasticKernel":
@@ -188,6 +203,30 @@ class StochasticKernel:
         entries.setflags(write=False)
         object.__setattr__(obj, "entries", entries)
         return obj
+
+
+def _bandwidths(stack: np.ndarray) -> np.ndarray:
+    """:attr:`StochasticKernel.bandwidth` of each slice of an ``(m, N, N)`` stack.
+
+    A slice whose nonzeros all lie on its three middle diagonals, as a
+    birth-death kernel's do, is settled by counting them, for the whole
+    stack at once. Otherwise row ``i`` reaches from its first nonzero
+    column to its last, so it contributes the larger of ``i − first`` and
+    ``last − i``, and a row of zeros contributes nothing.
+    """
+    lower, middle, upper = (np.add.reduce(np.diagonal(stack, d, 1, 2) != 0, axis=1)
+                            for d in (-1, 0, 1))
+    bands = (lower + upper > 0).astype(int)
+    total = [np.count_nonzero(entries) for entries in stack]  # no (m, N, N) mask
+    wide = np.flatnonzero(lower + upper + middle != total)
+    rows = np.arange(stack.shape[-1])
+    for s in wide.tolist():
+        support = stack[s] != 0
+        first = support.argmax(axis=1)  # 0 for a row of zeros, which the mask below drops
+        last = (rows.size - 1) - support[:, ::-1].argmax(axis=1)
+        reach = np.maximum(rows - first, last - rows)
+        bands[s] = reach.max(where=support[rows, first], initial=0)
+    return bands
 
 
 def _require_same_space(*objs) -> StateSpace:
@@ -697,10 +736,10 @@ def numbers(values, name: str, ndim: int, integer: bool = False) -> np.ndarray:
     """``values``, a number (``ndim`` 0) or lists of numbers read from input, as a float array.
 
     The one rule for numbers in input files and scenario configs. A JSON
-    object, a string that is not a number, ragged lists or another ``ndim``
-    raise ``ValueError`` naming the field, ``name``; so does, with
-    ``integer``, an entry that is not a whole number, and the array then
-    holds integers.
+    object, a string that is not a number, a boolean (which numpy would
+    read as 0 or 1), ragged lists or another ``ndim`` raise ``ValueError``
+    naming the field, ``name``; so does, with ``integer``, an entry that is
+    not a whole number, and the array then holds integers.
     """
     try:
         array = np.asarray(values, dtype=float)
@@ -709,6 +748,8 @@ def numbers(values, name: str, ndim: int, integer: bool = False) -> np.ndarray:
     if array.ndim != ndim:
         raise ValueError(f"{name} must be {('a number', 'a list', 'a list of lists')[ndim]}, "
                          f"got {reprlib.repr(values)}")
+    if _holds_bool(values, ndim):
+        raise ValueError(f"not a number in {name}: a boolean")
     if not integer:
         return array
     whole = (np.abs(array) < 2.0 ** 63) & (array == np.trunc(array))  # fits an int64; NaN fails
@@ -717,11 +758,26 @@ def numbers(values, name: str, ndim: int, integer: bool = False) -> np.ndarray:
     return array.astype(int)
 
 
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether ``values``, ``ndim`` levels of lists (or an array), holds a boolean.
+
+    The element types of each innermost list are collected by
+    ``set(map(type, ...))``, which runs in C, so no element is tested by a
+    Python loop.
+    """
+    if isinstance(values, np.ndarray):
+        return values.dtype == bool
+    if ndim == 0:
+        return isinstance(values, bool)
+    rows = [values] if ndim == 1 else values
+    return any(bool in set(map(type, row)) for row in rows)
+
+
 def number(value, name: str, integer: bool = False) -> float | int:
     """One finite number by the rule of :func:`numbers`: a Python ``float``, or ``int``
     with ``integer``."""
-    if integer and isinstance(value, int):  # as given: a seed may exceed 2**53
-        return value
+    if integer and isinstance(value, int) and not isinstance(value, bool):
+        return value  # as given: a seed may exceed 2**53
     x = numbers(value, name, 0, integer).item()
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {x!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,6 +52,8 @@ _PASSAGE_STRIDE = 16    # first_passage renormalizes and evaluates its metric ev
 _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
 _DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
 _BATCH_BYTES = 1 << 20  # kernels plus stacks of one first_passages batch
+_PASSAGE_BLOCK = 4      # most strides whose kernel positions and factors first_passages forms at once
+_BLOCK_BYTES = 1 << 18  # most bytes of the pairs formed for one block of strides
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -193,23 +196,29 @@ def first_passages(seqs, epsilon: float, metric: str,
     by a pair of kernels at a time, and the others as another, advanced a
     kernel at a time; each stack is renormalized once per stride, so the
     per-step call overhead is paid once for the stack rather than once per
-    sequence. The steps write into two buffers allocated once per stack,
-    never into the last checkpoint. A batch takes
+    sequence. A stack draws its kernel positions, and forms the pairs it
+    steps by, once per block of strides (:func:`_block_strides`), not once
+    per stride; a block ends early at a checkpoint where a sequence leaves.
+    A relative-sup checkpoint measures the whole stack in one pass
+    (:func:`_relsup_stack`). The steps write into two buffers allocated
+    once per stack, never into the last checkpoint. A batch takes
     sequences while their kernels and stacks (:func:`_passage_bytes` each)
     fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
     stacked step, and of its renormalization, has the bits of the same step
-    walked alone, and each sequence is screened, measured and walked again
-    exactly as :func:`first_passage` does it (the identity at time 0 is
-    measured once per batch), so each result equals its
-    :func:`first_passage` bit for bit. A sequence leaves the stack when it
-    finishes. ``seqs`` is read lazily, and a batch is walked and dropped as
-    soon as not even a one-kernel sequence of its state count would fit, so
-    a sequence waits outside a stack only when it has another state count
-    or band, or the stack had room for a one-kernel sequence but not for
-    it. When walks fail, the error raised is the one of the first failing
-    sequence, the one a loop over :func:`first_passage` raises; when
-    reading ``seqs`` fails, the batch read so far is walked first. A NaN or
-    negative ``epsilon`` raises ``ValueError`` before anything is walked.
+    walked alone, the one-pass measure has the bits of
+    :func:`relsup_between_rows` on each slice, and each sequence is
+    screened, measured and walked again exactly as :func:`first_passage`
+    does it (the identity at time 0 is measured once per batch), so each
+    result equals its :func:`first_passage` bit for bit. A sequence leaves
+    the stack when it finishes. ``seqs`` is read lazily, and a batch is
+    walked and dropped as soon as not even a one-kernel sequence of its
+    state count would fit, so a sequence waits outside a stack only when
+    it has another state count or band, or the stack had room for a
+    one-kernel sequence but not for it. When walks fail, the error raised
+    is the one of the first failing sequence, the one a loop over
+    :func:`first_passage` raises; when reading ``seqs`` fails, the batch
+    read so far is walked first. A NaN or negative ``epsilon`` raises
+    ``ValueError`` before anything is walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -257,8 +266,11 @@ def _passage_bytes(seq: KernelSequence) -> int:
     is either the concatenated kernels or the product of a pair of kernels
     with its four columns of padding (``N × (N + 4)``). A sequence that
     steps in pairs also adds its kernels' three diagonals, padded to
-    ``N + 2`` each. The row sums of a checkpoint and the diagonals of a
-    stride's pairs, ``O(N)`` numbers a step, are not counted.
+    ``N + 2`` each. Not counted: the pairs formed for a block of strides,
+    which :func:`_block_strides` keeps within ``_BLOCK_BYTES`` for the
+    whole stack, and the ``O(N)`` numbers a kernel or a step that the
+    drift screen, a block's kernel positions, a checkpoint's row sums and
+    the relative-sup column extremes take.
     """
     n, m = seq.space.size, len(seq.kernels)
     diagonals = 3 * (n + 2) * m if _tridiagonal(seq) else 0
@@ -294,14 +306,21 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
     the band of its factors, alternating between two buffers that are
     never the checkpoint, and at each checkpoint divides every row by its
-    sum in one pass. There a slice's TV is first bounded from below by the
-    L1 distances of row 0 to every other row, one ``O(N²)`` pass: a
-    non-final checkpoint whose bound already lies above the band needs no
-    full scan. Any value that is reported, or compared with ``epsilon`` to
-    decide a hit, is the full :func:`~mclab.chain_core.tv_between_rows`.
-    A slice whose
-    stride used a kernel failing the drift screen, or whose relative-sup
-    checkpoint holds an entry below ``_PASSAGE_TINY``, is finished by
+    sum in one pass. The kernel positions, the drift screen of each
+    stride and the factors are formed once per block of strides
+    (:func:`_block_strides`), for every live slice, by the factor
+    generators, which take kernel positions of any length; a block ends
+    early when a slice leaves, and the next one starts at that checkpoint
+    for the slices left. At a relative-sup checkpoint,
+    :func:`_relsup_stack` measures every slice in one pass, with the bits
+    of :func:`relsup_between_rows`. At a TV checkpoint a slice's TV is
+    first bounded from below by the L1 distances of row 0 to every other
+    row, one ``O(N²)`` pass: a non-final checkpoint whose bound already
+    lies above the band needs no full scan. Any TV value that is reported,
+    or compared with ``epsilon`` to decide a hit, is the full
+    :func:`~mclab.chain_core.tv_between_rows`. A slice whose stride used a
+    kernel failing the drift screen, or whose relative-sup checkpoint
+    holds an entry below ``_PASSAGE_TINY``, is finished by
     :func:`_stepwise`; a checkpoint inside the band is walked again by
     :func:`_replay`.
     """
@@ -319,9 +338,10 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     if value <= epsilon or n_max <= 0:
         return [result(0 if value <= epsilon else None, eye, value)] * len(seqs)
 
+    # the drift screen of every kernel of the batch, a sequence's kernels from offsets[r] on
     limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
-    screened = [np.array([np.abs(np.add.reduce(k.entries, axis=1) - 1.0).max() <= limit
-                          for k in seq.kernels]) for seq in seqs]
+    screened = np.concatenate([_drift_screen(seq, limit) for seq in seqs])
+    offsets = np.cumsum([0] + [len(seq.kernels) for seq in seqs[:-1]])
     results: list = [None] * len(seqs)
     errors: dict[int, ArithmeticError] = {}
     pairs = [_tridiagonal(seq) for seq in seqs]
@@ -339,51 +359,112 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
         stacks = [np.repeat(eye[None], len(live), axis=0)]
         stacks += [np.empty_like(stacks[0]) for _ in range(2)]
         start = 0
-        while live:
-            width = len(live)
-            stop = min(start + _PASSAGE_STRIDE, n_max)
-            checkpoint = p = stacks[0][:width]
-            steps = (stacks[1][:width], stacks[2][:width])
-            indices = [seqs[r].indices(start + 1, stop + 1) for r in live]
-            for j, factor in enumerate(factors(live, indices)):
-                p = multiply(p, factor, out=steps[j % 2])
-            np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
-            band = epsilon + 2.0 * _passage_bound(stop, n) * scale
-            stepwise = ruled_out = np.zeros(width, dtype=bool)
-            if metric == "relsup":
-                stepwise = ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
-            elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
-                pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
-                ruled_out = np.minimum(pivot, 1.0) > band
-            keep = []
-            for s, r in enumerate(live):
-                step = None
-                try:
-                    if stepwise[s] or not screened[r][indices[s]].all():
-                        step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
-                    elif not ruled_out[s]:
-                        value = measure(p[s])
-                        step = (stop, p[s], value) if value > band else \
-                            _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale,
-                                    n_max)
-                except ArithmeticError as exc:
-                    errors[r] = exc
-                    continue
-                if step is not None and (step[2] <= epsilon or step[0] == n_max):
-                    i, matrix, value = step
-                    results[r] = result(i if value <= epsilon else None, matrix, value)
-                elif r < min(errors, default=len(seqs)):
-                    keep.append(s)
-            # the buffer holding p becomes the next checkpoint; the old one takes steps
-            last = 1 + j % 2
-            stacks[0], stacks[last] = stacks[last], stacks[0]
-            if len(keep) < width:
-                stacks[0][:len(keep)] = p[keep]
-                live = [live[s] for s in keep]
-            start = stop
+        while live:  # a block of strides
+            width, first = len(live), start
+            end = min(start + _block_strides(width, n, paired) * _PASSAGE_STRIDE, n_max)
+            indices = [seqs[r].indices(start + 1, end + 1) for r in live]
+            passed = screened[np.add(indices, offsets[live][:, None])]
+            steps = iter(factors(live, indices))
+            while start < end:  # a stride
+                stop = min(start + _PASSAGE_STRIDE, n_max)
+                checkpoint = p = stacks[0][:width]
+                buffers = (stacks[1][:width], stacks[2][:width])
+                count = (stop - start + 1) // 2 if paired else stop - start
+                for j, factor in enumerate(islice(steps, count)):
+                    p = multiply(p, factor, out=buffers[j % 2])
+                np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
+                band = epsilon + 2.0 * _passage_bound(stop, n) * scale
+                stepwise = ~passed[:, start - first:stop - first].all(axis=1)
+                if metric == "relsup":
+                    values, tiny = _relsup_stack(p)
+                    stepwise |= tiny
+                    walks_on = values > band
+                    values = values.tolist()
+                elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
+                    pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
+                    walks_on = np.minimum(pivot, 1.0) > band
+                if stop == n_max:  # every slice finishes here
+                    walks_on = np.zeros(width, dtype=bool)
+                leaving = []
+                for s in np.flatnonzero(stepwise | ~walks_on).tolist():
+                    r = live[s]
+                    try:
+                        if stepwise[s]:
+                            step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
+                        else:
+                            value = values[s] if metric == "relsup" else measure(p[s])
+                            step = (stop, p[s], value) if value > band else \
+                                _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale,
+                                        n_max)
+                    except ArithmeticError as exc:
+                        errors[r] = exc
+                        leaving.append(s)
+                        continue
+                    if step[2] <= epsilon or step[0] == n_max:
+                        i, matrix, value = step
+                        results[r] = result(i if value <= epsilon else None, matrix, value)
+                        leaving.append(s)
+                # the buffer holding p becomes the next checkpoint; the old one takes steps
+                last = 1 + j % 2
+                stacks[0], stacks[last] = stacks[last], stacks[0]
+                start = stop
+                bound = min(errors, default=len(seqs))
+                keep = [s for s in range(width) if s not in leaving and live[s] < bound]
+                if len(keep) < width:
+                    stacks[0][:len(keep)] = p[keep]
+                    live = [live[s] for s in keep]
+                    break
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
+    """Whether each kernel's row sums lie within ``limit`` of 1 (see :func:`first_passage`)."""
+    sums = np.array([np.add.reduce(k.entries, axis=1) for k in seq.kernels])
+    return np.abs(sums - 1.0).max(axis=1) <= limit
+
+
+def _block_strides(width: int, n: int, paired: bool) -> int:
+    """Strides in a block of a stack of ``width`` slices of ``n`` states.
+
+    ``_PASSAGE_BLOCK``, or, in a stack stepping pairs, fewer, so that the
+    arrays :func:`_pair_factors` forms for a block's pairs, 12 numbers per
+    pair, slice and padded row position (the two kernels' gathered
+    diagonals, the five formed and one temporary), fit in
+    ``_BLOCK_BYTES``; at least one. A stack stepping a kernel at a time
+    forms nothing ahead: its kernels are joined step by step.
+    """
+    if not paired:
+        return _PASSAGE_BLOCK
+    stride = 8 * 12 * (_PASSAGE_STRIDE // 2) * width * (n + 2)
+    return max(1, min(_PASSAGE_BLOCK, _BLOCK_BYTES // stride))
+
+
+def _relsup_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`relsup_between_rows` of each slice of an ``(R, N, N)`` stack, in one pass.
+
+    Returns the values and whether each slice holds a positive entry below
+    ``_PASSAGE_TINY``. Every column's max and min are taken over the whole
+    stack at once; as max and min are exact, and a quotient and the final
+    subtraction are rounded as in :func:`relsup_between_rows`, each value
+    has its bits. An all-zero column counts as a quotient of 1, below every
+    other (``max ≥ min > 0`` gives a quotient of at least 1), so it adds
+    nothing and a stack of such columns reads 0; a column with zero and
+    positive entries divides by zero and reads ``+inf``. When no column of
+    the stack holds a zero, every entry is at least its column's minimum,
+    so the minima alone tell whether a positive entry lies below
+    ``_PASSAGE_TINY``; otherwise every entry is compared.
+    """
+    hi = np.maximum.reduce(p, axis=1)
+    lo = np.minimum.reduce(p, axis=1)
+    ratio = np.ones_like(hi)
+    with np.errstate(divide="ignore"):
+        np.divide(hi, lo, out=ratio, where=hi > 0)
+    values = np.maximum.reduce(ratio, axis=1) - 1.0
+    if np.minimum.reduce(lo, axis=None) > 0:
+        return values, np.minimum.reduce(lo, axis=1) < _PASSAGE_TINY
+    return values, ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
 
 
 def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
@@ -447,8 +528,10 @@ def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
             rows = np.concatenate((rows, np.full((width, 1), count)), axis=1)
         # (3, 2, h, R, N + 2): the first kernel of each of h pairs, then the second
         pair = np.take(table, rows.reshape(width, -1, 2).transpose(2, 1, 0), axis=1)
+        formed = _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3)
+        del pair  # while the steps are taken, only the pairs' diagonals are held
         target, factor = band[:width], product[:width]
-        for diagonals in _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3):
+        for diagonals in formed:
             np.copyto(target, diagonals)
             yield factor
     return factors
@@ -473,8 +556,10 @@ def _pair_diagonals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner = d[:, 1:-1]  # every padded position but the flat array's ends
     np.multiply(a[0, 1:-1], b[:, :-2], out=inner[:3])
     inner[3:] = 0.0
-    np.add(inner[1:4], a[1, 1:-1] * b[:, 1:-1], out=inner[1:4])
-    np.add(inner[2:], a[2, 1:-1] * b[:, 2:], out=inner[2:])
+    for c in range(3):  # a diagonal at a time, so that a temporary holds one
+        np.add(inner[1 + c], a[1, 1:-1] * b[c, 1:-1], out=inner[1 + c])
+    for c in range(3):
+        np.add(inner[2 + c], a[2, 1:-1] * b[c, 2:], out=inner[2 + c])
     return d.reshape((5,) + shape + (n + 2,))[..., 1:n + 1]
 
 

@@ -41,8 +41,8 @@ from .merging import first_passage, first_passages  # first_passage stays import
 from .rng import fold_path, substream
 from .singular import singular_value_bounds
 from .spectral import comparison_check
-from .zoo import WeightedGraph, constant_rate_bd, general_bd, graph_kernel, lazy_stick, \
-    perturbed_stick_pair, random_weights
+from .zoo import WeightedGraph, constant_rate_bd, constant_rate_bd_set, general_bd, graph_kernel, \
+    lazy_stick, perturbed_stick_pair, random_weights
 
 MAX_INLINE_STATES = 64
 
@@ -150,6 +150,14 @@ def _seed_from(rng) -> int:
 
 
 def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
+    """An i.i.d. sequence over ``set_size`` constant-rate birth-death kernels on ``{0, ..., N}``.
+
+    Each kernel draws its drift ratio ``p/q`` log-uniformly from
+    ``[ratio_min, ratio_max]`` and its holding ``r`` uniformly from
+    ``[0, hold_max]``, with ``q = (1 − r)/(1 + ratio)``. The kernels are
+    built as one stack by :func:`~mclab.zoo.constant_rate_bd_set`, with the
+    bits of a loop of :func:`~mclab.zoo.constant_rate_bd`.
+    """
     n = _number(point, "N", integer=True)
     lo = _number(params, "ratio_min", 1.2)
     hi = _number(params, "ratio_max", 2.0)
@@ -159,12 +167,14 @@ def _gen_bd_ratio_set(params: dict, point: dict, rng) -> tuple[KernelSequence, d
     # scalar draws takes them: rng.uniform applies each element's bounds alone
     draws = rng.uniform(np.array([math.log(lo), 0.0]), np.array([math.log(hi), hold_max]),
                         size=(size, 2))
-    kernels = []
+    ps, qs, rs = [], [], []
     for log_ratio, r in draws.tolist():
         ratio = math.exp(log_ratio)
         q = (1.0 - r) / (1.0 + ratio)
-        kernels.append(constant_rate_bd(n, ratio * q, q, r))
-    return KernelSequence.iid(kernels, seed=_seed_from(rng)), {}
+        ps.append(ratio * q)
+        qs.append(q)
+        rs.append(r)
+    return KernelSequence.iid(constant_rate_bd_set(n, ps, qs, rs), seed=_seed_from(rng)), {}
 
 
 def _gen_mirrored_bd_pair(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:

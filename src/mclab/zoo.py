@@ -40,6 +40,23 @@ def _check_rate_triple(p: float, q: float, r: float) -> None:
         raise ValueError(f"rates must be a probability triple, got p={p} q={q} r={r}") from exc
 
 
+def _check_rate_triples(p, q, r) -> np.ndarray:
+    """The triples ``(p[i], q[i], r[i])`` as an ``(m, 3)`` array, checked in one call.
+
+    A bad triple raises the ``ValueError`` :func:`_check_rate_triple` gives
+    the first of them: the sums of a row of three reduce in the same order
+    in the stack as alone.
+    """
+    try:
+        rates = np.array([p, q, r], dtype=float).T.copy()
+        probability_rows(rates, VALUE_ATOL)
+    except ValueError:
+        for triple in zip(p, q, r):
+            _check_rate_triple(*triple)
+        raise
+    return rates
+
+
 def _check_detailed_balance(kernel: StochasticKernel, pi: ProbMeasure, what: str) -> None:
     flow = pi.weights[:, None] * kernel.entries
     if np.abs(flow - flow.T).max() > VALUE_ATOL:
@@ -56,22 +73,25 @@ def _segment_space(size: int) -> StateSpace:
     return StateSpace(size)
 
 
-def _tridiagonal(up, down, hold) -> StochasticKernel:
-    """Birth-death kernel on ``{0, ..., N}`` with ``N = len(hold) - 1``.
+def _tridiagonal(up, down, hold) -> tuple[StochasticKernel, ...]:
+    """Birth-death kernels on ``{0, ..., N}``, one for each row of ``hold``, ``(m, N + 1)``.
 
-    ``x -> x+1`` with ``up[x]`` for ``x < N``, ``x -> x-1`` with
-    ``down[x - 1]`` for ``x >= 1``, holding ``hold[x]``; ``up`` and ``down``
-    hold ``N`` values each, or one value for every site. Each diagonal is
-    one strided assignment into the flattened matrix, whose row stride is
-    ``N + 1``.
+    In kernel ``j``, ``x -> x+1`` with ``up[j, x]`` for ``x < N``,
+    ``x -> x-1`` with ``down[j, x - 1]`` for ``x >= 1``, holding
+    ``hold[j, x]``; ``up`` and ``down`` hold ``N`` values a kernel, or one
+    value for every site (shape ``(m, 1)``). The kernels are one
+    ``(m, N + 1, N + 1)`` stack (:meth:`StochasticKernel.stack`): each
+    diagonal is one strided assignment into the flattened slices, whose
+    row stride is ``N + 1``.
     """
-    n = len(hold) - 1
-    k = np.zeros((n + 1, n + 1))
-    flat = k.reshape(-1)
-    flat[::n + 2] = hold
-    flat[1::n + 2] = up
-    flat[n + 1::n + 2] = down
-    return StochasticKernel(_segment_space(n + 1), k)
+    hold = np.asarray(hold, dtype=float)
+    m, n = hold.shape[0], hold.shape[1] - 1
+    k = np.zeros((m, n + 1, n + 1))
+    flat = k.reshape(m, -1)
+    flat[:, ::n + 2] = hold
+    flat[:, 1::n + 2] = up
+    flat[:, n + 1::n + 2] = down
+    return StochasticKernel.stack(_segment_space(n + 1), k)
 
 
 def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
@@ -79,14 +99,29 @@ def constant_rate_bd(N: int, p: float, q: float, r: float) -> StochasticKernel:
 
     Interior states move up with ``p``, down with ``q`` and hold with ``r``;
     at the two ends the blocked move is reflected into holding, so
-    ``K(0,0) = q + r`` and ``K(N,N) = p + r``.
+    ``K(0,0) = q + r`` and ``K(N,N) = p + r``. This is
+    :func:`constant_rate_bd_set` of one triple.
+    """
+    return constant_rate_bd_set(N, [p], [q], [r])[0]
+
+
+def constant_rate_bd_set(N: int, p, q, r) -> tuple[StochasticKernel, ...]:
+    """:func:`constant_rate_bd` for each triple ``(p[i], q[i], r[i])``, with its bits.
+
+    The triples are checked in one call and the kernels built as one
+    ``(m, N + 1, N + 1)`` stack, which they share, so the set is held once
+    (1.08 MB for 32 kernels at 65 states). A bad triple raises the error
+    :func:`constant_rate_bd` raises for the first of them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _check_rate_triple(p, q, r)
-    hold = np.full(N + 1, r)
-    hold[0], hold[N] = r + q, r + p
-    return _tridiagonal(p, q, hold)
+    if not len(p):
+        raise ValueError("kernel set must be non-empty")
+    rates = _check_rate_triples(p, q, r)
+    hold = np.repeat(rates[:, 2:], N + 1, axis=1)
+    hold[:, 0] = rates[:, 2] + rates[:, 1]
+    hold[:, N] = rates[:, 2] + rates[:, 0]
+    return _tridiagonal(rates[:, :1], rates[:, 1:2], hold)
 
 
 @dataclass(frozen=True)
@@ -128,7 +163,7 @@ def general_bd(N: int, up, down) -> BirthDeathSpec:
         raise ValueError("per-site rates must form probability triples")
     if up[:N].min() <= 0 or down[1:].min() <= 0:
         raise ValueError("interior up and down rates must be positive (irreducible chain)")
-    kernel = _tridiagonal(up[:N], down[1:], hold)
+    (kernel,) = _tridiagonal(up[None, :N], down[None, 1:], hold[None])
 
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:N]) - np.log(down[1:]))))
     log_pi -= log_pi.max()
@@ -170,7 +205,8 @@ def perturbed_stick_pair(N: int, p: float, q: float, r: float,
         # even sites move up with up_even, odd sites with down_even; the top leaves with 1 - eta
         up = [up_even, down_even] * ((N + 1) // 2)
         down = [down_even, up_even] * ((N - 1) // 2) + [down_even, 1.0 - eta]
-        return _tridiagonal(up[:N], down[1:], [down_even + r] + [r] * (N - 1) + [eta])
+        (kernel,) = _tridiagonal([up[:N]], [down[1:]], [[down_even + r] + [r] * (N - 1) + [eta]])
+        return kernel
 
     q1 = build(p, q, eta1)
     q2 = build(q, p, eta2)

@@ -294,3 +294,56 @@ def test_rejected_value_gets_the_subcommand_usage(tmp_path, capsys, argv, messag
     assert err.startswith(f"usage: mclab {argv[0]} ")
     assert f"error: {message}" in err
     assert not any(tmp_path.glob("out*"))
+
+
+# a JSON true or false is not a number: numpy would read it as 1 or 0, and a
+# whole-number rule would take True for the integer 1
+BOOL_FILES = {
+    "matrix": dict(SEQUENCE, kernels=[dict(KERNEL, matrix=[[0.5, 0.5], [True, 0.0]])]),
+    "diagonals": dict(SEQUENCE, kernels=[{"space": {"labels": ["0", "1", "2"]}, "band": 0,
+                                          "diagonals": [[1.0, True, 1.0]]}]),
+    "word": dict(SEQUENCE, word=[False]),
+    "probs": {"kind": "iid", "kernels": [KERNEL], "probs": [True]},
+    "seed": {"kind": "iid", "kernels": [KERNEL], "seed": True},
+    "weights": {"space": KERNEL["space"], "weights": [True, False]},
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zoo", "emit", "lazy_stick", "-P", "N=true"], "not a number in -P N: a boolean"),
+    (["zoo", "emit", "constant_rate_bd", "-P", "N=4", "-P", "p=0.3", "-P", "q=0.3",
+      "-P", "r=false"], "not a number in -P r: a boolean"),
+    (["merge", "--sequence", "{matrix}"], "not a number in matrix: a boolean"),
+    (["merge", "--sequence", "{diagonals}"], "not a number in diagonal 0: a boolean"),
+    (["merge", "--sequence", "{word}"], "not a number in word: a boolean"),
+    (["merge", "--sequence", "{probs}"], "not a number in probs: a boolean"),
+    (["merge", "--sequence", "{seed}"], "not a number in seed: a boolean"),
+    (["bound", "--sequence", "{pair}", "--mu0", "{weights}"], "not a number in weights: a boolean"),
+])
+def test_a_boolean_is_not_a_number(tmp_path, capsys, argv, message):
+    paths = {name: tmp_path / f"{name}.json" for name in ("pair", *BOOL_FILES)}
+    for name, obj in BOOL_FILES.items():
+        paths[name].write_text(json.dumps(obj))
+    assert cli_main(["zoo", "emit", "perturbed_stick_pair", "-P", "N=5", "-P", "p=0.6",
+                     "-P", "q=0.4", "--out", str(paths["pair"])]) == 0
+    out = tmp_path / "out"
+    err = run_failing([a.format(**paths) for a in argv] + ["--out", str(out)], capsys)
+    command = " ".join(argv[:2]) if argv[0] == "zoo" else argv[0]
+    assert err.startswith(f"usage: mclab {command} ")
+    assert f"error: {message}" in err
+    assert not any(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("grid, params, message", [
+    ({"N": [True]}, {}, "not a number in 'N': a boolean"),
+    ({"N": [4]}, {"set_size": True}, "not a number in 'set_size': a boolean"),
+    ({"N": [4]}, {"hold_max": False}, "not a number in 'hold_max': a boolean"),
+])
+def test_a_boolean_scenario_value_is_not_a_number(tmp_path, capsys, grid, params, message):
+    config = dict(SCENARIO, generator={"family": "bd_ratio_set", "params": params}, grid=grid)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    err = run_failing(["run", str(path), "--out", str(tmp_path / "results")], capsys)
+    assert err.startswith("usage: mclab run ")
+    assert f"error: {message}" in err
+    assert not (tmp_path / "results").exists()

@@ -352,7 +352,13 @@ def test_a_threshold_near_1e9_walks_no_stride_again_before_the_crossing(monkeypa
         calls.append(1)
         return relsup_between_rows(matrix)
 
+    def counted_stack(stack):  # a checkpoint measures its whole stack, here of one, in one call
+        calls.append(1)
+        return relsup_stack(stack)
+
+    relsup_stack = merging._relsup_stack
     monkeypatch.setattr(merging, "relsup_between_rows", counted)
+    monkeypatch.setattr(merging, "_relsup_stack", counted_stack)
     got = first_passage(seq, epsilon, "relsup", n_max)
     assert_within_passage_bound(got, expected, 9, 390)
     # time 0, 25 checkpoints and the hit's stride up to the hit; a computed
