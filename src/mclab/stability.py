@@ -10,6 +10,7 @@ sampling can only under-estimate it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .chain_core import (
     VALUE_ATOL,
     KernelSequence,
     ProbMeasure,
+    ReducibleKernelError,
     StochasticKernel,
     _require_same_space,
     classify_structure,
@@ -102,44 +104,57 @@ def envelope_summary_csv(reports, path) -> None:
     write_csv(path, ["depth", "c_estimate"], ((r.depth, float(r.c_estimate)) for r in reports))
 
 
+def _word_blocks(mats, item: np.ndarray, depth: int, step: int):
+    """``(length, first, block)`` for the words ``|w| <= depth``, depth first.
+
+    ``item`` is the empty word's: the row ``mu_0`` for rows ``mu_w``, the
+    identity for products ``P_w``. A block holds the items of at most
+    ``step`` consecutive words of one length, or a whole deepest chunk,
+    the first at lexicographic index ``first``. One matmul against the
+    kernels side by side makes its children, walked before its next
+    sibling block. A step of 1 is lexicographic preorder.
+    """
+    wide = np.concatenate(mats, axis=1)
+    stack = [(item[None], 0, 0)]  # words not yet given out: items, length, first index
+    while stack:
+        block, length, first = stack.pop()
+        if length < depth and len(block) > step:
+            stack.append((block[step:], length, first + step))
+            block = block[:step]
+        yield length, first, block
+        if length < depth:
+            children = (block @ wide).reshape(*block.shape[:-1], len(mats), -1).swapaxes(1, -2)
+            stack.append((children.reshape(-1, *item.shape), length + 1, first * len(mats)))
+
+
+def _word(length: int, index: int, letters: int) -> tuple[int, ...]:
+    return tuple(index // letters ** (length - 1 - i) % letters for i in range(length))
+
+
 def _walk_envelope(mats, mu0: np.ndarray, log_pi: np.ndarray,
                    depth: int) -> tuple[float, tuple[int, ...]]:
     """Max of ``max_x |log(mu_w(x)/pi(x))|`` over all words ``|w| <= depth``.
 
-    Exact depth-first walk over level chunks: the rows ``mu_w`` of
-    consecutive words of one length in lexicographic order, at most
-    ``_CHUNK_ROWS`` entries or one word's children. One matmul against the
-    kernels side by side expands ``step`` rows of a chunk into a child
-    chunk, walked before the next is made and scored in one flat pass. The
-    witness is the first maximizer in (length, lexicographic) order, at any
-    chunk size. Zero measure entries produce an infinite envelope.
+    Exact: scores in one flat pass each block of rows ``mu_w`` from
+    :func:`_word_blocks`, whose chunks hold at most ``_CHUNK_ROWS`` entries
+    or one word's children. The witness is the first maximizer in (length,
+    lexicographic) order, at any chunk size; a zero ``mu_w(x)`` gives inf.
     """
     q, size = len(mats), mu0.shape[0]
-    wide = np.concatenate(mats, axis=1)
     step = max(1, _CHUNK_ROWS // (size * q))
     flat = np.empty(step * q * size)
     log_pi_flat = np.tile(log_pi, step * q)
-    best, best_key = -np.inf, (0, 0)           # witness (length, lexicographic index)
-    stack = [[mu0.reshape(1, size), 0, 0, 0]]  # chunk, length, first index, next row
-    while stack:
-        rows, length, first, offset = frame = stack[-1]
-        if offset == 0:
+    best, best_key = -np.inf, (0, 0)  # witness (length, lexicographic index)
+    with np.errstate(divide="ignore"):
+        for length, first, rows in _word_blocks(mats, mu0, depth, step):
             scores = flat[:rows.size]
-            with np.errstate(divide="ignore"):
-                np.log(rows.reshape(-1), out=scores)
+            np.log(rows.reshape(-1), out=scores)
             np.abs(np.subtract(scores, log_pi_flat[:rows.size], out=scores), out=scores)
             top = int(scores.argmax())
-            key = (length, first + top // size)
-            if scores[top] > best or (scores[top] == best and key < best_key):
-                best, best_key = float(scores[top]), key
-        if length == depth or offset >= len(rows):
-            stack.pop()
-        else:
-            frame[3] = offset + step
-            children = (rows[offset:offset + step] @ wide).reshape(-1, size)
-            stack.append([children, length + 1, (first + offset) * q, 0])
-    length, index = best_key
-    return best, tuple(index // q ** (length - 1 - i) % q for i in range(length))
+            value, key = float(scores[top]), (length, first + top // size)
+            if value > best or (value == best and key < best_key):
+                best, best_key = value, key
+    return best, _word(*best_key, q)
 
 
 def ratio_envelope(kernels, mu0: ProbMeasure, pi: ProbMeasure, depth: int,
@@ -150,20 +165,16 @@ def ratio_envelope(kernels, mu0: ProbMeasure, pi: ProbMeasure, depth: int,
     ``c_estimate`` is the max over all words of length at most ``depth``
     (the empty word included) and all states of
     ``max(mu_w(x)/pi(x), pi(x)/mu_w(x))``; it never decreases with depth.
-    When ``c_threshold`` is given, ``criterion_pass`` records whether the
-    envelope stayed at or below it.
+    When ``c_threshold`` is given, a number ``>= 1`` (else ``ValueError``),
+    ``criterion_pass`` records whether the envelope stayed at or below it.
     """
+    if c_threshold is not None and not c_threshold >= 1:
+        raise ValueError(f"c_threshold must be a number >= 1, got {c_threshold}")
     mats = _tree_matrices(kernels, depth, budget_nodes, mu0, pi)
     log_best, word = _walk_envelope(mats, mu0.weights, np.log(pi.weights), depth)
     c = float(np.exp(log_best))
-    return StabilityReport(
-        candidate_pi=pi,
-        mu0=mu0,
-        depth=depth,
-        c_estimate=c,
-        witness_word=word,
-        criterion_pass=None if c_threshold is None else bool(c <= c_threshold),
-    )
+    return StabilityReport(candidate_pi=pi, mu0=mu0, depth=depth, c_estimate=c, witness_word=word,
+                           criterion_pass=None if c_threshold is None else bool(c <= c_threshold))
 
 
 @dataclass(frozen=True)
@@ -182,40 +193,35 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
     and aperiodic and its invariant measure must satisfy
     ``pi/c <= pi_w <= c pi`` entrywise. This is a necessary condition for
     ``c``-stability of a merging set, and it is reported as a criterion,
-    not as a proof. Witnesses list the first failing words in lexicographic
-    order, at most ten of them.
+    not as a proof; ``c`` must be a number ``>= 1`` (else ``ValueError``).
+    Witnesses list the first failing words, at most ten, in lexicographic
+    order. The walk is iterative, so Python's recursion limit caps no depth.
     """
+    if not c >= 1:
+        raise ValueError(f"c must be a number >= 1, got {c}")
     mats = _tree_matrices(kernels, depth, budget_nodes, pi)
-    lo = pi.weights / c
-    hi = pi.weights * c
+    lo, hi = pi.weights / c, pi.weights * c
     witnesses: list[CriterionWitness] = []
-    for word, matrix in _preorder_products(mats, (), np.eye(pi.space.size), depth):
-        k = StochasticKernel(pi.space, matrix)
-        structure = classify_structure(k)
-        if not (structure.irreducible and structure.aperiodic):
-            reason = "reducible" if not structure.irreducible else "periodic"
-            witnesses.append(CriterionWitness(word, reason,
-                                              f"recurrent classes {structure.recurrent_classes}"))
-        else:
-            pw = stationary_measure(k).weights
-            if (pw < lo - VALUE_ATOL).any() or (pw > hi + VALUE_ATOL).any():
+    blocks = _word_blocks(mats, np.eye(pi.space.size), depth, 1)
+    next(blocks)  # the empty word
+    for length, first, block in blocks:
+        for index, matrix in enumerate(block, first):
+            k = StochasticKernel(pi.space, matrix)
+            structure = classify_structure(k)
+            if not (structure.irreducible and structure.aperiodic):
+                reason = "reducible" if not structure.irreducible else "periodic"
+                detail = f"recurrent classes {structure.recurrent_classes}"
+            else:
+                pw = stationary_measure(k).weights
+                if not ((pw < lo - VALUE_ATOL).any() or (pw > hi + VALUE_ATOL).any()):
+                    continue
                 state = int(np.argmax(np.maximum(lo - pw, pw - hi)))
-                witnesses.append(CriterionWitness(
-                    word, "band",
-                    f"state {state}: pi_w={pw[state]:.6g} outside [{lo[state]:.6g}, {hi[state]:.6g}]"))
-        if len(witnesses) >= _MAX_WITNESSES:
-            break
-    return len(witnesses) == 0, witnesses
-
-
-def _preorder_products(mats, word: tuple[int, ...], matrix: np.ndarray, depth: int):
-    """``(word + w, matrix @ P_w)`` in preorder, for each non-empty ``w`` with
-    ``|word + w| <= depth``."""
-    for j, m in enumerate(mats):
-        child = matrix @ m
-        yield word + (j,), child
-        if len(word) + 1 < depth:
-            yield from _preorder_products(mats, word + (j,), child, depth)
+                reason, detail = "band", (f"state {state}: pi_w={pw[state]:.6g} outside "
+                                          f"[{lo[state]:.6g}, {hi[state]:.6g}]")
+            witnesses.append(CriterionWitness(_word(length, index, len(mats)), reason, detail))
+            if len(witnesses) == _MAX_WITNESSES:
+                return False, witnesses
+    return not witnesses, witnesses
 
 
 def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
@@ -240,14 +246,10 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
     log_pi = np.log(pi.weights)
     size = pi.space.size
 
-    def objective(w: np.ndarray) -> float:
-        value, _ = _walk_envelope(mats, w, log_pi, depth)
-        return value
-
     starts = [pi.weights, np.full(size, 1.0 / size)]
     leaf_measures = []
     for k in kernels:
-        if classify_structure(k).irreducible:
+        with suppress(ReducibleKernelError):  # the kernel has no unique stationary measure
             leaf_measures.append(stationary_measure(k).weights)
     if leaf_measures:
         bary = np.mean(leaf_measures, axis=0)
@@ -260,11 +262,10 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
             "starting measures"))
 
     rng = substream(seed, 0x57A7)
-    best_w = None
-    best_f = np.inf
+    best_w, best_f = None, np.inf
     for start in starts:
         w = start.copy()
-        f = objective(w)
+        f = _walk_envelope(mats, w, log_pi, depth)[0]
         step = 0.25
         for _ in range(_SEARCH_PASSES):
             improved = False
@@ -273,7 +274,7 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
                     trial = w.copy()
                     trial[x] *= factor
                     trial /= trial.sum()
-                    ft = objective(trial)
+                    ft = _walk_envelope(mats, trial, log_pi, depth)[0]
                     if ft < f - 1e-15:
                         w, f = trial, ft
                         improved = True
@@ -284,8 +285,7 @@ def search_stable_measure(kernels, pi: ProbMeasure, depth: int,
                     break
         if best_w is None or f < best_f:
             best_f, best_w = f, w
-    mu0 = ProbMeasure(pi.space, best_w)
-    return mu0, float(np.exp(best_f))
+    return ProbMeasure(pi.space, best_w), float(np.exp(best_f))
 
 
 def two_point_classify(kernels) -> tuple[str, tuple[int, int] | None]:

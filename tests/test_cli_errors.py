@@ -248,6 +248,8 @@ BAD_FILES = {
      "word tree has 2147483647 nodes, budget is 1048576"),
     (["stability", "--kernels", "{pair}", "--depth", "4", "--budget-nodes", "30"],
      "word tree has 31 nodes, budget is 30"),
+    (["stability", "--kernels", "{pair}", "--depth", "4", "--criterion-c", "nan"],
+     "c_threshold must be a number >= 1, got nan"),
     (["spectral", "--graph", "{graph}", "--b", "nan"], "b must be a number >= 1, got nan"),
     (["spectral", "--graph", "{graph}", "--weights", "random:1", "--b", "nan"],
      "b must be a number >= 1, got nan"),

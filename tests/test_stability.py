@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -22,7 +23,8 @@ from mclab import (
     stationary_measure,
     two_point_classify,
 )
-from mclab import stability
+from mclab import chain_core, stability
+from mclab.chain_core import VALUE_ATOL
 from mclab.stability import envelope_summary_csv
 
 from conftest import random_kernel
@@ -42,6 +44,28 @@ def envelope_oracle(kernels, mu0, pi, depth):
             if score > best:
                 best, best_word = score, word
     return math.exp(best), best_word
+
+
+def criterion_oracle(kernels, pi, depth, c):
+    """First ten failing ``(word, reason)`` pairs, each product folded by ``compose``."""
+    words = sorted(word for d in range(1, depth + 1)  # sorted tuples are in preorder
+                   for word in itertools.product(range(len(kernels)), repeat=d))
+    lo, hi = pi.weights / c, pi.weights * c
+    failures = []
+    for word in words:
+        product = functools.reduce(compose, [kernels[j] for j in word])
+        structure = classify_structure(product)
+        if not structure.irreducible:
+            failures.append((word, "reducible"))
+        elif not structure.aperiodic:
+            failures.append((word, "periodic"))
+        else:
+            pw = stationary_measure(product).weights
+            if (pw < lo - VALUE_ATOL).any() or (pw > hi + VALUE_ATOL).any():
+                failures.append((word, "band"))
+        if len(failures) == 10:
+            break
+    return failures
 
 
 def circulant(space, row):
@@ -142,6 +166,29 @@ class TestProductInvariantCriterion:
         envelope = ratio_envelope(pair, uniform, uniform, depth=4)
         assert envelope.c_estimate <= c * c
 
+    def test_stick_pair_witnesses_match_preorder_oracle(self):
+        pair = list(perturbed_stick_pair(11, 0.6, 0.4, 0.0, 0.0, 0.0))
+        uniform = ProbMeasure.uniform(pair[0].space)
+        ok, witnesses = product_invariant_criterion(pair, uniform, depth=12, c=2.0)
+        found = [(w.word, w.reason) for w in witnesses]
+        assert not ok and found == criterion_oracle(pair, uniform, 12, 2.0)
+        assert found[0][0] == (0,) * 11 + (1,)
+        assert len(found) == 10 and {len(word) for word, _ in found} == {9, 10, 11, 12}
+
+    def test_random_set_witnesses_match_preorder_oracle(self, rng):
+        kernels = [random_kernel(rng, 4, zero_prob=0.3) for _ in range(3)]
+        uniform = ProbMeasure.uniform(kernels[0].space)
+        ok, witnesses = product_invariant_criterion(kernels, uniform, depth=5, c=3.0)
+        found = [(w.word, w.reason) for w in witnesses]
+        assert not ok and found == criterion_oracle(kernels, uniform, 5, 3.0)
+        assert len(found) == 10 and len({len(word) for word, _ in found}) > 1
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self, rng):
+        # one kernel: the tree is a path of depth + 1 nodes, well inside the budget
+        k = random_kernel(rng, 4)
+        pi = stationary_measure(k)
+        assert product_invariant_criterion([k], pi, depth=1100, c=1.5) == (True, [])
+
     def test_five_point_composition_is_not_irreducible(self):
         q0, q1 = small_example("five_point")
         rep = classify_structure(compose(q1, q0))
@@ -200,6 +247,25 @@ class TestSearchStableMeasure:
         assert walks == []
         search_stable_measure(list(pair), uniform, depth=11)
         assert walks and set(walks) == {11}
+
+    def test_each_start_kernel_is_classified_once(self, rng, monkeypatch):
+        # the reducible kernel gives no start; the irreducible one gives the barycenter
+        space = StateSpace(3)
+        reducible = StochasticKernel(space, np.eye(3))
+        k = random_kernel(rng, 3)
+        calls = []
+        classify = chain_core.classify_structure
+
+        def spy(kernel):
+            calls.append(kernel)
+            return classify(kernel)
+
+        monkeypatch.setattr(chain_core, "classify_structure", spy)
+        uniform = ProbMeasure.uniform(space)
+        mu0, c = search_stable_measure([k, reducible], uniform, depth=1, seed=0)
+        assert calls == [k, reducible]
+        recheck = ratio_envelope([k, reducible], mu0, uniform, depth=1)
+        assert recheck.c_estimate <= c + 1e-12
 
 
 class TestTwoPointClassify:
@@ -375,6 +441,19 @@ class TestEntryChecks:
         k = random_kernel(rng, 3)
         with pytest.raises(ValueError, match="strictly positive"):
             _entry_calls([k], ProbMeasure.dirac(k.space, 0), 2)[which]()
+
+    @pytest.mark.parametrize("c", [float("nan"), 0.5, -1.0])
+    def test_c_must_be_a_number_at_least_one(self, rng, c):
+        # checked before the budget, which a depth-40 tree over 4 kernels exceeds
+        kernels = [random_kernel(rng, 3) for _ in range(4)]
+        uniform = ProbMeasure.uniform(kernels[0].space)
+        with pytest.raises(ValueError, match="c must be a number >= 1"):
+            product_invariant_criterion(kernels, uniform, 40, c=c)
+        with pytest.raises(ValueError, match="c_threshold must be a number >= 1"):
+            ratio_envelope(kernels, uniform, uniform, 40, c_threshold=c)
+        # 1 itself is a constant: the band is pi alone
+        product_invariant_criterion(kernels[:1], uniform, 2, c=1.0)
+        ratio_envelope(kernels[:1], uniform, uniform, 2, c_threshold=1.0)
 
     @pytest.mark.parametrize("which", range(3))
     def test_value_checks_come_before_the_budget(self, rng, which):
