@@ -62,6 +62,7 @@ from .zoo import (
     constant_rate_bd,
     constant_rate_bd_set,
     general_bd,
+    general_bd_set,
     graph_kernel,
     lazy_stick,
     metropolis_ratio_bound,

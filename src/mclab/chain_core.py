@@ -124,6 +124,28 @@ class ProbMeasure:
         return cls(space, w)
 
     @classmethod
+    def stack(cls, space: StateSpace, values: np.ndarray) -> tuple["ProbMeasure", ...]:
+        """One measure for each row of the ``(m, N)`` array ``values``.
+
+        The rows obey the probability rule in one :func:`probability_rows`
+        call, which divides ``values`` in place: each measure's weights are
+        a read-only view of its row, with the bits the constructor gives
+        that row alone. ``values`` is the caller's to give up, not to write
+        again.
+        """
+        if values.dtype != np.float64 or values.ndim != 2 or values.shape[1] != space.size:
+            raise ValueError(f"a {values.dtype} stack of shape {values.shape} does not match "
+                             f"space size {space.size}")
+        probability_rows(values, ROW_SUM_ATOL, in_place=True)
+        measures = []
+        for weights in values:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "space", space)
+            object.__setattr__(obj, "weights", weights)
+            measures.append(obj)
+        return tuple(measures)
+
+    @classmethod
     def from_weights(cls, space: StateSpace, raw: Iterable[float]) -> "ProbMeasure":
         """Normalize arbitrary non-negative weights into a measure."""
         w = np.asarray(list(raw) if not isinstance(raw, np.ndarray) else raw, dtype=float)
@@ -561,6 +583,15 @@ def stationary_measure(k: StochasticKernel) -> ProbMeasure:
             "the invariant measure is not unique",
             report.recurrent_classes,
         )
+    return _irreducible_stationary_measure(k)
+
+
+def _irreducible_stationary_measure(k: StochasticKernel) -> ProbMeasure:
+    """:func:`stationary_measure` of a kernel whose structure is known to be irreducible.
+
+    For a caller that has classified ``k`` already: the elimination and
+    the residual check, without classifying it again.
+    """
     a = np.array(k.entries, dtype=float)
     n = k.size
     for j in range(n - 1, 0, -1):

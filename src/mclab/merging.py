@@ -6,10 +6,11 @@ Walks over time accumulate that matrix one
 :func:`~mclab.chain_core.renormalized_step` at a time through
 :func:`~mclab.chain_core.walk`, which raises when a step drifts by more
 than ``DRIFT_ATOL``; first passages instead multiply a stack of walks,
-by two consecutive kernels at a time where they are all tridiagonal, and
-renormalize it once per stride, under the rounding bound stated in
-:func:`first_passage`. Every product step, in a walk, a stack or
-:func:`product`, is one :func:`~mclab.chain_core.kernel_matmul`, which
+by two consecutive kernels at a time where they are all tridiagonal,
+renormalize it once per stride and measure it once per window of strides,
+under the rounding bound stated in :func:`first_passage`. Every product
+step, in a walk, a stack or :func:`product`, is one
+:func:`~mclab.chain_core.kernel_matmul`, which
 multiplies by a banded kernel in column blocks. :func:`product` is the
 literal fold the walk is checked against. The worst-pair total
 variation and the Dobrushin coefficient share one kernel,
@@ -103,7 +104,7 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     **Walk.** Between checkpoints (every ``_PASSAGE_STRIDE`` steps and
     ``n_max``) the matrix is only multiplied, by one
     :func:`~mclab.chain_core.kernel_matmul` a factor; at a checkpoint
-    each row is divided by its sum and the metric is evaluated. When every
+    each row is divided by its sum. When every
     kernel of the sequence is tridiagonal (bandwidth at most 1, as every
     birth-death kernel is), a factor is the product ``K_a K_b`` of two
     consecutive kernels, pentadiagonal and formed from their diagonals in
@@ -111,9 +112,22 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     with its last kernel alone. Otherwise a factor is one kernel, with
     the largest :func:`~mclab.chain_core.matmul_band` of the sequence's
     kernels as its band. Below, a threshold
-    ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. A checkpoint value
-    above ``ε + 2δ`` rules out every step since the previous checkpoint.
-    Otherwise :func:`_replay` walks that stride again through ``walk``
+    ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. The metric is
+    measured once per window of ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` = 64
+    steps, the windows aligned to multiples of 64 from step 0, so which
+    checkpoints are measured depends on ``n_max`` and the sequence's own
+    values alone, not on a stack it walks in. At the end of a
+    window before ``n_max`` the walk goes on when every kernel of the
+    window passed the drift screen (below), a relative-sup checkpoint
+    holds no positive entry below ``_PASSAGE_TINY``, and the value (for
+    TV, half the largest L1 distance from row 0 to another row, a lower
+    bound on it) lies above ``ε + 2δ``: such a value rules out every step
+    since the previous measured checkpoint. Otherwise the window is walked
+    again from its first checkpoint and measured at each of its
+    checkpoints, as the window holding ``n_max`` is; if nothing ends the
+    walk there, it goes on from the window's end. At a measured
+    checkpoint, a value above ``ε + 2δ`` rules out its stride. Otherwise
+    :func:`_replay` walks that stride again through ``walk``
     from the previous checkpoint and measures its steps in order: a value
     below ``ε - δ`` is a hit and one above ``ε + δ`` is not, because the
     stepwise walk's value lies within ``δ`` of it. A value within ``δ`` of
@@ -121,9 +135,9 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     :func:`_stepwise` walks it again from step 0 and measures every step
     from that one on, to its hit or ``n_max``. Steps ruled out before are
     not measured again. The stepwise route is also taken from the first
-    step of a stride that uses a kernel failing the drift screen (below),
-    and of the stride whose checkpoint first holds a positive entry below
-    ``_PASSAGE_TINY`` in a relative-sup walk.
+    step of a stride that uses a kernel failing the drift screen, and of
+    the stride whose measured checkpoint first holds a positive entry
+    below ``_PASSAGE_TINY`` in a relative-sup walk.
 
     **Rounding bound.** With ``u = 2^-53`` and ``γ_N = N·u / (1 - N·u)``, a
     product of non-negative matrices is exact up to a factor ``1 ± γ_N`` on
@@ -160,8 +174,12 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     and t = 1e5. The exact statistics are non-increasing under right
     multiplication by a stochastic kernel (TV by Dobrushin's contraction,
     relative-sup by the mediant inequality), so a checkpoint above
-    ``ε + δ`` already puts every stepwise value of its stride above ``ε``;
-    the band ``ε + 2δ`` doubles that margin.
+    ``ε + δ`` already puts every stepwise value since the previous measured
+    checkpoint above ``ε``, however many strides lie between them; the
+    band ``ε + 2δ`` doubles that margin. Measuring fewer checkpoints
+    changes no product: inside a window every stride multiplies and
+    renormalizes as it does when measured, so every checkpoint has the
+    same bits either way.
 
     **Drift screen.** Each kernel is screened once per batch: its computed
     row sums must lie within ``min(2(N + 1)·u, DRIFT_ATOL - 4(N + 1)·u)``
@@ -171,10 +189,22 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     ``γ_{3N}`` from the product, the sums and the previous division. Every
     kernel built through the probability rule passes up to 1500 states.
 
-    The bound assumes entries in the normal floating-point range. For TV
-    an entry lost to underflow is below ``2^-1022`` and moves the distance
-    by far less than ``δ``; relative-sup divides by entries, hence its
-    stepwise route once a checkpoint holds tiny ones.
+    The bound assumes entries in the normal floating-point range. Below
+    it, a product or a quotient errs by an absolute amount under
+    ``2^-1074`` instead of a relative one, and a sum of subnormals is
+    exact. Such errors are carried forward by later steps, non-negative
+    kernels and divisions by row sums within a factor ``exp(tλ)`` of 1,
+    which do not grow a row's L1 norm beyond that factor; so at step ``t``
+    each row carries less than ``2t(N + 1)²·2^-1074`` of them in all,
+    about ``2e-311`` at N = 1500 and t = 1e6. TV moves by no more, far
+    below ``δ``. An entry at or above ``_PASSAGE_TINY`` at a measured
+    checkpoint therefore carries a relative error below ``1e-20`` from
+    underflow, inside the ``4λ`` that ``δ`` keeps beyond the terms above,
+    wherever in the walk the underflow happened, at a measured checkpoint
+    or not. Relative-sup divides by entries, so a slice whose measured
+    checkpoint holds a positive entry below ``_PASSAGE_TINY`` takes the
+    stepwise route; tiny entries at a checkpoint that is not measured
+    void nothing.
 
     An ``epsilon`` at or below about 1e-12 measures rounding, not merging:
     the computed TV stops falling at a floor set by the rounding of each
@@ -196,12 +226,15 @@ def first_passages(seqs, epsilon: float, metric: str,
     by a pair of kernels at a time, and the others as another, advanced a
     kernel at a time; each stack is renormalized once per stride, so the
     per-step call overhead is paid once for the stack rather than once per
-    sequence. A stack draws its kernel positions, and forms the pairs it
-    steps by, once per block of strides (:func:`_block_strides`), not once
-    per stride; a block ends early at a checkpoint where a sequence leaves.
-    A relative-sup checkpoint measures the whole stack in one pass
-    (:func:`_relsup_stack`). The steps write into two buffers allocated
-    once per stack, never into the last checkpoint. A batch takes
+    sequence. A stack is measured at the end of each window of
+    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps, and only the slices that
+    fail there are walked again through the window, stride by stride. A
+    stack draws its kernel positions, and forms the pairs it steps by,
+    once per block of strides (:func:`_block_strides`) inside a window,
+    not once per stride; a block ends early at a checkpoint where a
+    sequence leaves. A relative-sup checkpoint measures the whole stack in
+    one pass (:func:`_relsup_stack`). The steps write into two buffers
+    allocated once per stack, never into the last checkpoint. A batch takes
     sequences while their kernels and stacks (:func:`_passage_bytes` each)
     fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
     stacked step, and of its renormalization, has the bits of the same step
@@ -270,7 +303,9 @@ def _passage_bytes(seq: KernelSequence) -> int:
     which :func:`_block_strides` keeps within ``_BLOCK_BYTES`` for the
     whole stack, and the ``O(N)`` numbers a kernel or a step that the
     drift screen, a block's kernel positions, a checkpoint's row sums and
-    the relative-sup column extremes take.
+    the relative-sup column extremes take; and the three buffers of the
+    slices walked again through a window, which :class:`_StackWalk` keeps
+    within ``_BLOCK_BYTES`` by walking them in parts.
     """
     n, m = seq.space.size, len(seq.kernels)
     diagonals = 3 * (n + 2) * m if _tridiagonal(seq) else 0
@@ -306,83 +341,204 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
     the band of its factors, alternating between two buffers that are
     never the checkpoint, and at each checkpoint divides every row by its
-    sum in one pass. The kernel positions, the drift screen of each
-    stride and the factors are formed once per block of strides
-    (:func:`_block_strides`), for every live slice, by the factor
-    generators, which take kernel positions of any length; a block ends
-    early when a slice leaves, and the next one starts at that checkpoint
-    for the slices left. At a relative-sup checkpoint,
-    :func:`_relsup_stack` measures every slice in one pass, with the bits
-    of :func:`relsup_between_rows`. At a TV checkpoint a slice's TV is
-    first bounded from below by the L1 distances of row 0 to every other
-    row, one ``O(N²)`` pass: a non-final checkpoint whose bound already
-    lies above the band needs no full scan. Any TV value that is reported,
-    or compared with ``epsilon`` to decide a hit, is the full
-    :func:`~mclab.chain_core.tv_between_rows`. A slice whose stride used a
-    kernel failing the drift screen, or whose relative-sup checkpoint
-    holds an entry below ``_PASSAGE_TINY``, is finished by
-    :func:`_stepwise`; a checkpoint inside the band is walked again by
-    :func:`_replay`.
+    sum in one pass. It is walked in windows of
+    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps aligned to multiples of
+    that length, by :class:`_StackWalk`: a window ending before ``n_max``
+    is measured at its end only, and its failing slices are walked again
+    through it and measured at each checkpoint; the window holding
+    ``n_max`` is measured at each checkpoint. The kernel positions, the
+    drift screen of each stride and the factors are formed once per block
+    of strides (:func:`_block_strides`) inside a window, for every slice
+    walked, by the factor generators, which take kernel positions of any
+    length. At a relative-sup checkpoint, :func:`_relsup_stack` measures
+    every slice in one pass, with the bits of :func:`relsup_between_rows`.
+    At a TV checkpoint a slice's TV is first bounded from below by
+    :func:`_tv_pivot`, one ``O(N²)`` pass: a non-final checkpoint whose
+    bound already lies above the band needs no full scan. Any TV value
+    that is reported, or compared with ``epsilon`` to decide a hit, is the
+    full :func:`~mclab.chain_core.tv_between_rows`.
     """
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
-    scale = 1.0 if metric == "tv" else 1.0 + epsilon  # δ is relative to 1 + value for relsup
-
-    def result(hit, matrix, value):
-        if metric == "tv":
-            return hit, value, relsup_between_rows(matrix)
-        return hit, tv_between_rows(matrix), value
-
     n = seqs[0].space.size
     eye = np.eye(n)
     value = measure(eye)
     if value <= epsilon or n_max <= 0:
-        return [result(0 if value <= epsilon else None, eye, value)] * len(seqs)
-
-    # the drift screen of every kernel of the batch, a sequence's kernels from offsets[r] on
-    limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
-    screened = np.concatenate([_drift_screen(seq, limit) for seq in seqs])
-    offsets = np.cumsum([0] + [len(seq.kernels) for seq in seqs[:-1]])
-    results: list = [None] * len(seqs)
-    errors: dict[int, ArithmeticError] = {}
+        return [_passage_result(metric, 0 if value <= epsilon else None, eye, value)] * len(seqs)
+    walker = _StackWalk(seqs, epsilon, metric, n_max)
     pairs = [_tridiagonal(seq) for seq in seqs]
     for paired in (True, False):
         live = [r for r in range(len(seqs)) if pairs[r] == paired]  # the sequence walked in each slice
-        if not live:
-            continue
+        if live:
+            walker.walk(live, paired)
+    if walker.errors:
+        raise walker.errors[min(walker.errors)]
+    return walker.results
+
+
+def _passage_result(metric: str, hit, matrix: np.ndarray, value: float):
+    """``(hit, tv, relsup)`` at a stopping step whose ``metric`` reads ``value``."""
+    if metric == "tv":
+        return hit, value, relsup_between_rows(matrix)
+    return hit, tv_between_rows(matrix), value
+
+
+def _tv_pivot(p: np.ndarray) -> np.ndarray:
+    """Half the largest L1 distance from row 0 to another row, capped at 1, per slice of ``p``.
+
+    A lower bound on each slice's worst-pair TV, in one ``O(N²)`` pass.
+    """
+    return np.minimum(0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1), 1.0)
+
+
+class _StackWalk:
+    """The stacks of one :func:`_passage_batch`, walked window by window.
+
+    Holds what the batch's stacks share: every kernel's drift screen (a
+    sequence's kernels from ``offsets[r]`` on), the results and the errors
+    of the sequences, in batch order.
+    """
+
+    def __init__(self, seqs, epsilon, metric, n_max):
+        self.seqs, self.epsilon, self.metric, self.n_max = seqs, epsilon, metric, n_max
+        self.measure = tv_between_rows if metric == "tv" else relsup_between_rows
+        self.scale = 1.0 if metric == "tv" else 1.0 + epsilon  # δ is relative to 1 + value for relsup
+        n = self.n = seqs[0].space.size
+        limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
+        self.screened = np.concatenate([_drift_screen(seq, limit) for seq in seqs])
+        self.offsets = np.cumsum([0] + [len(seq.kernels) for seq in seqs[:-1]])
+        self.results: list = [None] * len(seqs)
+        self.errors: dict[int, ArithmeticError] = {}
+
+    def walk(self, live: list[int], paired: bool) -> None:
+        """Walk the sequences ``live`` as one stack, stepping pairs of kernels or single ones."""
+        n = self.n
+        self.paired = paired
         if paired:
-            multiply, factors = forward_matmul(n, 2), _pair_factors(seqs, live, n)
+            self.multiply, self.factors = forward_matmul(n, 2), _pair_factors(self.seqs, live, n)
         else:
-            multiply = forward_matmul(n, max(_stack_band(seqs[r]) for r in live))
-            factors = _kernel_factors(seqs, live, n)
+            self.multiply = forward_matmul(n, max(_stack_band(self.seqs[r]) for r in live))
+            self.factors = _kernel_factors(self.seqs, live, n)
         # the checkpoint and two buffers the steps alternate between; slices
         # that leave are compacted to the front
-        stacks = [np.repeat(eye[None], len(live), axis=0)]
+        stacks = [np.repeat(np.eye(n)[None], len(live), axis=0)]
         stacks += [np.empty_like(stacks[0]) for _ in range(2)]
+        window = _PASSAGE_BLOCK * _PASSAGE_STRIDE
         start = 0
-        while live:  # a block of strides
+        while live and start + window < self.n_max:
+            live = self.window(live, stacks, start, start + window)
+            start += window
+        if live:
+            self.measured(live, stacks, start, self.n_max)
+
+    def band(self, t: int) -> float:
+        """``ε + 2δ(t)``: a value above it rules out every step since the last measured checkpoint."""
+        return self.epsilon + 2.0 * _passage_bound(t, self.n) * self.scale
+
+    def draw(self, live: list[int], start: int, stop: int):
+        """The kernel positions of steps ``start + 1`` to ``stop`` of each slice, and their drift screens."""
+        indices = [self.seqs[r].indices(start + 1, stop + 1) for r in live]
+        return indices, self.screened[np.add(indices, self.offsets[live][:, None])]
+
+    def stride(self, p: np.ndarray, steps, count: int, buffers) -> np.ndarray:
+        """``p`` multiplied by the next ``count`` factors of ``steps``, its rows divided by their sums."""
+        for j, factor in enumerate(islice(steps, count)):
+            p = self.multiply(p, factor, out=buffers[j % 2])
+        np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
+        return p
+
+    def window(self, live: list[int], stacks: list, start: int, end: int) -> list[int]:
+        """Walk a window ``(start, end]``, ``end < n_max``, and return the slices that walk on.
+
+        Every stride multiplies and renormalizes as in :meth:`measured`,
+        but nothing is measured before ``end``. A full stride takes an even
+        number of factors, so the rows at ``start`` stay in ``stacks[0]``
+        and those at ``end`` land in ``stacks[2]``. A slice walks on when
+        every kernel of its window passed the drift screen, and its value
+        at ``end`` (for TV, :func:`_tv_pivot`) lies above the band with,
+        for relative-sup, no positive entry below ``_PASSAGE_TINY``.
+        Every other slice is walked again through the window by
+        :meth:`measured`, from its row at ``start``, in sub-stacks whose
+        three buffers fit in ``_BLOCK_BYTES`` (at least one slice each);
+        they step by the window's factors when one block formed them. A
+        slice that does not finish there rejoins with its row at ``end``,
+        which the stack already holds. On return the rows of the slices
+        that walk on are the first of ``stacks[0]``, in order.
+        """
+        n, width, stride = self.n, len(live), _PASSAGE_STRIDE
+        p, buffers = stacks[0][:width], (stacks[1][:width], stacks[2][:width])
+        count = stride // 2 if self.paired else stride
+        screened = np.ones(width, dtype=bool)
+        first = start
+        while first < end:  # a block of strides; only the last one's factors are held
+            stop = min(first + _block_strides(width, n, self.paired) * stride, end)
+            indices, passed = self.draw(live, first, stop)
+            screened &= passed.all(axis=1)
+            block = self.factors(live, indices)
+            steps = iter(block)
+            for _ in range(first, stop, stride):
+                p = self.stride(p, steps, count, buffers)
+            whole, first = first == start, stop  # whether one block formed the window
+        band = self.band(end)
+        if self.metric == "relsup":
+            values, tiny = _relsup_stack(p)
+            fails = ~screened | tiny | ~(values > band)
+        else:
+            fails = ~screened | ~(_tv_pivot(p) > band)
+        failing = np.flatnonzero(fails).tolist()
+        rejoining = set()
+        part = max(1, _BLOCK_BYTES // (3 * 8 * n * n))
+        for i in range(0, len(failing), part):
+            slices = failing[i:i + part]
+            sub = [stacks[0][slices]]
+            sub += [np.empty_like(sub[0]) for _ in range(2)]
+            steps = block.select(slices) if whole else None
+            rejoining.update(self.measured([live[s] for s in slices], sub, start, end, steps))
+        # the rows at end become the checkpoint
+        stacks[0], stacks[2] = stacks[2], stacks[0]
+        bound = min(self.errors, default=len(self.seqs))
+        keep = [s for s in range(width)
+                if (not fails[s] or live[s] in rejoining) and live[s] < bound]
+        if len(keep) < width:
+            stacks[0][:len(keep)] = stacks[0][keep]
+        return [live[s] for s in keep]
+
+    def measured(self, live: list[int], stacks: list, start: int, end: int, steps=None) -> list[int]:
+        """Walk the slices ``live`` from their rows at ``start``, the first of ``stacks[0]``, to ``end``.
+
+        Each stride is measured at its checkpoint: a slice whose stride
+        used a kernel failing the drift screen, or whose relative-sup
+        checkpoint holds a positive entry below ``_PASSAGE_TINY``, is
+        finished by :func:`_stepwise`; a checkpoint inside the band is
+        walked again by :func:`_replay`. A slice leaves when it finishes,
+        and then a new block of strides starts at that checkpoint for the
+        slices left. ``steps``, when given, yields the factors of the
+        slices from ``start`` to ``end``, for the first block. Returns the
+        slices that reach ``end`` without finishing (none when ``end`` is
+        ``n_max``); the error of a slice that fails is kept in
+        :attr:`errors`.
+        """
+        n, n_max, epsilon, metric = self.n, self.n_max, self.epsilon, self.metric
+        while live and start < end:  # a block of strides
             width, first = len(live), start
-            end = min(start + _block_strides(width, n, paired) * _PASSAGE_STRIDE, n_max)
-            indices = [seqs[r].indices(start + 1, end + 1) for r in live]
-            passed = screened[np.add(indices, offsets[live][:, None])]
-            steps = iter(factors(live, indices))
-            while start < end:  # a stride
-                stop = min(start + _PASSAGE_STRIDE, n_max)
-                checkpoint = p = stacks[0][:width]
-                buffers = (stacks[1][:width], stacks[2][:width])
-                count = (stop - start + 1) // 2 if paired else stop - start
-                for j, factor in enumerate(islice(steps, count)):
-                    p = multiply(p, factor, out=buffers[j % 2])
-                np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
-                band = epsilon + 2.0 * _passage_bound(stop, n) * scale
+            last = end if steps is not None else \
+                min(start + _block_strides(width, n, self.paired) * _PASSAGE_STRIDE, end)
+            indices, passed = self.draw(live, start, last)
+            if steps is None:
+                steps = iter(self.factors(live, indices))
+            while start < last:  # a stride
+                stop = min(start + _PASSAGE_STRIDE, end)
+                checkpoint = stacks[0][:width]
+                count = (stop - start + 1) // 2 if self.paired else stop - start
+                p = self.stride(checkpoint, steps, count, (stacks[1][:width], stacks[2][:width]))
+                band = self.band(stop)
                 stepwise = ~passed[:, start - first:stop - first].all(axis=1)
                 if metric == "relsup":
                     values, tiny = _relsup_stack(p)
                     stepwise |= tiny
                     walks_on = values > band
                     values = values.tolist()
-                elif stop < n_max:  # half the L1 distances from row 0 bound the worst pair from below
-                    pivot = 0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1)
-                    walks_on = np.minimum(pivot, 1.0) > band
+                elif stop < n_max:
+                    walks_on = _tv_pivot(p) > band
                 if stop == n_max:  # every slice finishes here
                     walks_on = np.zeros(width, dtype=bool)
                 leaving = []
@@ -390,33 +546,33 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                     r = live[s]
                     try:
                         if stepwise[s]:
-                            step = _stepwise(seqs[r], start + 1, n_max, measure, epsilon)
+                            step = _stepwise(self.seqs[r], start + 1, n_max, self.measure, epsilon)
                         else:
-                            value = values[s] if metric == "relsup" else measure(p[s])
+                            value = values[s] if metric == "relsup" else self.measure(p[s])
                             step = (stop, p[s], value) if value > band else \
-                                _replay(seqs[r], checkpoint[s], start, stop, measure, epsilon, scale,
-                                        n_max)
+                                _replay(self.seqs[r], checkpoint[s], start, stop, self.measure,
+                                        epsilon, self.scale, n_max)
                     except ArithmeticError as exc:
-                        errors[r] = exc
+                        self.errors[r] = exc
                         leaving.append(s)
                         continue
                     if step[2] <= epsilon or step[0] == n_max:
                         i, matrix, value = step
-                        results[r] = result(i if value <= epsilon else None, matrix, value)
+                        self.results[r] = _passage_result(metric, i if value <= epsilon else None,
+                                                          matrix, value)
                         leaving.append(s)
                 # the buffer holding p becomes the next checkpoint; the old one takes steps
-                last = 1 + j % 2
-                stacks[0], stacks[last] = stacks[last], stacks[0]
+                held = 2 - count % 2
+                stacks[0], stacks[held] = stacks[held], stacks[0]
                 start = stop
-                bound = min(errors, default=len(seqs))
+                bound = min(self.errors, default=len(self.seqs))
                 keep = [s for s in range(width) if s not in leaving and live[s] < bound]
                 if len(keep) < width:
                     stacks[0][:len(keep)] = p[keep]
                     live = [live[s] for s in keep]
                     break
-    if errors:
-        raise errors[min(errors)]
-    return results
+            steps = None
+        return live
 
 
 def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
@@ -426,7 +582,7 @@ def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
 
 
 def _block_strides(width: int, n: int, paired: bool) -> int:
-    """Strides in a block of a stack of ``width`` slices of ``n`` states.
+    """Strides in a block of a stack of ``width`` slices of ``n`` states, inside one window.
 
     ``_PASSAGE_BLOCK``, or, in a stack stepping pairs, fewer, so that the
     arrays :func:`_pair_factors` forms for a block's pairs, 12 numbers per
@@ -468,35 +624,57 @@ def _relsup_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
-    """The factors of a stride's steps for the sequences ``members``: a kernel a step.
+    """The factors of a block's steps for the sequences ``members``: a kernel a step.
 
-    Returns ``factors(live, indices)``, which yields, for each step of the
-    stride, one stack of the kernels that the sequences ``live`` (a subset
-    of ``members``, in order) take at that step: ``indices[s]`` holds the
-    kernel positions of slice ``s``. A lone sequence's kernel is a
-    ``(1, N, N)`` view; kernels of several sequences are concatenated into
-    one buffer allocated once.
+    Returns ``factors(live, indices)``, which gives the :class:`_Block` of
+    the sequences ``live`` (a subset of ``members``, in order): for each
+    step, one stack of the kernels those sequences take at that step;
+    ``indices[s]`` holds the kernel positions of slice ``s``. A lone
+    sequence's kernel is a ``(1, N, N)`` view; kernels of several
+    sequences are concatenated into one buffer allocated once.
     """
     stacks_of_one = {r: [k.entries[None] for k in seqs[r].kernels] for r in members}
     out = np.empty((len(members), n, n)) if len(members) > 1 else None
 
     def factors(live, indices):
         columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
-        if len(columns) == 1:
-            return columns[0]
-        return (np.concatenate(step, out=out[:len(live)]) for step in zip(*columns))
+
+        def steps(slices):
+            chosen = columns if slices is None else [columns[s] for s in slices]
+            if len(chosen) == 1:
+                return iter(chosen[0])
+            return (np.concatenate(step, out=out[:len(chosen)]) for step in zip(*chosen))
+        return _Block(steps)
     return factors
 
 
+class _Block:
+    """The factors of a block of steps: iterated, those of every slice; :meth:`select`, of some.
+
+    ``steps(slices)`` yields, step by step, the factors of the slices at
+    the positions ``slices``, or of every slice when ``slices`` is ``None``.
+    """
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __iter__(self):
+        return iter(self.steps(None))
+
+    def select(self, slices: list[int]):
+        """The factors of the slices at the positions ``slices``, a stack of them a step."""
+        return iter(self.steps(slices))
+
+
 def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
-    """The factors of a stride's steps for tridiagonal sequences: two kernels a step.
+    """The factors of a block's steps for tridiagonal sequences: two kernels a step.
 
     Returns ``factors(live, indices)`` as :func:`_kernel_factors` does, but
     each factor is the product ``K_a K_b`` of two consecutive kernels of a
-    slice, and the last kernel of a stride of odd length is paired with the
+    slice, and the last kernel of a block of odd length is paired with the
     identity, which gives that kernel exactly. A product of two tridiagonal
     kernels is pentadiagonal: its five diagonals are formed from the two
-    kernels' three by :func:`_pair_diagonals`, for every pair of the stride
+    kernels' three by :func:`_pair_diagonals`, for every pair of the block
     and every live slice in one pass, and each pair is written over the
     same five diagonals of one ``(R, N, N)`` buffer, zero elsewhere. Its
     rows carry two columns of padding on each side, so the band is one
@@ -530,10 +708,14 @@ def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
         pair = np.take(table, rows.reshape(width, -1, 2).transpose(2, 1, 0), axis=1)
         formed = _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3)
         del pair  # while the steps are taken, only the pairs' diagonals are held
-        target, factor = band[:width], product[:width]
-        for diagonals in formed:
-            np.copyto(target, diagonals)
-            yield factor
+
+        def steps(slices):
+            chosen = formed if slices is None else formed[:, slices]
+            target, factor = band[:chosen.shape[1]], product[:chosen.shape[1]]
+            for diagonals in chosen:
+                np.copyto(target, diagonals)
+                yield factor
+        return _Block(steps)
     return factors
 
 

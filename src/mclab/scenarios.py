@@ -41,8 +41,9 @@ from .merging import first_passage, first_passages  # first_passage stays import
 from .rng import fold_path, substream
 from .singular import singular_value_bounds
 from .spectral import comparison_check
-from .zoo import WeightedGraph, constant_rate_bd, constant_rate_bd_set, general_bd, graph_kernel, \
-    lazy_stick, perturbed_stick_pair, random_weights
+from .zoo import WeightedGraph, _reversible_measures, constant_rate_bd, constant_rate_bd_set, \
+    general_bd_set, graph_kernel, lazy_stick, perturbed_stick_pair, random_weights
+from .zoo import general_bd  # noqa: F401  general_bd stays importable from here
 
 MAX_INLINE_STATES = 64
 
@@ -204,24 +205,40 @@ def _accepted_pairs(count: int, rng) -> np.ndarray:
     return drawn[accepted[:count]]
 
 
-def _sample_banded_chain(n: int, rng):
-    # rejection-sample until both class flags hold
+def _sample_banded_chain(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The rates ``(up, down)`` of a birth-death chain on ``{0, ..., N}`` in the target class.
+
+    Rejection sampling: the end rates ``up[0]`` and ``down[N]`` from
+    ``U[1/4, 3/4)`` and the interior pairs from :func:`_accepted_pairs`,
+    until the reversible measure lies in the measure band
+    (:func:`~mclab.zoo._reversible_measures`, from the rates alone). No
+    kernel is built for a try, and the rate band is not tested: every draw
+    lies in it. Interior rates lie in ``[1/4, 1/2)`` with ``u + d <= 3/4``,
+    so holding ``1 - u - d`` lies in ``[1/4, 1/2]``; end rates in
+    ``[1/4, 3/4)``, so their holding lies in ``(1/4, 3/4]``. Forming the
+    holding and normalizing a kernel row each move an entry by at most an
+    ulp, against the flag's ``1e-15`` slack.
+    """
     for _ in range(10000):
         up = np.zeros(n + 1)
         down = np.zeros(n + 1)
         up[0] = rng.uniform(0.25, 0.75)
         down[n] = rng.uniform(0.25, 0.75)
         up[1:n], down[1:n] = _accepted_pairs(n - 1, rng).T
-        spec = general_bd(n, up, down)
-        if spec.within_rate_band and spec.within_measure_band:
-            return spec
+        if _reversible_measures(n, up[None], down[None])[1][0]:
+            return up, down
     raise RuntimeError("could not sample a chain in the target class")
 
 
 def _gen_uniform_bd_set(params: dict, point: dict, rng) -> tuple[KernelSequence, dict]:
+    """An i.i.d. sequence over ``set_size`` chains drawn by :func:`_sample_banded_chain`.
+
+    The kernels are built as one stack by :func:`~mclab.zoo.general_bd_set`.
+    """
     n = _number(point, "N", integer=True)
     size = _number(params, "set_size", 8, integer=True)
-    kernels = [_sample_banded_chain(n, rng).kernel for _ in range(size)]
+    ups, downs = zip(*(_sample_banded_chain(n, rng) for _ in range(size)))
+    kernels = [spec.kernel for spec in general_bd_set(n, ups, downs)]
     return KernelSequence.iid(kernels, seed=_seed_from(rng)), {}
 
 

@@ -21,6 +21,7 @@ from .chain_core import (
     ProbMeasure,
     ReducibleKernelError,
     StochasticKernel,
+    _irreducible_stationary_measure,
     _require_same_space,
     classify_structure,
     stationary_measure,
@@ -211,8 +212,8 @@ def product_invariant_criterion(kernels, pi: ProbMeasure, depth: int, c: float,
             if not (structure.irreducible and structure.aperiodic):
                 reason = "reducible" if not structure.irreducible else "periodic"
                 detail = f"recurrent classes {structure.recurrent_classes}"
-            else:
-                pw = stationary_measure(k).weights
+            else:  # classified once: the measure of an irreducible kernel, not classified again
+                pw = _irreducible_stationary_measure(k).weights
                 if not ((pw < lo - VALUE_ATOL).any() or (pw > hi + VALUE_ATOL).any()):
                     continue
                 state = int(np.argmax(np.maximum(lo - pw, pw - hi)))

@@ -151,32 +151,96 @@ def general_bd(N: int, up, down) -> BirthDeathSpec:
     ``x -> x-1``; ``up[N]`` and ``down[0]`` must be 0. Holding is the
     leftover mass ``1 - up - down``. The reversible measure comes from the
     standard product formula ``pi(x) proportional to prod_{j<x} up[j]/down[j+1]``.
+    This is :func:`general_bd_set` of one pair of rows.
     """
-    up = np.asarray(up, dtype=float)
-    down = np.asarray(down, dtype=float)
-    if up.shape != (N + 1,) or down.shape != (N + 1,):
-        raise ValueError("up and down must have length N+1")
-    if up[N] != 0 or down[0] != 0:
-        raise ValueError("up[N] and down[0] must be 0")
+    return general_bd_set(N, [up], [down])[0]
+
+
+def general_bd_set(N: int, up, down) -> tuple[BirthDeathSpec, ...]:
+    """:func:`general_bd` for each pair of rows ``(up[j], down[j])``, with its bits.
+
+    The rows are checked in one pass and the kernels built as one
+    ``(m, N + 1, N + 1)`` stack (:func:`_tridiagonal`), which they share.
+    The reversible measures (:func:`_reversible_measures`), the
+    detailed-balance check and both class flags are computed for every
+    chain at once. A bad row raises the error :func:`general_bd` raises
+    for the first of them.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not len(up):
+        raise ValueError("kernel set must be non-empty")
+    if len(up) != len(down):
+        raise ValueError("up and down must hold one row per chain")
+    up, down = _bd_rate_rows(N, up, down)
     hold = 1.0 - up - down
-    if min(up.min(), down.min(), hold.min()) < 0:
-        raise ValueError("per-site rates must form probability triples")
-    if up[:N].min() <= 0 or down[1:].min() <= 0:
-        raise ValueError("interior up and down rates must be positive (irreducible chain)")
-    (kernel,) = _tridiagonal(up[None, :N], down[None, 1:], hold[None])
+    kernels = _tridiagonal(up[:, :N], down[:, 1:], hold)
+    measures, measure_band = _reversible_measures(N, up, down)
+    # the arrays the kernels and the measures are slices of
+    lower, middle, upper = (np.diagonal(kernels[0].entries.base, d, 1, 2) for d in (-1, 0, 1))
+    weights = measures[0].weights.base
+    # pi(x) K(x, y) - pi(y) K(y, x) is an exact zero off the first diagonals
+    if np.abs(weights[:, :N] * upper - weights[:, 1:] * lower).max() > VALUE_ATOL:
+        raise ArithmeticError("birth-death kernel failed its detailed balance check")
+    rate_band = np.ones(len(kernels), dtype=bool)
+    for diagonal in (lower, middle, upper):
+        rate_band &= ((diagonal >= 0.25 - 1e-15) & (diagonal <= 0.75 + 1e-15)).all(axis=1)
+    return tuple(BirthDeathSpec(N, *rows, bool(rates), bool(measured))
+                 for *rows, rates, measured in zip(up, down, hold, kernels, measures,
+                                                   rate_band.tolist(), measure_band.tolist()))
 
-    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:N]) - np.log(down[1:]))))
-    log_pi -= log_pi.max()
+
+def _bd_rate_rows(N: int, up, down) -> tuple[np.ndarray, np.ndarray]:
+    """``up`` and ``down`` as ``(m, N + 1)`` arrays, each pair of rows checked as by :func:`general_bd`.
+
+    A bad pair raises the error :func:`general_bd` gives the first of them:
+    when the check of the whole stack fails, each pair is checked alone,
+    and its kernel built, in turn.
+    """
+    try:
+        ups, downs = np.asarray(up, dtype=float), np.asarray(down, dtype=float)
+        fine = ups.shape == downs.shape == (len(ups), N + 1)
+    except (TypeError, ValueError):  # rows of several lengths, or not numbers
+        fine = False
+    if fine:
+        hold = 1.0 - ups - downs
+        fine = bool((ups[:, N] == 0).all() and (downs[:, 0] == 0).all()
+                    and (ups >= 0).all() and (downs >= 0).all() and (hold >= 0).all()
+                    and (ups[:, :N] > 0).all() and (downs[:, 1:] > 0).all())
+    if not fine:
+        for u, d in zip(up, down):
+            u, d = np.asarray(u, dtype=float), np.asarray(d, dtype=float)
+            if u.shape != (N + 1,) or d.shape != (N + 1,):
+                raise ValueError("up and down must have length N+1")
+            if u[N] != 0 or d[0] != 0:
+                raise ValueError("up[N] and down[0] must be 0")
+            hold = 1.0 - u - d
+            if min(u.min(), d.min(), hold.min()) < 0:
+                raise ValueError("per-site rates must form probability triples")
+            if u[:N].min() <= 0 or d[1:].min() <= 0:
+                raise ValueError("interior up and down rates must be positive (irreducible chain)")
+            _tridiagonal(u[None, :N], d[None, 1:], hold[None])  # a NaN breaks the probability rule
+    return ups, downs
+
+
+def _reversible_measures(N: int, up: np.ndarray, down: np.ndarray
+                         ) -> tuple[tuple[ProbMeasure, ...], np.ndarray]:
+    """The reversible measures of the birth-death chains with rate rows ``up`` and ``down``.
+
+    ``pi(x)`` is proportional to ``prod_{j<x} up[j]/down[j+1]``, formed
+    from the logarithms of the rates and normalized, each row as
+    :func:`general_bd` forms one, so a stack of rows has the bits of each
+    row alone. Returns the measures and whether each lies in the measure
+    band, ``1/4 <= (N+1) pi(x) <= 4`` up to ``1e-15``; no kernel is built.
+    """
+    log_pi = np.zeros((len(up), N + 1))
+    np.cumsum(np.log(up[:, :N]) - np.log(down[:, 1:]), axis=1, out=log_pi[:, 1:])
+    log_pi -= log_pi.max(axis=1, keepdims=True)
     pi = np.exp(log_pi)
-    measure = ProbMeasure(kernel.space, pi / pi.sum())
-    _check_detailed_balance(kernel, measure, "birth-death kernel")
-
-    entries = kernel.entries
-    active = np.concatenate((entries.diagonal(-1), entries.diagonal(), entries.diagonal(1)))
-    rate_band = bool((active >= 0.25 - 1e-15).all() and (active <= 0.75 + 1e-15).all())
-    scaled = (N + 1) * measure.weights
-    measure_band = bool((scaled >= 0.25 - 1e-15).all() and (scaled <= 4 + 1e-15).all())
-    return BirthDeathSpec(N, up, down, hold, kernel, measure, rate_band, measure_band)
+    weights = pi / pi.sum(axis=1, keepdims=True)
+    measures = ProbMeasure.stack(_segment_space(N + 1), weights)  # renormalizes weights in place
+    scaled = (N + 1) * weights
+    return measures, ((scaled >= 0.25 - 1e-15) & (scaled <= 4 + 1e-15)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from mclab import StateSpace, StochasticKernel, constant_rate_bd, general_bd, scenarios
+from mclab import StateSpace, StochasticKernel, constant_rate_bd, general_bd, general_bd_set, scenarios
+from mclab.chain_core import ProbMeasure, VALUE_ATOL
 from mclab.rng import fold_path, substream
 
 SIZES = [1, 2, 16, 64]
@@ -57,6 +58,105 @@ def test_general_bd_is_the_site_loop(n):
         band = entries[np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1))) <= 1]
         assert spec.within_rate_band == bool((band >= 0.25 - 1e-15).all()
                                              and (band <= 0.75 + 1e-15).all())
+
+
+def first_general_bd(n, up, down):
+    """``general_bd`` as first written, one chain: ``(kernel, measure, rate flag, measure flag)``."""
+    up, down = np.asarray(up, dtype=float), np.asarray(down, dtype=float)
+    kernel = loop_tridiagonal(up, down, 1.0 - up - down)
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:n]) - np.log(down[1:]))))
+    log_pi -= log_pi.max()
+    pi = np.exp(log_pi)
+    measure = ProbMeasure(kernel.space, pi / pi.sum())
+    flow = measure.weights[:, None] * kernel.entries
+    assert np.abs(flow - flow.T).max() <= VALUE_ATOL
+    entries = kernel.entries
+    active = np.concatenate((entries.diagonal(-1), entries.diagonal(), entries.diagonal(1)))
+    rate_band = bool((active >= 0.25 - 1e-15).all() and (active <= 0.75 + 1e-15).all())
+    scaled = (n + 1) * measure.weights
+    measure_band = bool((scaled >= 0.25 - 1e-15).all() and (scaled <= 4 + 1e-15).all())
+    return kernel, measure, rate_band, measure_band
+
+
+def random_rates(n, count, rng):
+    """``count`` rate rows, some inside both class bands and some outside."""
+    up = rng.uniform(0.05, 0.5, (count, n + 1))
+    down = rng.uniform(0.05, 0.5, (count, n + 1))
+    up[::2, 1:n] = down[::2, 1:n] = 0.3  # flat measures: the measure band holds
+    up[::3, 0] = down[::3, n] = 0.5
+    up[:, n] = down[:, 0] = 0.0
+    return up, down
+
+
+def same_spec(a, b):
+    return (same_kernel(a.kernel, b.kernel) and a.N == b.N
+            and a.reversible_measure.space is b.reversible_measure.space
+            and a.reversible_measure.weights.tobytes() == b.reversible_measure.weights.tobytes()
+            and all(getattr(a, key).tobytes() == getattr(b, key).tobytes()
+                    for key in ("up", "down", "hold"))
+            and (a.within_rate_band, a.within_measure_band) == (b.within_rate_band,
+                                                                b.within_measure_band))
+
+
+@pytest.mark.parametrize("size", [2, 3, 9, 33])
+def test_general_bd_set_is_a_loop_of_general_bd(size):
+    n, rng = size - 1, np.random.default_rng(size)
+    for count in (1, 2, 7):
+        up, down = random_rates(n, count, rng)
+        specs = general_bd_set(n, up, down)
+        loop = [general_bd(n, u, d) for u, d in zip(up, down)]
+        assert len(specs) == count and all(map(same_spec, specs, loop))
+        for spec, u, d in zip(specs, up, down):
+            kernel, measure, rate_band, measure_band = first_general_bd(n, u, d)
+            assert same_kernel(spec.kernel, kernel)
+            assert spec.reversible_measure.weights.tobytes() == measure.weights.tobytes()
+            assert (spec.within_rate_band, spec.within_measure_band) == (rate_band, measure_band)
+        # one stack of kernels, and one of measures, each held once and read-only
+        base = specs[0].kernel.entries.base
+        assert base.shape == (count, n + 1, n + 1) and not base.flags.writeable
+        assert all(spec.kernel.entries.base is base for spec in specs)
+        assert all(not spec.reversible_measure.weights.flags.writeable for spec in specs)
+        if count == 7:  # both flags hold for some chains and fail for others
+            assert {spec.within_rate_band for spec in specs} == {False, True}
+            assert size < 9 or {spec.within_measure_band for spec in specs} == {False, True}
+
+
+def bad_rows(n):
+    """``(name, up rows, down rows)``: one bad pair after a good one, or two bad pairs."""
+    good_up, good_down = [0.3] * n + [0.0], [0.0] + [0.3] * n
+    negative = [0.3] * (n - 1) + [-0.1, 0.0]
+    nan = [float("nan")] + [0.3] * (n - 1) + [0.0]
+    return [
+        ("short", [good_up, good_up[1:]], [good_down, good_down[1:]]),
+        ("top up", [good_up, [0.3] * (n + 1)], [good_down, good_down]),
+        ("negative", [good_up, negative], [good_down, good_down]),
+        ("over one", [good_up, [0.3] + [0.8] * (n - 1) + [0.0]], [good_down, good_down]),
+        ("zero interior", [good_up, good_up], [good_down, [0.0, 0.0] + [0.3] * (n - 1)]),
+        ("nan first", [nan, negative], [good_down, good_down]),
+        ("negative first", [negative, nan], [good_down, good_down]),
+        ("text", [good_up, ["x"] * (n + 1)], [good_down, good_down]),
+    ]
+
+
+def error_of(run):
+    with pytest.raises((ValueError, ArithmeticError)) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("name, up, down", bad_rows(4), ids=[case[0] for case in bad_rows(4)])
+def test_a_bad_row_raises_the_loops_error(name, up, down):
+    def loop():
+        return [general_bd(4, u, d) for u, d in zip(up, down)]
+    expected = error_of(loop)
+    assert error_of(lambda: general_bd_set(4, up, down)) == expected
+
+
+def test_a_set_without_rows_or_states_raises():
+    assert error_of(lambda: general_bd_set(4, [], [])) == (ValueError, "kernel set must be non-empty")
+    assert error_of(lambda: general_bd_set(0, [[0.0]], [[0.0]])) == (ValueError, "N must be >= 1")
+    assert error_of(lambda: general_bd_set(1, [[0.5, 0.0]], [])) == \
+        (ValueError, "up and down must hold one row per chain")
 
 
 def test_kernels_of_one_size_share_one_space():
@@ -109,13 +209,52 @@ def assert_same_stream_after(fast, slow):
 def test_banded_chain_is_the_pair_loop(n):
     for seed in range(20):
         fast, slow = substream(seed, fold_path(n)), substream(seed, fold_path(n))
-        spec, reference = scenarios._sample_banded_chain(n, fast), loop_banded_chain(n, slow)
-        assert spec.up.tobytes() == reference.up.tobytes()
-        assert spec.down.tobytes() == reference.down.tobytes()
+        (up, down), reference = scenarios._sample_banded_chain(n, fast), loop_banded_chain(n, slow)
+        assert up.tobytes() == reference.up.tobytes()
+        assert down.tobytes() == reference.down.tobytes()
+        spec = general_bd(n, up, down)
         assert same_kernel(spec.kernel, reference.kernel)
         assert spec.reversible_measure.weights.tobytes() == \
             reference.reversible_measure.weights.tobytes()
         assert_same_stream_after(fast, slow)
+
+
+def kernel_per_try_banded_chain(n, rng):
+    """``_sample_banded_chain`` as it was before it drew rates alone: a ``general_bd`` a try."""
+    for _ in range(10000):
+        up = np.zeros(n + 1)
+        down = np.zeros(n + 1)
+        up[0] = rng.uniform(0.25, 0.75)
+        down[n] = rng.uniform(0.25, 0.75)
+        up[1:n], down[1:n] = scenarios._accepted_pairs(n - 1, rng).T
+        spec = general_bd(n, up, down)
+        if spec.within_rate_band and spec.within_measure_band:
+            return spec
+    raise RuntimeError("could not sample a chain in the target class")
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 32])
+def test_banded_chain_draws_the_rates_of_a_kernel_per_try(n):
+    for seed in range(5):
+        fast, slow = substream(seed, fold_path(n)), substream(seed, fold_path(n))
+        (up, down), reference = scenarios._sample_banded_chain(n, fast), \
+            kernel_per_try_banded_chain(n, slow)
+        assert up.tobytes() == reference.up.tobytes()
+        assert down.tobytes() == reference.down.tobytes()
+        assert_same_stream_after(fast, slow)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_uniform_bd_set_builds_the_kernels_of_a_loop(n):
+    params = {"set_size": 8}
+    for seed in range(3):
+        fast, slow = substream(seed, fold_path(n)), substream(seed, fold_path(n))
+        seq, _ = scenarios._gen_uniform_bd_set(params, {"N": n}, fast)
+        kernels = [kernel_per_try_banded_chain(n, slow).kernel for _ in range(8)]
+        assert seq.seed == int(slow.integers(0, 2 ** 62))
+        assert all(same_kernel(a, b) for a, b in zip(seq.kernels, kernels, strict=True))
+        base = seq.kernels[0].entries.base  # one stack, held once
+        assert base.shape == (8, n + 1, n + 1) and all(k.entries.base is base for k in seq.kernels)
 
 
 def test_accepted_pairs_across_several_blocks():

@@ -337,8 +337,8 @@ def test_first_passage_measures_once_per_stride(monkeypatch, reached):
 @pytest.mark.parametrize("computed", [False, True])
 def test_a_threshold_near_1e9_walks_no_stride_again_before_the_crossing(monkeypatch, computed):
     # the band above epsilon is the rounding bound's, about 3e-11 here, so
-    # the checkpoints that fall below epsilon + 1e-9 strides before the
-    # crossing rule their strides out
+    # the window ends that fall below epsilon + 1e-9 strides before the
+    # crossing rule their windows out
     seq = PASSAGE_SEQUENCES["cyclic"]()
     n_max = 400
     traj = metric_trajectory(seq, "relsup", n_max)
@@ -356,15 +356,28 @@ def test_a_threshold_near_1e9_walks_no_stride_again_before_the_crossing(monkeypa
         calls.append(1)
         return relsup_stack(stack)
 
-    relsup_stack = merging._relsup_stack
+    relsup_stack, replay = merging._relsup_stack, merging._replay
+    replayed = []
+
+    def replay_spy(seq, matrix, start, *args):
+        replayed.append(start)
+        return replay(seq, matrix, start, *args)
+
     monkeypatch.setattr(merging, "relsup_between_rows", counted)
     monkeypatch.setattr(merging, "_relsup_stack", counted_stack)
+    monkeypatch.setattr(merging, "_replay", replay_spy)
     got = first_passage(seq, epsilon, "relsup", n_max)
     assert_within_passage_bound(got, expected, 9, 390)
-    # time 0, 25 checkpoints and the hit's stride up to the hit; a computed
-    # epsilon lies within δ of the walked-again value, so the hit is
+    # time 0; the ends of the six windows before the hit's, steps 64 to 384,
+    # each measured once; the one stride of the hit's window, which holds
+    # n_max; that stride walked again up to the hit; and, for a computed
+    # epsilon, which lies within δ of the walked-again value, the hit
     # measured once more on the stepwise route
-    assert len(calls) == 1 + 25 + 6 + computed
+    window = merging._PASSAGE_BLOCK * merging._PASSAGE_STRIDE
+    windows_before = 390 // window
+    assert windows_before == 6 and windows_before * window + merging._PASSAGE_STRIDE == n_max
+    assert len(calls) == 1 + windows_before + 1 + 6 + computed
+    assert replayed == [windows_before * window]  # no stride before the crossing walked again
     if computed:
         assert got == expected
 

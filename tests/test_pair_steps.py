@@ -7,7 +7,7 @@ factors are checked against the dense products; ``first_passages`` on
 random tridiagonal sequences is checked against the stepwise ``walk``: the
 same hit time, values within ``merging._passage_bound`` of the stepwise
 ones, and each stacked result equal, bit for bit, to its sequence walked
-alone.
+alone, with hits placed at every kind of step of a measured window.
 """
 
 import math
@@ -152,3 +152,34 @@ def test_stacked_pairs_equal_each_sequence_alone(metric, n, monkeypatch):
     if n < 64:  # from 64 states the bands differ, and the byte cap splits the batch
         assert widths == [len(seqs)] and paired == [[0, 1, 3, 4, 5, 6]]
     assert any(t is not None for t, _, _ in alone)
+
+
+WINDOW = merging._PASSAGE_BLOCK * merging._PASSAGE_STRIDE
+
+
+@pytest.mark.parametrize("place", ["first stride", "last stride", "window end", "n_max inside"])
+@pytest.mark.parametrize("n", [17, 33, 65])
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("kind", ["iid", "cyclic"])
+def test_hits_across_a_measured_window(kind, metric, n, place):
+    # the stack is measured at 64 and 128 only, then at each stride of the
+    # window holding n_max; a hit in the second window is found by walking
+    # that window again, stride by stride
+    seq = sequence(kind, n, 3)
+    n_max = 2 * WINDOW + 37
+    hit = {"first stride": WINDOW + 5, "last stride": 2 * WINDOW - 3, "window end": 2 * WINDOW,
+           "n_max inside": 2 * WINDOW + 21}[place]
+    values = [MEASURE[metric](p) for _, p, _ in walk(seq, range(1, hit + 1))]
+    assert values[-2] > values[-1] > 1e-12
+    epsilon = 0.5 * (values[-2] + values[-1])
+    expected = stepwise(seq, epsilon, metric, n_max)
+    assert expected[0] == hit
+    got = first_passage(seq, epsilon, metric, n_max)
+    assert_within_bound(got, expected, n, n_max)
+    assert_within_bound(first_passage(seq, 0.0, metric, n_max), stepwise(seq, 0.0, metric, n_max),
+                        n, n_max)
+    # its mates walk on past the hit's window, or finish in it
+    seqs = [sequence(other, n, seed) for seed in (4, 5) for other in ("iid", "cyclic")]
+    seqs.insert(1, seq)
+    assert first_passages(seqs, epsilon, metric, n_max) == \
+        [first_passage(s, epsilon, metric, n_max) for s in seqs]

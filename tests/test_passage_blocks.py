@@ -1,10 +1,14 @@
-"""Blocks of strides in the first-passage stack, its one-pass relative-sup
-measure, and birth-death kernel sets built as one stack.
+"""Windows and blocks of strides in the first-passage stack, its one-pass
+relative-sup measure, and birth-death kernel sets built as one stack.
 
-``merging._passage_batch`` draws kernel positions and forms factors once per
-block of strides and starts a new block where a slice leaves; every result
-must still equal a loop of ``first_passage`` bit for bit, with the hit time
-of the stepwise walk. ``merging._relsup_stack`` must give the bits of
+``merging._passage_batch`` walks a stack in windows of
+``_PASSAGE_BLOCK * _PASSAGE_STRIDE`` steps, measured at their ends; a slice
+that fails its window is walked again through it and measured stride by
+stride, and rejoins at the window's end when it does not finish. Inside a
+window, kernel positions are drawn and factors formed once per block of
+strides, and a new block starts where a slice leaves. Every result must
+still equal a loop of ``first_passage`` bit for bit, with the hit time of
+the stepwise walk. ``merging._relsup_stack`` must give the bits of
 ``relsup_between_rows`` on every slice. ``zoo.constant_rate_bd_set`` must
 give the kernels, and the errors, of a loop of ``constant_rate_bd``.
 """
@@ -17,6 +21,7 @@ import pytest
 
 from mclab import KernelSequence, StateSpace, StochasticKernel, constant_rate_bd, merging, scenarios
 from mclab.chain_core import walk
+from mclab.rng import fold_path as fold
 from mclab.merging import first_passage, first_passages, relsup_between_rows, tv_between_rows
 from mclab.rng import fold_path, substream
 from mclab.zoo import constant_rate_bd_set
@@ -25,6 +30,7 @@ from conftest import random_kernel
 
 MEASURE = {"tv": tv_between_rows, "relsup": relsup_between_rows}
 STRIDE = merging._PASSAGE_STRIDE
+WINDOW = merging._PASSAGE_BLOCK * STRIDE
 
 
 def bd(n, p, q):
@@ -50,6 +56,19 @@ def spy_blocks(monkeypatch):
 
     monkeypatch.setattr(merging, "_pair_factors", spy)
     return blocks
+
+
+def spy_draws(monkeypatch):
+    """Record ``(width, start, stop)`` of every block of strides a stack draws kernel positions for."""
+    draws = []
+    draw = merging._StackWalk.draw
+
+    def spy(self, live, start, stop):
+        draws.append((len(live), start, stop))
+        return draw(self, live, start, stop)
+
+    monkeypatch.setattr(merging._StackWalk, "draw", spy)
+    return draws
 
 
 def test_block_length_follows_the_byte_budget():
@@ -104,17 +123,27 @@ def test_slices_leave_mid_block_and_n_max_ends_inside_a_block(monkeypatch, metri
     seqs = block_sequences()
     loop = [first_passage(seq, epsilon, metric, n_max) for seq in seqs]
     blocks = spy_blocks(monkeypatch)
+    draws = spy_draws(monkeypatch)
     assert first_passages(seqs, epsilon, metric, n_max) == loop
-    # six tridiagonal slices of 9 states: blocks of four strides while all six walk
-    assert blocks[0] == (6, min(4 * STRIDE, n_max))
+    # six tridiagonal slices of 9 states: blocks of four strides, a whole window, while all six walk
+    assert blocks[0] == (6, min(WINDOW, n_max))
     hits = [t for t, _, _ in loop if t is not None]
     assert any(t is None for t, _, _ in loop)  # walked to n_max
     assert len({(t - 1) // STRIDE for t in hits}) >= 2
     assert any(width < 6 for width, _ in blocks)
-    if n_max > 100:  # a slice leaving inside a block starts another block at that checkpoint
-        assert len(blocks) > math.ceil(n_max / (4 * STRIDE))
-    # the last block ends at n_max, inside four strides of its start, with an odd length
-    assert blocks[-1][1] % 2 == 1 and blocks[-1][1] < 4 * STRIDE
+    # every block lies inside one window; a block starting inside a window
+    # starts at a checkpoint where a slice walked again, or walked in the
+    # window holding n_max, left, and the slices left walk on to the window's end
+    assert draws[0][1:] == (0, min(WINDOW, n_max))
+    for (width, start, stop), (before, first, end) in zip(draws[1:], draws):
+        assert start // WINDOW == (stop - 1) // WINDOW
+        assert stop == min((start // WINDOW + 1) * WINDOW, n_max)
+        if start % WINDOW:  # the block before was cut short there
+            assert start % STRIDE == 0 and first < start <= end and width < before
+    if n_max > 100:  # a slice leaving inside a window starts another block at that checkpoint
+        assert any(start % WINDOW for _, start, _ in draws)
+    # the last block ends at n_max, inside the window holding it, with an odd length
+    assert blocks[-1][1] % 2 == 1 and blocks[-1][1] < WINDOW
 
 
 def test_a_failing_slice_leaves_mid_block_with_the_loops_error():
@@ -152,6 +181,158 @@ def test_a_kernel_failing_the_drift_screen_mid_block_sends_its_stride_stepwise()
     seqs = [KernelSequence.iid([bd(n, 0.45, 0.35), bd(n, 0.35, 0.45)], seed=1), seq]
     assert first_passages(seqs, 0.25, "relsup", 300) == [first_passage(s, 0.25, "relsup", 300)
                                                           for s in seqs]
+
+
+def spy_walks(monkeypatch):
+    """Record the width of every one-pass measure, and ``(sequence, start)`` of every replay and stepwise route."""
+    widths, replays, stepwise_from = [], [], []
+    measure, replay, stepwise = merging._relsup_stack, merging._replay, merging._stepwise
+
+    def measure_spy(stack):
+        widths.append(stack.shape[0])
+        return measure(stack)
+
+    def replay_spy(seq, matrix, start, *args):
+        replays.append((seq, start))
+        return replay(seq, matrix, start, *args)
+
+    def stepwise_spy(seq, first, *args):
+        stepwise_from.append((seq, first))
+        return stepwise(seq, first, *args)
+
+    monkeypatch.setattr(merging, "_relsup_stack", measure_spy)
+    monkeypatch.setattr(merging, "_replay", replay_spy)
+    monkeypatch.setattr(merging, "_stepwise", stepwise_spy)
+    return widths, replays, stepwise_from
+
+
+def test_only_the_slice_failing_its_window_is_measured_per_stride(monkeypatch):
+    # four 9-state slices; at 128 only the fast one (hit 99) lies below the band
+    seqs = [block_sequences()[r] for r in (1, 2, 5, 6)]
+    n_max = 301
+    loop = [first_passage(seq, 0.25, "relsup", n_max) for seq in seqs]
+    mates = first_passages(seqs[:3], 0.25, "relsup", n_max)
+    assert [t for t, _, _ in loop] == [135, None, None, 99]
+    widths, replays, stepwise_from = spy_walks(monkeypatch)
+    assert first_passages(seqs, 0.25, "relsup", n_max) == loop
+    assert loop[:3] == mates  # its mates' results are those of a stack without it
+    # window ends 64 and 128 with all four; the fast slice alone at 80, 96
+    # and 112, where it hits; the three left at 192, the slice hitting at 135
+    # alone at 144; the two left at 256, then at every stride of the window
+    # holding n_max
+    assert widths == [4, 4, 1, 1, 1, 3, 1, 2, 2, 2, 2]
+    assert replays == [(seqs[3], 96), (seqs[0], 128)] and not stepwise_from
+
+
+def slow_bd(n=8):
+    return KernelSequence.constant(bd(n, 0.45, 0.35))
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_a_drift_failure_inside_a_window_raises_at_its_step(metric):
+    # rows summing to 1 + 1e-9 fail the walk's drift check; step 20 lies in
+    # the second stride of the first window, whose end is far from the band
+    n, k = 8, bd(8, 0.45, 0.35)
+    drifting = StochasticKernel._unchecked(StateSpace(n + 1), k.entries * (1 + 1e-9))
+    seq = KernelSequence.explicit([k] * 19 + [drifting] + [k] * 400)
+    values = stepwise_values(slow_bd(), metric, 3 * WINDOW)
+    # between two values, so no replay takes the stepwise route; the hit,
+    # walked without the drift, is two windows on
+    epsilon = 0.5 * (values[-2] + values[-1])
+    assert values[WINDOW - 1] > epsilon + 1e-3
+    for seqs in ([seq], [slow_bd(), seq, slow_bd()]):
+        with pytest.raises(ArithmeticError, match="at step 20"):
+            first_passages(seqs, epsilon, metric, 300)
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_a_drift_screen_failure_inside_a_window_sends_the_slice_stepwise(monkeypatch, metric):
+    # rows 1e-13 from 1 fail the screen but not the walk; step 20 is in the
+    # second stride of the first window, and the hit two windows later
+    n, k = 8, bd(8, 0.45, 0.35)
+    off = StochasticKernel._unchecked(StateSpace(n + 1), k.entries * (1 + 1e-13))
+    seq = KernelSequence.explicit([k] * 19 + [off] + [k] * 400)
+    hit = 2 * WINDOW + 21
+    values = stepwise_values(seq, metric, hit)
+    epsilon = 0.5 * (values[-2] + values[-1])
+    *_, (_, p, _) = walk(seq, range(1, hit + 1))
+    expected = hit, tv_between_rows(p), relsup_between_rows(p)
+    _, replays, stepwise_from = spy_walks(monkeypatch)
+    assert first_passage(seq, epsilon, metric, 300) == expected  # the stepwise walk's bits
+    assert stepwise_from == [(seq, STRIDE + 1)] and not replays
+    seqs = [slow_bd(), seq, slow_bd()]
+    assert first_passages(seqs, epsilon, metric, 300) == \
+        [first_passage(s, epsilon, metric, 300) for s in seqs]
+
+
+def test_tiny_entries_at_an_inner_checkpoint_only_void_nothing(monkeypatch):
+    # the first 16 kernels leave entries near 1e-295 in the last column at
+    # step 16; the kernel after them lifts every entry above 1e-3, so the
+    # window ends at 64 and 128 hold no tiny entry, and no checkpoint is
+    # measured before 64
+    space = StateSpace(3)
+    tiny = StochasticKernel(space, np.array([[0.9, 0.1, 1e-295], [0.1, 0.9, 2e-295],
+                                             [0.5, 0.5, 3e-295]]))
+    mixing = StochasticKernel(space, np.array([[0.96, 0.02, 0.02], [0.02, 0.96, 0.02],
+                                               [0.02, 0.02, 0.96]]))
+    seq = KernelSequence.explicit([tiny] * STRIDE + [mixing] * 400)
+    steps = [p for _, p, _ in walk(seq, range(1, 3 * WINDOW))]
+    assert 0 < steps[STRIDE - 1].min() < merging._PASSAGE_TINY
+    assert all(p.min() > 1e-3 for p in steps[STRIDE:])
+    hit = 2 * WINDOW + 5
+    values = stepwise_values(seq, "relsup", hit)
+    epsilon = 0.5 * (values[-2] + values[-1])
+    widths, replays, stepwise_from = spy_walks(monkeypatch)
+    got = first_passage(seq, epsilon, "relsup", 300)
+    assert got[0] == hit and not stepwise_from and [r for r, _ in replays] == [seq]
+    p = steps[hit - 1]
+    delta = merging._passage_bound(hit, 3)
+    assert abs(got[1] - tv_between_rows(p)) <= delta
+    assert abs(got[2] - relsup_between_rows(p)) <= delta * (1 + relsup_between_rows(p))
+    seqs = [slow_bd(2), seq]
+    assert first_passages(seqs, epsilon, "relsup", 300) == \
+        [first_passage(s, epsilon, "relsup", 300) for s in seqs]
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("end", [WINDOW, 2 * WINDOW])
+def test_a_slice_walked_again_without_finishing_rejoins_at_the_window_end(monkeypatch, metric, end):
+    # the value at the window end lies within the band, more than δ above
+    # epsilon: the window is walked again, its last stride replayed without
+    # a hit, and the slice walks on from the row at the window end
+    seq = KernelSequence.iid([bd(8, 0.3, 0.2), bd(8, 0.2, 0.35), bd(8, 0.25, 0.25)], seed=4)
+    value = stepwise_values(seq, metric, end)[-1]
+    delta = merging._passage_bound(end, 9) * (1.0 if metric == "tv" else 1.0 + value)
+    epsilon = value - 1.5 * delta
+    reference = [MEASURE[metric](p) for _, p, _ in walk(seq, range(1, 300))]
+    hit = next(i for i, v in enumerate(reference, 1) if v <= epsilon)
+    assert hit > end and reference[end - 1] == value
+    _, replays, stepwise_from = spy_walks(monkeypatch)
+    got = first_passage(seq, epsilon, metric, 300)
+    assert got[0] == hit and not stepwise_from
+    assert (seq, end - STRIDE) in replays and replays[-1][1] == (hit - 1) // STRIDE * STRIDE
+    *_, (_, p, _) = walk(seq, range(1, hit + 1))
+    bound = merging._passage_bound(hit, 9)
+    assert abs(got[1] - tv_between_rows(p)) <= bound
+    assert abs(got[2] - relsup_between_rows(p)) <= bound * (1 + relsup_between_rows(p))
+    seqs = [slow_bd(), seq, KernelSequence.constant(bd(8, 0.02, 0.02))]
+    assert first_passages(seqs, epsilon, metric, 300) == \
+        [first_passage(s, epsilon, metric, 300) for s in seqs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_lone_65_state_sweep_sequence_is_measured_once_a_window(monkeypatch, seed):
+    # a drifted-bd-scaling point at N = 64: one measure at each window end
+    # before the hit's window, then at that window's end and at each of its
+    # strides up to the hit's
+    params = {"ratio_min": 1.2, "ratio_max": 2.0, "hold_max": 0.3, "set_size": 32}
+    seq, _ = scenarios.GENERATORS["bd_ratio_set"](params, {"N": 64}, substream(seed, fold(seed)))
+    widths, replays, stepwise_from = spy_walks(monkeypatch)
+    hit = first_passage(seq, 0.25, "relsup", 4000)[0]
+    assert hit is not None and hit > 10 * WINDOW and not stepwise_from
+    windows_before, strides = (hit - 1) // WINDOW, (hit - 1) % WINDOW // STRIDE + 1
+    assert len(widths) == windows_before + 1 + strides
+    assert [start for _, start in replays] == [(hit - 1) // STRIDE * STRIDE]
 
 
 def bits(x):

@@ -10,6 +10,7 @@ from mclab import (
     EnumerationBudgetError,
     KernelSequence,
     ProbMeasure,
+    ReducibleKernelError,
     StateSpace,
     StochasticKernel,
     classify_structure,
@@ -182,6 +183,33 @@ class TestProductInvariantCriterion:
         found = [(w.word, w.reason) for w in witnesses]
         assert not ok and found == criterion_oracle(kernels, uniform, 5, 3.0)
         assert len(found) == 10 and len({len(word) for word, _ in found}) > 1
+
+    def test_each_word_is_classified_once(self, monkeypatch):
+        pair = list(perturbed_stick_pair(11, 0.6, 0.4, 0.0, 0.0, 0.0))
+        uniform = ProbMeasure.uniform(pair[0].space)
+        expected = criterion_oracle(pair, uniform, 6, 2.0)
+        calls = []
+
+        def counted(k):
+            calls.append(1)
+            return classify(k)
+
+        classify = chain_core.classify_structure
+        monkeypatch.setattr(chain_core, "classify_structure", counted)
+        monkeypatch.setattr(stability, "classify_structure", counted)
+        ok, witnesses = product_invariant_criterion(pair, uniform, depth=6, c=1e5)
+        assert ok and not witnesses and len(calls) == 2 ** 7 - 2  # every word of 1 to 6 letters
+        calls.clear()
+        ok, witnesses = product_invariant_criterion(pair, uniform, depth=6, c=2.0)
+        assert [(w.word, w.reason) for w in witnesses] == expected and not ok
+        words = sorted(word for d in range(1, 7) for word in itertools.product(range(2), repeat=d))
+        assert len(calls) == words.index(expected[-1][0]) + 1  # up to the tenth witness
+        # the public stationary_measure still classifies, and refuses a reducible kernel
+        calls.clear()
+        stationary_measure(pair[0])
+        assert len(calls) == 1
+        with pytest.raises(ReducibleKernelError):
+            stationary_measure(StochasticKernel.identity(pair[0].space))
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self, rng):
         # one kernel: the tree is a path of depth + 1 nodes, well inside the budget

@@ -10,6 +10,7 @@ from mclab import (
     compose,
     constant_rate_bd,
     general_bd,
+    general_bd_set,
     graph_kernel,
     lazy_stick,
     metropolis_ratio_bound,
@@ -115,6 +116,32 @@ class TestGeneralBD:
             if spec.within_rate_band and spec.within_measure_band:
                 return
         pytest.fail("no in-band instance found in 50 draws")
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    def test_rate_band_holds_at_the_edges_of_the_sampled_rates(self, n):
+        # the uniform-bd sampler draws interior pairs from [1/4, 1/2)² with
+        # u + d <= 3/4 and end rates from [1/4, 3/4); it never tests the rate
+        # band, which must hold at every edge of those ranges
+        below = np.nextafter
+        rng = np.random.default_rng(n)
+        edges = [(0.25, 0.25), (0.25, below(0.5, 0.0)), (below(0.5, 0.0), 0.25), (0.375, 0.375)]
+        for u in rng.uniform(0.25, 0.5, 20).tolist():  # u + d on 3/4, the largest d it accepts
+            d = 0.75 - u
+            while d < 0.5 and u + below(d, 1.0) <= 0.75:
+                d = below(d, 1.0)
+            if d < 0.5 and u + d <= 0.75:
+                edges.append((u, d))
+        ends = [0.25, below(0.75, 0.0)]
+        rows = []
+        for first, last in [(a, b) for a in ends for b in ends]:
+            for shift in range(len(edges)):
+                pairs = [edges[(shift + x) % len(edges)] for x in range(n - 1)]
+                up = [first] + [u for u, _ in pairs] + [0.0]
+                down = [0.0] + [d for _, d in pairs] + [last]
+                rows.append((up, down))
+        specs = general_bd_set(n, [u for u, _ in rows], [d for _, d in rows])
+        assert len(specs) == len(rows) and all(spec.within_rate_band for spec in specs)
+        assert min(float(spec.hold.min()) for spec in specs) < 0.25  # 1 - u - d rounds below 1/4
 
     def test_drifting_rates_leave_measure_band(self):
         n = 16
