@@ -8,7 +8,8 @@ Walks over time accumulate that matrix one
 than ``DRIFT_ATOL``; first passages instead multiply a stack of walks,
 by two consecutive kernels at a time where they are all tridiagonal,
 renormalize it once per stride and measure it once per window of strides,
-under the rounding bound stated in :func:`first_passage`. Every product
+which it multiplies once, under the rounding bound stated in
+:func:`first_passage`. Every product
 step, in a walk, a stack or :func:`product`, is one
 :func:`~mclab.chain_core.kernel_matmul`, which
 multiplies by a banded kernel in column blocks. :func:`product` is the
@@ -122,10 +123,10 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     holds no positive entry below ``_PASSAGE_TINY``, and the value (for
     TV, half the largest L1 distance from row 0 to another row, a lower
     bound on it) lies above ``ε + 2δ``: such a value rules out every step
-    since the previous measured checkpoint. Otherwise the window is walked
-    again from its first checkpoint and measured at each of its
-    checkpoints, as the window holding ``n_max`` is; if nothing ends the
-    walk there, it goes on from the window's end. At a measured
+    since the previous measured checkpoint. Otherwise each checkpoint of
+    the window, kept from the one walk through it, is measured in order,
+    as those of the window holding ``n_max`` are; if nothing ends the walk
+    there, it goes on from the window's end. At a measured
     checkpoint, a value above ``ε + 2δ`` rules out its stride. Otherwise
     :func:`_replay` walks that stride again through ``walk``
     from the previous checkpoint and measures its steps in order: a value
@@ -177,9 +178,8 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     ``ε + δ`` already puts every stepwise value since the previous measured
     checkpoint above ``ε``, however many strides lie between them; the
     band ``ε + 2δ`` doubles that margin. Measuring fewer checkpoints
-    changes no product: inside a window every stride multiplies and
-    renormalizes as it does when measured, so every checkpoint has the
-    same bits either way.
+    changes no product: a window is multiplied and renormalized once,
+    whichever of its checkpoints are measured.
 
     **Drift screen.** Each kernel is screened once per batch: its computed
     row sums must lie within ``min(2(N + 1)·u, DRIFT_ATOL - 4(N + 1)·u)``
@@ -226,32 +226,34 @@ def first_passages(seqs, epsilon: float, metric: str,
     by a pair of kernels at a time, and the others as another, advanced a
     kernel at a time; each stack is renormalized once per stride, so the
     per-step call overhead is paid once for the stack rather than once per
-    sequence. A stack is measured at the end of each window of
-    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps, and only the slices that
-    fail there are walked again through the window, stride by stride. A
+    sequence. A stack walks each window of
+    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps once, keeps its rows at
+    every checkpoint of the window, and is measured at the window's end;
+    only the slices that fail there are judged stride by stride, from the
+    rows it kept. A
     stack draws its kernel positions, and forms the pairs it steps by,
     once per block of strides (:func:`_block_strides`) inside a window,
-    not once per stride; a block ends early at a checkpoint where a
-    sequence leaves. A relative-sup checkpoint measures the whole stack in
-    one pass (:func:`_relsup_stack`). The steps write into two buffers
-    allocated once per stack, never into the last checkpoint. A batch takes
+    not once per stride. A relative-sup checkpoint measures the whole
+    stack in one pass (:func:`_relsup_stack`). The stacks a window needs,
+    the rows at its start, one for each of its checkpoints and a spare,
+    are allocated once per stack. A batch takes
     sequences while their kernels and stacks (:func:`_passage_bytes` each)
     fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
     stacked step, and of its renormalization, has the bits of the same step
     walked alone, the one-pass measure has the bits of
     :func:`relsup_between_rows` on each slice, and each sequence is
-    screened, measured and walked again exactly as :func:`first_passage`
-    does it (the identity at time 0 is measured once per batch), so each
-    result equals its :func:`first_passage` bit for bit. A sequence leaves
-    the stack when it finishes. ``seqs`` is read lazily, and a batch is
-    walked and dropped as soon as not even a one-kernel sequence of its
-    state count would fit, so a sequence waits outside a stack only when
-    it has another state count or band, or the stack had room for a
-    one-kernel sequence but not for it. When walks fail, the error raised
-    is the one of the first failing sequence, the one a loop over
-    :func:`first_passage` raises; when reading ``seqs`` fails, the batch
-    read so far is walked first. A NaN or negative ``epsilon`` raises
-    ``ValueError`` before anything is walked.
+    screened, measured and judged exactly as :func:`first_passage` does it
+    (the identity at time 0 is measured once per batch), so each result
+    equals its :func:`first_passage` bit for bit. A sequence leaves the
+    stack at the end of the window it finishes in. ``seqs`` is read
+    lazily, and a batch is walked and dropped as soon as not even a
+    one-kernel sequence of its state count would fit, so a sequence waits
+    outside a stack only when it has another state count or band, or the
+    stack had room for a one-kernel sequence but not for it. When walks
+    fail, the error raised is the one of the first failing sequence, the
+    one a loop over :func:`first_passage` raises; when reading ``seqs``
+    fails, the batch read so far is walked first. A NaN or negative
+    ``epsilon`` raises ``ValueError`` before anything is walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -278,7 +280,8 @@ def first_passages(seqs, epsilon: float, metric: str,
             batch_key = key
             used += cost
             del seq  # held by the batch alone, and dropped with it
-            if used + 8 * n * (5 * n + 4) > _BATCH_BYTES:  # the least a one-kernel sequence adds
+            # the least a one-kernel sequence adds (_passage_bytes)
+            if used + 8 * n * ((_PASSAGE_BLOCK + 4) * n + 4) > _BATCH_BYTES:
                 walk_batch()
     except Exception:
         if batch:  # reading failed; the sequences read before it come first
@@ -293,23 +296,22 @@ def _passage_bytes(seq: KernelSequence) -> int:
     """Bytes one sequence adds to a :func:`first_passages` batch.
 
     Its kernels, which the batch reads where the sequence holds them, plus
-    its slice of the four stacks a batch allocates once: the last
-    checkpoint, the two buffers the steps alternate between (the current
-    matrices and the product being formed) and the factor of a step, which
-    is either the concatenated kernels or the product of a pair of kernels
-    with its four columns of padding (``N × (N + 4)``). A sequence that
-    steps in pairs also adds its kernels' three diagonals, padded to
-    ``N + 2`` each. Not counted: the pairs formed for a block of strides,
-    which :func:`_block_strides` keeps within ``_BLOCK_BYTES`` for the
-    whole stack, and the ``O(N)`` numbers a kernel or a step that the
-    drift screen, a block's kernel positions, a checkpoint's row sums and
-    the relative-sup column extremes take; and the three buffers of the
-    slices walked again through a window, which :class:`_StackWalk` keeps
-    within ``_BLOCK_BYTES`` by walking them in parts.
+    its slice of the ``_PASSAGE_BLOCK + 3`` stacks a batch allocates once:
+    the rows at a window's start, the rows at each of the window's
+    checkpoints, a spare the products alternate with, and the factor of a
+    step, which is either the concatenated kernels or the product of a
+    pair of kernels with its four columns of padding (``N × (N + 4)``). A
+    sequence that steps in pairs also adds its kernels' three diagonals,
+    padded to ``N + 2`` each. Not counted: the pairs formed for a block of
+    strides, which :func:`_block_strides` keeps within ``_BLOCK_BYTES``
+    for the whole stack; the ``O(N)`` numbers a kernel or a step that the
+    drift screen, a window's kernel positions, a checkpoint's row sums and
+    the relative-sup column extremes take; and the copy of a checkpoint's
+    judged slices that :meth:`_StackWalk.judge` measures.
     """
     n, m = seq.space.size, len(seq.kernels)
     diagonals = 3 * (n + 2) * m if _tridiagonal(seq) else 0
-    return 8 * (n * (n * (m + 4) + 4) + diagonals)
+    return 8 * (n * (n * (m + _PASSAGE_BLOCK + 3) + 4) + diagonals)
 
 
 def _stack_band(seq: KernelSequence) -> int:
@@ -339,18 +341,18 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     steps a pair of kernels at a time (:func:`_pair_factors`); the others
     form one that steps a kernel at a time (:func:`_kernel_factors`). A
     stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
-    the band of its factors, alternating between two buffers that are
-    never the checkpoint, and at each checkpoint divides every row by its
-    sum in one pass. It is walked in windows of
+    the band of its factors, and at each checkpoint divides every row by
+    its sum in one pass. It is walked once through each window of
     ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps aligned to multiples of
-    that length, by :class:`_StackWalk`: a window ending before ``n_max``
-    is measured at its end only, and its failing slices are walked again
-    through it and measured at each checkpoint; the window holding
-    ``n_max`` is measured at each checkpoint. The kernel positions, the
-    drift screen of each stride and the factors are formed once per block
-    of strides (:func:`_block_strides`) inside a window, for every slice
-    walked, by the factor generators, which take kernel positions of any
-    length. At a relative-sup checkpoint, :func:`_relsup_stack` measures
+    that length, by :class:`_StackWalk`, which keeps the rows at every
+    checkpoint of the window: a window ending before ``n_max`` is measured
+    at its end only, and its failing slices are measured at each kept
+    checkpoint; the window holding ``n_max`` is measured at each
+    checkpoint. The kernel positions, the drift screen of each stride and
+    the factors are formed once per block of strides
+    (:func:`_block_strides`) inside a window, for every live slice, by the
+    factor generators, which take kernel positions of any length. At a
+    relative-sup checkpoint, :func:`_relsup_stack` measures
     every slice in one pass, with the bits of :func:`relsup_between_rows`.
     At a TV checkpoint a slice's TV is first bounded from below by
     :func:`_tv_pivot`, one ``O(N²)`` pass: a non-final checkpoint whose
@@ -418,17 +420,15 @@ class _StackWalk:
         else:
             self.multiply = forward_matmul(n, max(_stack_band(self.seqs[r]) for r in live))
             self.factors = _kernel_factors(self.seqs, live, n)
-        # the checkpoint and two buffers the steps alternate between; slices
-        # that leave are compacted to the front
+        # the rows at the window start, one slot for each checkpoint of a
+        # window, and a spare the products alternate with
         stacks = [np.repeat(np.eye(n)[None], len(live), axis=0)]
-        stacks += [np.empty_like(stacks[0]) for _ in range(2)]
-        window = _PASSAGE_BLOCK * _PASSAGE_STRIDE
+        stacks += [np.empty_like(stacks[0]) for _ in range(_PASSAGE_BLOCK + 1)]
         start = 0
-        while live and start + window < self.n_max:
-            live = self.window(live, stacks, start, start + window)
-            start += window
-        if live:
-            self.measured(live, stacks, start, self.n_max)
+        while live:
+            end = min(start + _PASSAGE_BLOCK * _PASSAGE_STRIDE, self.n_max)
+            live = self.window(live, stacks, start, end)
+            start = end
 
     def band(self, t: int) -> float:
         """``ε + 2δ(t)``: a value above it rules out every step since the last measured checkpoint."""
@@ -439,140 +439,112 @@ class _StackWalk:
         indices = [self.seqs[r].indices(start + 1, stop + 1) for r in live]
         return indices, self.screened[np.add(indices, self.offsets[live][:, None])]
 
-    def stride(self, p: np.ndarray, steps, count: int, buffers) -> np.ndarray:
-        """``p`` multiplied by the next ``count`` factors of ``steps``, its rows divided by their sums."""
-        for j, factor in enumerate(islice(steps, count)):
-            p = self.multiply(p, factor, out=buffers[j % 2])
-        np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
-        return p
-
     def window(self, live: list[int], stacks: list, start: int, end: int) -> list[int]:
-        """Walk a window ``(start, end]``, ``end < n_max``, and return the slices that walk on.
+        """Walk a window ``(start, end]`` once and return the slices that walk on.
 
-        Every stride multiplies and renormalizes as in :meth:`measured`,
-        but nothing is measured before ``end``. A full stride takes an even
-        number of factors, so the rows at ``start`` stay in ``stacks[0]``
-        and those at ``end`` land in ``stacks[2]``. A slice walks on when
-        every kernel of its window passed the drift screen, and its value
-        at ``end`` (for TV, :func:`_tv_pivot`) lies above the band with,
-        for relative-sup, no positive entry below ``_PASSAGE_TINY``.
-        Every other slice is walked again through the window by
-        :meth:`measured`, from its row at ``start``, in sub-stacks whose
-        three buffers fit in ``_BLOCK_BYTES`` (at least one slice each);
-        they step by the window's factors when one block formed them. A
-        slice that does not finish there rejoins with its row at ``end``,
-        which the stack already holds. On return the rows of the slices
-        that walk on are the first of ``stacks[0]``, in order.
+        The rows at ``start`` are the first of ``stacks[0]``. The stride
+        ending at the window's ``k``-th checkpoint multiplies from
+        ``stacks[k - 1]``, alternating with the spare ``stacks[-1]`` so
+        that its last product lands in ``stacks[k]``, which is then divided
+        by its row sums in place; every checkpoint keeps its bits. At an
+        ``end`` before ``n_max`` a slice walks on when every kernel of its
+        window passed the drift screen, and its value at ``end`` (for TV,
+        :func:`_tv_pivot`) lies above the band with, for relative-sup, no
+        positive entry below ``_PASSAGE_TINY``; every other slice, and
+        every slice of the window holding ``n_max``, is judged from the
+        stored checkpoints by :meth:`judge`. On return the rows of the
+        slices that walk on are the first of ``stacks[0]``, in order.
         """
-        n, width, stride = self.n, len(live), _PASSAGE_STRIDE
-        p, buffers = stacks[0][:width], (stacks[1][:width], stacks[2][:width])
-        count = stride // 2 if self.paired else stride
-        screened = np.ones(width, dtype=bool)
-        first = start
+        width = len(live)
+        marks = [*range(start, end, _PASSAGE_STRIDE), end]  # the start, then each checkpoint
+        screens, k, first = [], 0, start
         while first < end:  # a block of strides; only the last one's factors are held
-            stop = min(first + _block_strides(width, n, self.paired) * stride, end)
+            stop = min(first + _block_strides(width, self.n, self.paired) * _PASSAGE_STRIDE, end)
             indices, passed = self.draw(live, first, stop)
-            screened &= passed.all(axis=1)
-            block = self.factors(live, indices)
-            steps = iter(block)
-            for _ in range(first, stop, stride):
-                p = self.stride(p, steps, count, buffers)
-            whole, first = first == start, stop  # whether one block formed the window
-        band = self.band(end)
-        if self.metric == "relsup":
-            values, tiny = _relsup_stack(p)
-            fails = ~screened | tiny | ~(values > band)
+            screens.append(passed)
+            steps = self.factors(live, indices)
+            while marks[k] < stop:  # a stride
+                k += 1
+                length = marks[k] - marks[k - 1]
+                count = (length + 1) // 2 if self.paired else length
+                p = stacks[k - 1][:width]
+                for j, factor in enumerate(islice(steps, count)):
+                    p = self.multiply(p, factor, out=stacks[k if (count - j) % 2 else -1][:width])
+                np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
+            first = stop
+        passed = np.concatenate(screens, axis=1)
+        if end == self.n_max:
+            judged = list(range(width))
         else:
-            fails = ~screened | ~(_tv_pivot(p) > band)
-        failing = np.flatnonzero(fails).tolist()
-        rejoining = set()
-        part = max(1, _BLOCK_BYTES // (3 * 8 * n * n))
-        for i in range(0, len(failing), part):
-            slices = failing[i:i + part]
-            sub = [stacks[0][slices]]
-            sub += [np.empty_like(sub[0]) for _ in range(2)]
-            steps = block.select(slices) if whole else None
-            rejoining.update(self.measured([live[s] for s in slices], sub, start, end, steps))
-        # the rows at end become the checkpoint
-        stacks[0], stacks[2] = stacks[2], stacks[0]
+            band = self.band(end)
+            if self.metric == "relsup":
+                values, tiny = _relsup_stack(p)
+                fails = ~passed.all(axis=1) | tiny | ~(values > band)
+            else:
+                fails = ~passed.all(axis=1) | ~(_tv_pivot(p) > band)
+            judged = np.flatnonzero(fails).tolist()
+        finished = self.judge(live, judged, stacks, marks, passed)
+        # the rows at end become the window start
+        stacks[0], stacks[k] = stacks[k], stacks[0]
         bound = min(self.errors, default=len(self.seqs))
-        keep = [s for s in range(width)
-                if (not fails[s] or live[s] in rejoining) and live[s] < bound]
+        keep = [s for s in range(width) if s not in finished and live[s] < bound]
         if len(keep) < width:
             stacks[0][:len(keep)] = stacks[0][keep]
         return [live[s] for s in keep]
 
-    def measured(self, live: list[int], stacks: list, start: int, end: int, steps=None) -> list[int]:
-        """Walk the slices ``live`` from their rows at ``start``, the first of ``stacks[0]``, to ``end``.
+    def judge(self, live, judged, stacks, marks, passed) -> set[int]:
+        """Measure the slices ``judged`` at the window's checkpoints in order; return those that finish.
 
-        Each stride is measured at its checkpoint: a slice whose stride
-        used a kernel failing the drift screen, or whose relative-sup
+        A slice whose stride used a kernel failing the drift screen
+        (``passed``, by step of the window), or whose relative-sup
         checkpoint holds a positive entry below ``_PASSAGE_TINY``, is
         finished by :func:`_stepwise`; a checkpoint inside the band is
-        walked again by :func:`_replay`. A slice leaves when it finishes,
-        and then a new block of strides starts at that checkpoint for the
-        slices left. ``steps``, when given, yields the factors of the
-        slices from ``start`` to ``end``, for the first block. Returns the
-        slices that reach ``end`` without finishing (none when ``end`` is
-        ``n_max``); the error of a slice that fails is kept in
-        :attr:`errors`.
+        walked again by :func:`_replay` from the previous checkpoint's
+        slot. A slice that finishes is measured no further, and at
+        ``n_max`` every slice finishes; the error of a slice that fails is
+        kept in :attr:`errors`.
         """
-        n, n_max, epsilon, metric = self.n, self.n_max, self.epsilon, self.metric
-        while live and start < end:  # a block of strides
-            width, first = len(live), start
-            last = end if steps is not None else \
-                min(start + _block_strides(width, n, self.paired) * _PASSAGE_STRIDE, end)
-            indices, passed = self.draw(live, start, last)
-            if steps is None:
-                steps = iter(self.factors(live, indices))
-            while start < last:  # a stride
-                stop = min(start + _PASSAGE_STRIDE, end)
-                checkpoint = stacks[0][:width]
-                count = (stop - start + 1) // 2 if self.paired else stop - start
-                p = self.stride(checkpoint, steps, count, (stacks[1][:width], stacks[2][:width]))
-                band = self.band(stop)
-                stepwise = ~passed[:, start - first:stop - first].all(axis=1)
-                if metric == "relsup":
-                    values, tiny = _relsup_stack(p)
-                    stepwise |= tiny
-                    walks_on = values > band
-                    values = values.tolist()
-                elif stop < n_max:
-                    walks_on = _tv_pivot(p) > band
-                if stop == n_max:  # every slice finishes here
-                    walks_on = np.zeros(width, dtype=bool)
-                leaving = []
-                for s in np.flatnonzero(stepwise | ~walks_on).tolist():
-                    r = live[s]
-                    try:
-                        if stepwise[s]:
-                            step = _stepwise(self.seqs[r], start + 1, n_max, self.measure, epsilon)
-                        else:
-                            value = values[s] if metric == "relsup" else self.measure(p[s])
-                            step = (stop, p[s], value) if value > band else \
-                                _replay(self.seqs[r], checkpoint[s], start, stop, self.measure,
-                                        epsilon, self.scale, n_max)
-                    except ArithmeticError as exc:
-                        self.errors[r] = exc
-                        leaving.append(s)
-                        continue
-                    if step[2] <= epsilon or step[0] == n_max:
-                        i, matrix, value = step
-                        self.results[r] = _passage_result(metric, i if value <= epsilon else None,
-                                                          matrix, value)
-                        leaving.append(s)
-                # the buffer holding p becomes the next checkpoint; the old one takes steps
-                held = 2 - count % 2
-                stacks[0], stacks[held] = stacks[held], stacks[0]
-                start = stop
-                bound = min(self.errors, default=len(self.seqs))
-                keep = [s for s in range(width) if s not in leaving and live[s] < bound]
-                if len(keep) < width:
-                    stacks[0][:len(keep)] = p[keep]
-                    live = [live[s] for s in keep]
-                    break
-            steps = None
-        return live
+        n_max, epsilon, metric = self.n_max, self.epsilon, self.metric
+        finished: set[int] = set()
+        for k in range(1, len(marks)):
+            first, stop = marks[k - 1], marks[k]
+            bound = min(self.errors, default=len(self.seqs))
+            judged = [s for s in judged if s not in finished and live[s] < bound]
+            if not judged:
+                break
+            p = stacks[k][judged]
+            band = self.band(stop)
+            stepwise = ~passed[judged, first - marks[0]:stop - marks[0]].all(axis=1)
+            if metric == "relsup":
+                values, tiny = _relsup_stack(p)
+                stepwise |= tiny
+                walks_on = values > band
+                values = values.tolist()
+            elif stop < n_max:
+                walks_on = _tv_pivot(p) > band
+            if stop == n_max:  # every slice finishes here
+                walks_on = np.zeros(len(judged), dtype=bool)
+            for i in np.flatnonzero(stepwise | ~walks_on).tolist():
+                s = judged[i]
+                r = live[s]
+                try:
+                    if stepwise[i]:
+                        step = _stepwise(self.seqs[r], first + 1, n_max, self.measure, epsilon)
+                    else:
+                        value = values[i] if metric == "relsup" else self.measure(p[i])
+                        step = (stop, p[i], value) if value > band else \
+                            _replay(self.seqs[r], stacks[k - 1][s], first, stop, self.measure,
+                                    epsilon, self.scale, n_max)
+                except ArithmeticError as exc:
+                    self.errors[r] = exc
+                    finished.add(s)
+                    continue
+                if step[2] <= epsilon or step[0] == n_max:
+                    t, matrix, value = step
+                    self.results[r] = _passage_result(metric, t if value <= epsilon else None,
+                                                      matrix, value)
+                    finished.add(s)
+        return finished
 
 
 def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
@@ -626,9 +598,9 @@ def _relsup_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
     """The factors of a block's steps for the sequences ``members``: a kernel a step.
 
-    Returns ``factors(live, indices)``, which gives the :class:`_Block` of
-    the sequences ``live`` (a subset of ``members``, in order): for each
-    step, one stack of the kernels those sequences take at that step;
+    Returns ``factors(live, indices)``, a generator of the steps of the
+    sequences ``live`` (a subset of ``members``, in order): for each step,
+    one stack of the kernels those sequences take at that step;
     ``indices[s]`` holds the kernel positions of slice ``s``. A lone
     sequence's kernel is a ``(1, N, N)`` view; kernels of several
     sequences are concatenated into one buffer allocated once.
@@ -638,32 +610,12 @@ def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
 
     def factors(live, indices):
         columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
-
-        def steps(slices):
-            chosen = columns if slices is None else [columns[s] for s in slices]
-            if len(chosen) == 1:
-                return iter(chosen[0])
-            return (np.concatenate(step, out=out[:len(chosen)]) for step in zip(*chosen))
-        return _Block(steps)
+        if len(columns) == 1:
+            yield from columns[0]
+        else:
+            for step in zip(*columns):
+                yield np.concatenate(step, out=out[:len(columns)])
     return factors
-
-
-class _Block:
-    """The factors of a block of steps: iterated, those of every slice; :meth:`select`, of some.
-
-    ``steps(slices)`` yields, step by step, the factors of the slices at
-    the positions ``slices``, or of every slice when ``slices`` is ``None``.
-    """
-
-    def __init__(self, steps):
-        self.steps = steps
-
-    def __iter__(self):
-        return iter(self.steps(None))
-
-    def select(self, slices: list[int]):
-        """The factors of the slices at the positions ``slices``, a stack of them a step."""
-        return iter(self.steps(slices))
 
 
 def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
@@ -708,14 +660,10 @@ def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
         pair = np.take(table, rows.reshape(width, -1, 2).transpose(2, 1, 0), axis=1)
         formed = _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3)
         del pair  # while the steps are taken, only the pairs' diagonals are held
-
-        def steps(slices):
-            chosen = formed if slices is None else formed[:, slices]
-            target, factor = band[:chosen.shape[1]], product[:chosen.shape[1]]
-            for diagonals in chosen:
-                np.copyto(target, diagonals)
-                yield factor
-        return _Block(steps)
+        target, factor = band[:width], product[:width]
+        for diagonals in formed:
+            np.copyto(target, diagonals)
+            yield factor
     return factors
 
 

@@ -467,7 +467,9 @@ def _apply_checks(config: dict, rows: list[dict]) -> tuple[dict, list[str]]:
 def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet:
     """Execute a scenario (path or built-in name) and return its results.
 
-    ``seed`` overrides the config seed. Rows come out in grid order, and
+    ``seed`` overrides the config seed; an effective seed outside
+    ``[0, 2^64)`` raises ``ValueError``, as :func:`~mclab.rng.substream`
+    would fold it onto another seed's stream. Rows come out in grid order, and
     a failure raises the error of the first failing point; ``merging_time``
     points are walked in stacks (:func:`_run_merging`). A check whose
     ``by`` or ``column`` is neither a grid key, ``replica`` nor one of the
@@ -484,6 +486,8 @@ def run_scenario(source, seed: int | None = None, threads: int = 1) -> ResultSet
     if seed is not None:
         config = dict(config, seed=int(seed))
     base_seed = int(config["seed"])
+    if not 0 <= base_seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {base_seed}")
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8"))
     family = config["generator"]["family"]
     generate = GENERATORS[family]

@@ -116,6 +116,9 @@ DOUBLING_CHECK = {"kind": "doubling_ratio_min", "column": "t_merge", "by": "N", 
     (dict(SCENARIO, generator=MIRRORED_GENERATOR,
           analysis={"kind": "merging_time", "epsilon": float("nan")}),
      "epsilon must be a number >= 0, got nan"),
+    # the schema bounds a seed below only; substream would fold it onto 0
+    (dict(SCENARIO, generator=MIRRORED_GENERATOR, seed=2 ** 64),
+     f"seed must lie in [0, 2^64), got {2 ** 64}"),
 ])
 def test_run_usage_errors(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
@@ -124,6 +127,18 @@ def test_run_usage_errors(tmp_path, capsys, config, message):
     assert err.startswith("usage: mclab run ")
     assert f"error: {message}" in err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64) + 3])
+def test_run_rejects_a_seed_override_outside_64_bits(tmp_path, capsys, seed):
+    # a negative seed once ran with a RuntimeWarning, on the stream of seed mod 2^64
+    err = run_failing(["run", "mirrored-pair", "--seed", str(seed), "--out",
+                       str(tmp_path / "r")], capsys)
+    assert err.startswith("usage: mclab run ")
+    assert f"error: seed must lie in [0, 2^64), got {seed}" in err
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        scenarios.run_scenario("mirrored-pair", seed=seed)
 
 
 def test_run_has_no_threads_option(tmp_path, capsys):

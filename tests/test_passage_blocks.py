@@ -2,11 +2,11 @@
 relative-sup measure, and birth-death kernel sets built as one stack.
 
 ``merging._passage_batch`` walks a stack in windows of
-``_PASSAGE_BLOCK * _PASSAGE_STRIDE`` steps, measured at their ends; a slice
-that fails its window is walked again through it and measured stride by
-stride, and rejoins at the window's end when it does not finish. Inside a
-window, kernel positions are drawn and factors formed once per block of
-strides, and a new block starts where a slice leaves. Every result must
+``_PASSAGE_BLOCK * _PASSAGE_STRIDE`` steps, each multiplied once and
+measured at its end; a slice that fails its window is judged stride by
+stride from the checkpoints the walk kept, and walks on from the window's
+end when it does not finish. Inside a window, kernel positions are drawn
+and factors formed once per block of strides. Every result must
 still equal a loop of ``first_passage`` bit for bit, with the hit time of
 the stepwise walk. ``merging._relsup_stack`` must give the bits of
 ``relsup_between_rows`` on every slice. ``zoo.constant_rate_bd_set`` must
@@ -131,17 +131,16 @@ def test_slices_leave_mid_block_and_n_max_ends_inside_a_block(monkeypatch, metri
     assert any(t is None for t, _, _ in loop)  # walked to n_max
     assert len({(t - 1) // STRIDE for t in hits}) >= 2
     assert any(width < 6 for width, _ in blocks)
-    # every block lies inside one window; a block starting inside a window
-    # starts at a checkpoint where a slice walked again, or walked in the
-    # window holding n_max, left, and the slices left walk on to the window's end
+    # every block lies inside one window; within each stack (the pair stack,
+    # then the dense one) every window's steps are drawn exactly once, in
+    # blocks that start at the window start or at the previous block's end,
+    # and a slice leaving inside a window starts no block
     assert draws[0][1:] == (0, min(WINDOW, n_max))
-    for (width, start, stop), (before, first, end) in zip(draws[1:], draws):
+    assert sum(start == 0 for _, start, _ in draws) == 2
+    for (width, start, stop), (before, _, end) in zip(draws[1:], draws):
         assert start // WINDOW == (stop - 1) // WINDOW
         assert stop == min((start // WINDOW + 1) * WINDOW, n_max)
-        if start % WINDOW:  # the block before was cut short there
-            assert start % STRIDE == 0 and first < start <= end and width < before
-    if n_max > 100:  # a slice leaving inside a window starts another block at that checkpoint
-        assert any(start % WINDOW for _, start, _ in draws)
+        assert start in (0, end) and (start % WINDOW == 0 or width == before)
     # the last block ends at n_max, inside the window holding it, with an odd length
     assert blocks[-1][1] % 2 == 1 and blocks[-1][1] < WINDOW
 
@@ -296,10 +295,11 @@ def test_tiny_entries_at_an_inner_checkpoint_only_void_nothing(monkeypatch):
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
 @pytest.mark.parametrize("end", [WINDOW, 2 * WINDOW])
-def test_a_slice_walked_again_without_finishing_rejoins_at_the_window_end(monkeypatch, metric, end):
+def test_a_slice_judged_without_finishing_walks_on_from_the_window_end(monkeypatch, metric, end):
     # the value at the window end lies within the band, more than δ above
-    # epsilon: the window is walked again, its last stride replayed without
-    # a hit, and the slice walks on from the row at the window end
+    # epsilon: the window's stored checkpoints are judged, its last stride
+    # replayed from the checkpoint before it without a hit, and the slice
+    # walks on from the row at the window end
     seq = KernelSequence.iid([bd(8, 0.3, 0.2), bd(8, 0.2, 0.35), bd(8, 0.25, 0.25)], seed=4)
     value = stepwise_values(seq, metric, end)[-1]
     delta = merging._passage_bound(end, 9) * (1.0 if metric == "tv" else 1.0 + value)
@@ -318,6 +318,47 @@ def test_a_slice_walked_again_without_finishing_rejoins_at_the_window_end(monkey
     seqs = [slow_bd(), seq, KernelSequence.constant(bd(8, 0.02, 0.02))]
     assert first_passages(seqs, epsilon, metric, 300) == \
         [first_passage(s, epsilon, metric, 300) for s in seqs]
+
+
+def spy_products(monkeypatch):
+    """Record the number of slices of every product a stack forms."""
+    products = []
+    forward_matmul = merging.forward_matmul
+
+    def spy(n, band):
+        multiply = forward_matmul(n, band)
+
+        def counted(p, k, out=None):
+            products.append(p.shape[0])
+            return multiply(p, k, out=out)
+        return counted
+
+    monkeypatch.setattr(merging, "forward_matmul", spy)
+    return products
+
+
+@pytest.mark.parametrize("metric, epsilon", [("tv", 0.1), ("relsup", 0.25)])
+def test_each_window_is_multiplied_once_a_slice(monkeypatch, metric, epsilon):
+    # slices fail windows before n_max, finishing there or walking on; each
+    # slice takes the products of every window up to the one it finishes
+    # in, once, and the whole window holding n_max
+    seqs, n_max = block_sequences(), 301
+    loop = [first_passage(seq, epsilon, metric, n_max) for seq in seqs]
+    products = spy_products(monkeypatch)
+    _, replays, stepwise_from = spy_walks(monkeypatch)
+    assert first_passages(seqs, epsilon, metric, n_max) == loop
+    assert not stepwise_from
+    last_window = (n_max - 1) // WINDOW * WINDOW
+    assert sum(start < last_window for _, start in replays) >= 2
+
+    def factors(t, paired):
+        end = min(-(-t // WINDOW) * WINDOW, n_max)
+        strides = [min(start + STRIDE, end) - start for start in range(0, end, STRIDE)]
+        return sum((s + 1) // 2 if paired else s for s in strides)
+
+    dense = 3  # the one sequence of dense kernels, which steps a kernel at a time
+    assert sum(products) == sum(factors(n_max if t is None else t, r != dense)
+                                for r, (t, _, _) in enumerate(loop))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
