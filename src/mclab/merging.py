@@ -6,7 +6,7 @@ Walks over time accumulate that matrix one
 :func:`~mclab.chain_core.renormalized_step` at a time through
 :func:`~mclab.chain_core.walk`, which raises when a step drifts by more
 than ``DRIFT_ATOL``; first passages instead multiply a stack of walks,
-by two consecutive kernels at a time where they are all tridiagonal,
+by four consecutive kernels at a time where they are all tridiagonal,
 renormalize it once per stride and measure it once per window of strides,
 which it multiplies once, under the rounding bound stated in
 :func:`first_passage`. Every product
@@ -55,7 +55,7 @@ _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding b
 _DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
 _BATCH_BYTES = 1 << 20  # kernels plus stacks of one first_passages batch
 _PASSAGE_BLOCK = 4      # most strides whose kernel positions and factors first_passages forms at once
-_BLOCK_BYTES = 1 << 18  # most bytes of the pairs formed for one block of strides
+_BLOCK_BYTES = 1 << 18  # most bytes of the arrays formed for one block of strides
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -107,10 +107,11 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     :func:`~mclab.chain_core.kernel_matmul` a factor; at a checkpoint
     each row is divided by its sum. When every
     kernel of the sequence is tridiagonal (bandwidth at most 1, as every
-    birth-death kernel is), a factor is the product ``K_a K_b`` of two
-    consecutive kernels, pentadiagonal and formed from their diagonals in
-    ``O(N)`` elementwise work, with band 2; a stride of odd length ends
-    with its last kernel alone. Otherwise a factor is one kernel, with
+    birth-death kernel is), a factor is the product ``K_a K_b K_c K_d`` of
+    four consecutive kernels, formed from their diagonals in ``O(N)``
+    elementwise work, with band 4; a stride whose length is not a multiple
+    of four ends with the product of its last one to three kernels.
+    Otherwise a factor is one kernel, with
     the largest :func:`~mclab.chain_core.matmul_band` of the sequence's
     kernels as its band. Below, a threshold
     ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. The metric is
@@ -156,15 +157,25 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     each row of its step-``t`` matrix within ``t·λ`` of the exact product
     of the rescaled kernels, ``λ = -log(1 - 8(N + 1)·u)`` for kernels whose
     row sums lie within ``(3N + 2)·u`` of 1, which the screen guarantees.
-    A pair step counts as two steps. Each entry of the formed ``K_a K_b``
-    sums at most ``min(3, N)`` non-negative products, so it lies within
-    ``1 ± γ_3`` of the exact pair's entry, and as ``P`` is non-negative,
-    each entry of the exact product of ``P`` by the formed pair lies
-    within the same factor of ``P K_a K_b``. Each entry of the computed
-    product sums at most ``min(5, N)`` nonzero terms, within ``1 ± γ_5``.
-    Both are within ``1 ± γ_N``, the factor allowed to each of two single
-    steps, and rescaling the pair's two kernels moves a row as much as it
-    does for two single steps; so ``δ(t, N)`` below holds unchanged.
+    A factor of four kernels counts as four steps. Each entry of a formed
+    pair ``K_a K_b`` sums at most ``min(3, N)`` non-negative products, so
+    it lies within ``1 ± γ_{min(3, N)}`` of the exact pair's entry. Each
+    entry of the formed ``K_a K_b K_c K_d`` sums at most ``min(5, N)``
+    nonzero products of two formed pairs' entries: it lies within
+    ``(1 ± γ_{min(3, N)})²`` of the same sum over the exact pairs'
+    entries, as every term is non-negative, and its own rounding adds
+    ``1 ± γ_{min(5, N)}``. As ``P`` is non-negative, each entry of the
+    exact product of ``P`` by the formed factor lies within the same
+    three factors of ``P K_a K_b K_c K_d``, and each entry of the computed
+    product sums at most ``min(9, N)`` nonzero terms, within
+    ``1 ± γ_{min(9, N)}``. No sum has more than ``N`` nonzero terms, so
+    each of these four factors is within ``1 ± γ_N`` at every ``N``,
+    ``N ≤ 4`` included, and together they are within the
+    ``(1 ± γ_N)^4`` allowed to four single steps; rescaling the factor's
+    four kernels moves a row as much as it does for four single steps. A
+    factor of ``k < 4`` kernels, which ends a stride, carries ``k`` such
+    factors (the identity it is padded with adds no rounding). So
+    ``δ(t, N)`` below holds unchanged.
     A measured row sums to ``1 ± γ_{N+1}``, which costs one more ``λ``, so
     its entries lie within a factor ``exp((t + 1)λ)`` of the exact ones.
     TV then moves by at most ``expm1((t + 1)λ)`` plus the ``γ_N`` of its
@@ -223,15 +234,15 @@ def first_passages(seqs, epsilon: float, metric: str,
     :func:`~mclab.chain_core.matmul_band` of a sequence's kernels). In a
     batch, the sequences whose kernels are all tridiagonal walk as one
     ``(R, N, N)`` stack, advanced one :func:`~mclab.chain_core.kernel_matmul`
-    by a pair of kernels at a time, and the others as another, advanced a
-    kernel at a time; each stack is renormalized once per stride, so the
-    per-step call overhead is paid once for the stack rather than once per
-    sequence. A stack walks each window of
+    by the product of four kernels at a time, and the others as another,
+    advanced a kernel at a time; each stack is renormalized once per
+    stride, so the per-step call overhead is paid once for the stack
+    rather than once per sequence. A stack walks each window of
     ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps once, keeps its rows at
     every checkpoint of the window, and is measured at the window's end;
     only the slices that fail there are judged stride by stride, from the
     rows it kept. A
-    stack draws its kernel positions, and forms the pairs it steps by,
+    stack draws its kernel positions, and forms the factors it steps by,
     once per block of strides (:func:`_block_strides`) inside a window,
     not once per stride. A relative-sup checkpoint measures the whole
     stack in one pass (:func:`_relsup_stack`). The stacks a window needs,
@@ -253,12 +264,15 @@ def first_passages(seqs, epsilon: float, metric: str,
     fail, the error raised is the one of the first failing sequence, the
     one a loop over :func:`first_passage` raises; when reading ``seqs``
     fails, the batch read so far is walked first. A NaN or negative
-    ``epsilon`` raises ``ValueError`` before anything is walked.
+    ``epsilon``, or a negative ``n_max``, raises ``ValueError`` before
+    anything is read or walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     results = []
     batch: list[KernelSequence] = []
     batch_key = None  # (state count, band) of the sequences in batch
@@ -281,7 +295,7 @@ def first_passages(seqs, epsilon: float, metric: str,
             used += cost
             del seq  # held by the batch alone, and dropped with it
             # the least a one-kernel sequence adds (_passage_bytes)
-            if used + 8 * n * ((_PASSAGE_BLOCK + 4) * n + 4) > _BATCH_BYTES:
+            if used + 8 * n * ((_PASSAGE_BLOCK + 4) * n + 8) > _BATCH_BYTES:
                 walk_batch()
     except Exception:
         if batch:  # reading failed; the sequences read before it come first
@@ -299,10 +313,10 @@ def _passage_bytes(seq: KernelSequence) -> int:
     its slice of the ``_PASSAGE_BLOCK + 3`` stacks a batch allocates once:
     the rows at a window's start, the rows at each of the window's
     checkpoints, a spare the products alternate with, and the factor of a
-    step, which is either the concatenated kernels or the product of a
-    pair of kernels with its four columns of padding (``N × (N + 4)``). A
-    sequence that steps in pairs also adds its kernels' three diagonals,
-    padded to ``N + 2`` each. Not counted: the pairs formed for a block of
+    step, which is either the concatenated kernels or the product of four
+    kernels with its eight columns of padding (``N × (N + 8)``). A
+    sequence that steps by four kernels also adds its kernels' three
+    diagonals of ``N`` each. Not counted: the arrays formed for a block of
     strides, which :func:`_block_strides` keeps within ``_BLOCK_BYTES``
     for the whole stack; the ``O(N)`` numbers a kernel or a step that the
     drift screen, a window's kernel positions, a checkpoint's row sums and
@@ -310,8 +324,8 @@ def _passage_bytes(seq: KernelSequence) -> int:
     judged slices that :meth:`_StackWalk.judge` measures.
     """
     n, m = seq.space.size, len(seq.kernels)
-    diagonals = 3 * (n + 2) * m if _tridiagonal(seq) else 0
-    return 8 * (n * (n * (m + _PASSAGE_BLOCK + 3) + 4) + diagonals)
+    diagonals = 3 * n * m if _tridiagonal(seq) else 0
+    return 8 * (n * (n * (m + _PASSAGE_BLOCK + 3) + 8) + diagonals)
 
 
 def _stack_band(seq: KernelSequence) -> int:
@@ -320,7 +334,7 @@ def _stack_band(seq: KernelSequence) -> int:
 
 
 def _tridiagonal(seq: KernelSequence) -> bool:
-    """Whether every kernel of ``seq`` has bandwidth at most 1: its stack steps in pairs."""
+    """Whether every kernel of ``seq`` has bandwidth at most 1: its stack steps by four kernels."""
     return all(k.bandwidth <= 1 for k in seq.kernels)
 
 
@@ -338,7 +352,7 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     """:func:`first_passages` of one batch, walked as one stack per step kind.
 
     The sequences whose kernels are all tridiagonal form one stack that
-    steps a pair of kernels at a time (:func:`_pair_factors`); the others
+    steps four kernels at a time (:func:`_quad_factors`); the others
     form one that steps a kernel at a time (:func:`_kernel_factors`). A
     stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
     the band of its factors, and at each checkpoint divides every row by
@@ -367,11 +381,11 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
     if value <= epsilon or n_max <= 0:
         return [_passage_result(metric, 0 if value <= epsilon else None, eye, value)] * len(seqs)
     walker = _StackWalk(seqs, epsilon, metric, n_max)
-    pairs = [_tridiagonal(seq) for seq in seqs]
-    for paired in (True, False):
-        live = [r for r in range(len(seqs)) if pairs[r] == paired]  # the sequence walked in each slice
+    tridiagonal = [_tridiagonal(seq) for seq in seqs]
+    for quads in (True, False):
+        live = [r for r, t in enumerate(tridiagonal) if t == quads]  # the sequence in each slice
         if live:
-            walker.walk(live, paired)
+            walker.walk(live, quads)
     if walker.errors:
         raise walker.errors[min(walker.errors)]
     return walker.results
@@ -411,12 +425,12 @@ class _StackWalk:
         self.results: list = [None] * len(seqs)
         self.errors: dict[int, ArithmeticError] = {}
 
-    def walk(self, live: list[int], paired: bool) -> None:
-        """Walk the sequences ``live`` as one stack, stepping pairs of kernels or single ones."""
+    def walk(self, live: list[int], quads: bool) -> None:
+        """Walk the sequences ``live`` as one stack, stepping four kernels or one at a time."""
         n = self.n
-        self.paired = paired
-        if paired:
-            self.multiply, self.factors = forward_matmul(n, 2), _pair_factors(self.seqs, live, n)
+        self.quads = quads
+        if quads:
+            self.multiply, self.factors = forward_matmul(n, 4), _quad_factors(self.seqs, live, n)
         else:
             self.multiply = forward_matmul(n, max(_stack_band(self.seqs[r]) for r in live))
             self.factors = _kernel_factors(self.seqs, live, n)
@@ -459,14 +473,14 @@ class _StackWalk:
         marks = [*range(start, end, _PASSAGE_STRIDE), end]  # the start, then each checkpoint
         screens, k, first = [], 0, start
         while first < end:  # a block of strides; only the last one's factors are held
-            stop = min(first + _block_strides(width, self.n, self.paired) * _PASSAGE_STRIDE, end)
+            stop = min(first + _block_strides(width, self.n, self.quads) * _PASSAGE_STRIDE, end)
             indices, passed = self.draw(live, first, stop)
             screens.append(passed)
             steps = self.factors(live, indices)
             while marks[k] < stop:  # a stride
                 k += 1
                 length = marks[k] - marks[k - 1]
-                count = (length + 1) // 2 if self.paired else length
+                count = (length + 3) // 4 if self.quads else length
                 p = stacks[k - 1][:width]
                 for j, factor in enumerate(islice(steps, count)):
                     p = self.multiply(p, factor, out=stacks[k if (count - j) % 2 else -1][:width])
@@ -553,19 +567,21 @@ def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
     return np.abs(sums - 1.0).max(axis=1) <= limit
 
 
-def _block_strides(width: int, n: int, paired: bool) -> int:
+def _block_strides(width: int, n: int, quads: bool) -> int:
     """Strides in a block of a stack of ``width`` slices of ``n`` states, inside one window.
 
-    ``_PASSAGE_BLOCK``, or, in a stack stepping pairs, fewer, so that the
-    arrays :func:`_pair_factors` forms for a block's pairs, 12 numbers per
-    pair, slice and padded row position (the two kernels' gathered
-    diagonals, the five formed and one temporary), fit in
-    ``_BLOCK_BYTES``; at least one. A stack stepping a kernel at a time
-    forms nothing ahead: its kernels are joined step by step.
+    ``_PASSAGE_BLOCK``, or, in a stack stepping four kernels at a time,
+    fewer, so that the arrays :func:`_quad_factors` forms for a block's
+    factors fit in ``_BLOCK_BYTES``; at least one. They hold 28 numbers per
+    factor, slice and row: the five diagonals of each of the factor's two
+    pairs with eight zero diagonals, the three diagonals of each kernel of
+    one of its pairs with four zero diagonals, and the factor's own nine
+    in the place of those. A stack stepping a kernel at a time forms
+    nothing ahead: its kernels are joined step by step.
     """
-    if not paired:
+    if not quads:
         return _PASSAGE_BLOCK
-    stride = 8 * 12 * (_PASSAGE_STRIDE // 2) * width * (n + 2)
+    stride = 8 * 28 * (_PASSAGE_STRIDE // 4) * width * n
     return max(1, min(_PASSAGE_BLOCK, _BLOCK_BYTES // stride))
 
 
@@ -618,79 +634,102 @@ def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
     return factors
 
 
-def _pair_factors(seqs: list[KernelSequence], members: list[int], n: int):
-    """The factors of a block's steps for tridiagonal sequences: two kernels a step.
+def _quad_factors(seqs: list[KernelSequence], members: list[int], n: int):
+    """The factors of a block's steps for tridiagonal sequences: four kernels a step.
 
     Returns ``factors(live, indices)`` as :func:`_kernel_factors` does, but
-    each factor is the product ``K_a K_b`` of two consecutive kernels of a
-    slice, and the last kernel of a block of odd length is paired with the
-    identity, which gives that kernel exactly. A product of two tridiagonal
-    kernels is pentadiagonal: its five diagonals are formed from the two
-    kernels' three by :func:`_pair_diagonals`, for every pair of the block
-    and every live slice in one pass, and each pair is written over the
-    same five diagonals of one ``(R, N, N)`` buffer, zero elsewhere. Its
-    rows carry two columns of padding on each side, so the band is one
-    strided view: row ``i`` of diagonal ``c − 2`` lies ``i(N + 5) + c``
-    elements into a slice, and a write never wraps into another row.
+    each factor is the product ``K_a K_b K_c K_d`` of four consecutive
+    kernels of a slice, and a block whose length is not a multiple of four
+    ends with its last one to three kernels followed by the identity, which
+    gives their product exactly. The product of two tridiagonal kernels is
+    pentadiagonal, and that of two such pairs has band 4. For every factor
+    of the block and every live slice, :func:`_band_product` forms the
+    first pairs' five diagonals from their kernels' three, then the second
+    pairs', then the factors' nine from the pairs'. Each factor is written
+    over the same nine diagonals of one ``(R, N, N)`` buffer, zero
+    elsewhere. Its rows carry four columns of padding on each side, so the
+    band is one strided view: row ``i`` of diagonal ``c − 4`` lies
+    ``i(N + 9) + c`` elements into a slice, and a write never wraps into
+    another row. The arrays a block forms (:func:`_block_strides`) are
+    allocated once, for the largest block, and reused.
     """
     first = np.zeros(len(seqs), dtype=np.intp)  # each member's first row of table
     count = 0
     for r in members:
         first[r], count = count, count + len(seqs[r].kernels)
-    # table[s, j, i + 1] = K_j(i, i + s − 1), zero outside the matrix; the last K_j is I
-    table = np.zeros((3, count + 1, n + 2))
+    # table[s, j, i] = K_j(i, i + s − 1), zero outside the matrix; the last K_j is I
+    table = np.zeros((3, count + 1, n))
     kernels = (k.entries for r in members for k in seqs[r].kernels)
     for j, k in enumerate(kernels):
-        table[0, j, 2:n + 1] = k.diagonal(-1)
-        table[1, j, 1:n + 1] = k.diagonal()
-        table[2, j, 1:n] = k.diagonal(1)
-    table[1, count, 1:n + 1] = 1.0
-    padded = np.zeros((len(members), n, n + 4))
-    product = padded[:, :, 2:n + 2]
+        table[0, j, 1:] = k.diagonal(-1)
+        table[1, j] = k.diagonal()
+        table[2, j, :-1] = k.diagonal(1)
+    table[1, count] = 1.0
+    padded = np.zeros((len(members), n, n + 8))
+    dense = padded[:, :, 4:n + 4]
     item = padded.itemsize
-    band = np.lib.stride_tricks.as_strided(padded, (len(members), 5, n),
-                                           (padded.strides[0], item, (n + 5) * item), writeable=True)
+    band = np.lib.stride_tricks.as_strided(padded, (len(members), 9, n),
+                                           (padded.strides[0], item, (n + 9) * item), writeable=True)
+    # positions of the largest block: a row of every factor and slice
+    size = n * (_PASSAGE_STRIDE // 4) * max(w * _block_strides(w, n, True)
+                                            for w in range(1, len(members) + 1))
+    # the first and the second kernels of a half of the pairs (3 diagonals,
+    # then 3 between two zero diagonals on each side), then the factors' nine
+    work = np.empty(10 * size)
+    # the first pairs, four zero diagonals, the second pairs, four zero diagonals
+    pairs = np.zeros((18, size))
 
     def factors(live, indices):
         width = len(live)
         rows = np.add(indices, first[live][:, None])
-        if rows.shape[1] % 2:
-            rows = np.concatenate((rows, np.full((width, 1), count)), axis=1)
-        # (3, 2, h, R, N + 2): the first kernel of each of h pairs, then the second
-        pair = np.take(table, rows.reshape(width, -1, 2).transpose(2, 1, 0), axis=1)
-        formed = _pair_diagonals(pair[:, 0], pair[:, 1]).transpose(1, 2, 0, 3)
-        del pair  # while the steps are taken, only the pairs' diagonals are held
-        target, factor = band[:width], product[:width]
-        for diagonals in formed:
+        if rows.shape[1] % 4:
+            rows = np.concatenate((rows, np.full((width, -rows.shape[1] % 4), count)), axis=1)
+        # the table row of kernel k of pair q of each of h factors, for each slice: (k, q, h, R)
+        rows = rows.reshape(width, -1, 2, 2).transpose(3, 2, 1, 0)
+        h = rows.shape[2]
+        positions = h * width * n
+        a = work[:3 * positions].reshape(3, positions)
+        b = work[3 * positions:10 * positions].reshape(7, positions)
+        b[:2] = b[5:] = 0.0  # the factors of the previous block overlap them
+        for q in range(2):  # mode="clip" takes into out unbuffered; every row is in range
+            np.take(table, rows[0, q], axis=1, mode="clip", out=a.reshape(3, h, width, n))
+            np.take(table, rows[1, q], axis=1, mode="clip", out=b[2:5].reshape(3, h, width, n))
+            _band_product(a, b, pairs[9 * q:9 * q + 5, :positions])
+        formed = work[:9 * positions].reshape(9, positions)
+        _band_product(pairs[:5, :positions], pairs[5:], formed)
+        target, factor = band[:width], dense[:width]
+        for diagonals in formed.reshape(9, h, width, n).transpose(1, 2, 0, 3):
             np.copyto(target, diagonals)
             yield factor
     return factors
 
 
-def _pair_diagonals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The five diagonals of ``K_a K_b`` for tridiagonal kernels given by their three.
+def _band_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the diagonals of ``A B``, for banded ``A`` and ``B`` given by theirs.
 
-    ``a`` and ``b`` are ``(3, ..., N + 2)`` arrays laid out as the table of
-    :func:`_pair_factors`: ``a[s, ..., i + 1] = K_a(i, i + s − 1)``, with a
-    zero on each side of every row. Returns ``d`` of shape ``(5, ..., N)``
-    with ``d[c, ..., i] = (K_a K_b)(i, i + c − 2)``. Term ``s`` of row ``i``,
-    ``K_a(i, i + s − 1)`` times row ``i + s − 1`` of ``K_b``, lands on
-    diagonals ``s − 2`` to ``s``; so each entry is a sum of at most three
-    non-negative products, and a term that falls outside the matrix is an
-    exact zero. The rows are processed as one flat array: a shift by one
-    across the end of a row reads its zero padding.
+    ``a`` is a ``(2h + 1, F)`` array of positions laid out as the table of
+    :func:`_quad_factors`: the rows of each matrix lie at consecutive
+    positions, and at the position ``f`` of row ``i``,
+    ``a[s, f] = A(i, i + s − h)``, zero where that column falls outside the
+    matrix. ``b`` holds the ``w`` diagonals of ``B`` on the same positions,
+    between ``2h`` zero diagonals on each side, as one C-contiguous array
+    whose rows are at least ``F`` long; ``out`` receives the ``2h + w``
+    diagonals of ``A B``. Term ``s`` of row ``i``, ``A(i, i + s − h)``
+    times row ``i + s − h`` of ``B``, lies ``s − h`` positions away and
+    adds each diagonal ``c`` of ``B`` to diagonal ``s + c`` of the
+    product. One strided view of ``b`` gives every ``(s, s + c)`` its
+    row, and a zero row where ``c`` falls outside ``B``; the view stays
+    inside ``b``. So each entry is a sum of ``2h + 1`` non-negative
+    products, of which at most ``min(2h + 1, N)`` are nonzero: a term
+    whose column of ``A`` falls outside the matrix multiplies what it reads
+    of ``b``, a finite number, by an exact zero, and so does one that reads
+    across the end of a row of ``B`` into the next.
     """
-    shape, n = a.shape[1:-1], a.shape[-1] - 2
-    a, b = a.reshape(3, -1), b.reshape(3, -1)  # views when all but the first axis are contiguous
-    d = np.empty((5, a.shape[1]))
-    inner = d[:, 1:-1]  # every padded position but the flat array's ends
-    np.multiply(a[0, 1:-1], b[:, :-2], out=inner[:3])
-    inner[3:] = 0.0
-    for c in range(3):  # a diagonal at a time, so that a temporary holds one
-        np.add(inner[1 + c], a[1, 1:-1] * b[c, 1:-1], out=inner[1 + c])
-    for c in range(3):
-        np.add(inner[2 + c], a[2, 1:-1] * b[c, 2:], out=inner[2 + c])
-    return d.reshape((5,) + shape + (n + 2,))[..., 1:n + 1]
+    span, h, rows = len(a), len(a) // 2, b.strides[0]
+    # skewed[s, e, f] = b[e − s + 2h, f + s − h], built from the s = 2h end
+    skewed = np.ndarray((span, len(out), a.shape[1]), b.dtype, b, offset=h * b.itemsize,
+                        strides=(rows - b.itemsize, rows, b.itemsize))[::-1]
+    np.einsum("sf,sef->ef", a, skewed, out=out)
 
 
 def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon,

@@ -99,6 +99,26 @@ def test_nan_or_negative_epsilon_is_rejected_before_the_walk(metric, epsilon):
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("n_max", [-1, -100])
+def test_negative_n_max_is_rejected_before_the_walk(metric, n_max):
+    # a walk would report the identity's values, where merging_time raises
+    read = []
+
+    def sequences():
+        for seq in bd_sequences():
+            read.append(seq)
+            yield seq
+
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        first_passages(sequences(), 0.25, metric, n_max)
+    assert read == []
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        first_passage(bd_sequences()[0], 0.25, metric, n_max)
+    # n_max = 0 still measures the identity
+    assert first_passage(bd_sequences()[0], 0.25, metric, 0) == (None, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
 def test_one_sequence_never_reaches_epsilon(metric):
     space = StateSpace(9)
     stuck = KernelSequence.constant(StochasticKernel.identity(space))

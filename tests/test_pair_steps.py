@@ -1,15 +1,18 @@
-"""The first-passage stack steps two tridiagonal kernels per product.
+"""The first-passage stack steps four tridiagonal kernels per product.
 
 Between checkpoints, a stack whose kernels are all tridiagonal multiplies
-by ``K_a K_b``, formed from the diagonals of two consecutive kernels, and
-by the last kernel alone where a stride has an odd length. The pair
-factors are checked against the dense products; ``first_passages`` on
-random tridiagonal sequences is checked against the stepwise ``walk``: the
-same hit time, values within ``merging._passage_bound`` of the stepwise
-ones, and each stacked result equal, bit for bit, to its sequence walked
-alone, with hits placed at every kind of step of a measured window.
+by ``K_a K_b K_c K_d``, formed from the diagonals of four consecutive
+kernels, and by the product of the last one to three kernels where a
+stride's length is not a multiple of four. The factors are checked against
+the dense products; ``first_passages`` on random tridiagonal sequences is
+checked against the stepwise ``walk``: the same hit time, values within
+``merging._passage_bound`` of the stepwise ones, and each stacked result
+equal, bit for bit, to its sequence walked alone, with hits placed at
+every kind of step of a measured window and of a stride, and ``n_max`` at
+each residue modulo four.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -73,26 +76,42 @@ def assert_within_bound(got, expected, n, n_max):
     assert abs(got[2] - expected[2]) <= delta * (1 + expected[2])
 
 
+def gamma(k):
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+# by the number of kernels a factor holds: how far its entries may lie from
+# the exact product's, and how far those of a float64 fold of its kernels
+# may. A formed pair's entry sums at most 3 products (γ_3); a factor's
+# entry sums at most 5 products of two formed pairs' entries (γ_3 twice,
+# then γ_5), or 3 where the second pair is one kernel padded with the
+# identity, which adds no rounding; each step of the fold sums at most 3
+# nonzero terms an entry
+FORMED = {1: 0.0, 2: gamma(3), 3: gamma(6), 4: gamma(11)}
+FOLDED = {1: 0.0, 2: gamma(3), 3: gamma(6), 4: gamma(9)}
+
+
+@pytest.mark.parametrize("tail", [0, 1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 17, 33, 65, 129])
-def test_pair_factors_are_the_products_of_consecutive_kernels(n):
+def test_quad_factors_are_the_products_of_four_consecutive_kernels(n, tail):
     rng = np.random.default_rng(n)
-    seqs = [KernelSequence.cyclic(tridiagonal_kernels(n, 2, rng)) for _ in range(2)]
+    seqs = [KernelSequence.cyclic(tridiagonal_kernels(n, 4, rng)) for _ in range(2)]
     rows, cols = np.indices((n, n))
-    # five steps a slice: two pairs, then the last kernel alone
-    indices = [np.array([0, 1, 1, 1, 0]), np.array([1, 0, 0, 0, 1])]
-    factors = merging._pair_factors(seqs, [0, 1], n)([0, 1], indices)
+    # two factors of four kernels a slice, then the tail's kernels alone
+    indices = [rng.integers(0, 4, 8 + tail) for _ in seqs]
+    factors = merging._quad_factors(seqs, [0, 1], n)([0, 1], indices)
     for j, factor in enumerate(factors):
         assert factor.shape == (2, n, n)
         for s, (seq, idx) in enumerate(zip(seqs, indices)):
-            a = seq.kernels[idx[2 * j]].entries
-            if 2 * j + 1 == len(idx):
-                assert np.array_equal(factor[s], a)  # paired with the identity: the kernel exactly
-                continue
-            b = seq.kernels[idx[2 * j + 1]].entries
-            exact = a @ b  # at most three terms an entry: within 2γ_3 of the pair's sums
-            assert np.all(np.abs(factor[s] - exact) <= 8 * UNIT_ROUNDOFF * exact)
-            assert not factor[s][np.abs(rows - cols) > 2].any()
-    assert j == 2
+            kernels = [seq.kernels[k].entries for k in idx[4 * j:4 * j + 4]]
+            fold = functools.reduce(np.matmul, kernels)
+            if len(kernels) == 1:  # padded with the identity: the kernel exactly
+                assert np.array_equal(factor[s], fold)
+            # |factor − exact| ≤ FORMED·exact and |fold − exact| ≤ FOLDED·exact
+            bound = (FORMED[len(kernels)] + FOLDED[len(kernels)]) / (1 - FOLDED[len(kernels)])
+            assert np.all(np.abs(factor[s] - fold) <= bound * fold)
+            assert not factor[s][np.abs(rows - cols) > len(kernels)].any()
+    assert j == 1 + (tail > 0)
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -126,7 +145,7 @@ def test_hit_times(kind, metric, n, odd):
 
 @pytest.mark.parametrize("n", [3, 9, 17, 33, 65])
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
-def test_stacked_pairs_equal_each_sequence_alone(metric, n, monkeypatch):
+def test_stacked_quads_equal_each_sequence_alone(metric, n, monkeypatch):
     # tridiagonal sequences of both rules with one dense sequence in the same
     # batch: the dense one walks a kernel a step in a stack of its own
     seqs = [sequence(kind, n, seed) for seed in range(3) for kind in ("iid", "cyclic")]
@@ -135,22 +154,22 @@ def test_stacked_pairs_equal_each_sequence_alone(metric, n, monkeypatch):
     n_max = HORIZONS[n] + 1
     epsilon = 0.5 if metric == "tv" else 50.0
     alone = [first_passage(seq, epsilon, metric, n_max) for seq in seqs]
-    widths, paired = [], []
-    batch, pair_factors = merging._passage_batch, merging._pair_factors
+    widths, quads = [], []
+    batch, quad_factors = merging._passage_batch, merging._quad_factors
 
     def batch_spy(batch_seqs, *args):
         widths.append(len(batch_seqs))
         return batch(batch_seqs, *args)
 
-    def pair_spy(batch_seqs, members, size):
-        paired.append(list(members))
-        return pair_factors(batch_seqs, members, size)
+    def quad_spy(batch_seqs, members, size):
+        quads.append(list(members))
+        return quad_factors(batch_seqs, members, size)
 
     monkeypatch.setattr(merging, "_passage_batch", batch_spy)
-    monkeypatch.setattr(merging, "_pair_factors", pair_spy)
+    monkeypatch.setattr(merging, "_quad_factors", quad_spy)
     assert first_passages(seqs, epsilon, metric, n_max) == alone
     if n < 64:  # from 64 states the bands differ, and the byte cap splits the batch
-        assert widths == [len(seqs)] and paired == [[0, 1, 3, 4, 5, 6]]
+        assert widths == [len(seqs)] and quads == [[0, 1, 3, 4, 5, 6]]
     assert any(t is not None for t, _, _ in alone)
 
 
@@ -181,5 +200,47 @@ def test_hits_across_a_measured_window(kind, metric, n, place):
     # its mates walk on past the hit's window, or finish in it
     seqs = [sequence(other, n, seed) for seed in (4, 5) for other in ("iid", "cyclic")]
     seqs.insert(1, seq)
+    assert first_passages(seqs, epsilon, metric, n_max) == \
+        [first_passage(s, epsilon, metric, n_max) for s in seqs]
+
+
+def hit_at(seq, metric, hit):
+    """A threshold between the stepwise values at steps ``hit − 1`` and ``hit``."""
+    values = [MEASURE[metric](p) for _, p, _ in walk(seq, range(1, hit + 1))]
+    assert values[-2] > values[-1] > 1e-12
+    return 0.5 * (values[-2] + values[-1])
+
+
+@pytest.mark.parametrize("residue", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [9, 33])
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("kind", ["iid", "cyclic"])
+def test_n_max_at_each_residue_mod_four(kind, metric, n, residue):
+    # the stride ending at n_max takes two factors of four kernels and, for
+    # a residue r > 0, one of r kernels; the hit at n_max lies in its last
+    seq, n_max = sequence(kind, n, 6), WINDOW + 8 + residue
+    assert_within_bound(first_passage(seq, 0.0, metric, n_max), stepwise(seq, 0.0, metric, n_max),
+                        n, n_max)
+    epsilon = hit_at(seq, metric, n_max)
+    expected = stepwise(seq, epsilon, metric, n_max)
+    assert expected[0] == n_max
+    assert_within_bound(first_passage(seq, epsilon, metric, n_max), expected, n, n_max)
+
+
+@pytest.mark.parametrize("step", [1, 4, 13, 16])
+@pytest.mark.parametrize("n", [9, 33])
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+@pytest.mark.parametrize("kind", ["iid", "cyclic"])
+def test_hits_in_the_first_and_last_factor_of_a_stride(kind, metric, n, step):
+    # steps 1-4 of a stride form its first factor and steps 13-16 its last;
+    # the stride is the second of the second window, before n_max's
+    seq = sequence(kind, n, 7)
+    n_max, hit = 3 * WINDOW, WINDOW + merging._PASSAGE_STRIDE + step
+    epsilon = hit_at(seq, metric, hit)
+    expected = stepwise(seq, epsilon, metric, n_max)
+    assert expected[0] == hit
+    assert_within_bound(first_passage(seq, epsilon, metric, n_max), expected, n, n_max)
+    seqs = [sequence(other, n, seed) for seed in (8, 9) for other in ("iid", "cyclic")]
+    seqs.insert(2, seq)
     assert first_passages(seqs, epsilon, metric, n_max) == \
         [first_passage(s, epsilon, metric, n_max) for s in seqs]

@@ -42,19 +42,19 @@ def stepwise_values(seq, metric, n_max):
 
 
 def spy_blocks(monkeypatch):
-    """Record ``(width, steps)`` of every block the pair stacks form factors for."""
+    """Record ``(width, steps)`` of every block the four-kernel stacks form factors for."""
     blocks = []
-    pair_factors = merging._pair_factors
+    quad_factors = merging._quad_factors
 
     def spy(seqs, members, n):
-        factors = pair_factors(seqs, members, n)
+        factors = quad_factors(seqs, members, n)
 
         def recorded(live, indices):
             blocks.append((len(live), len(indices[0])))
             return factors(live, indices)
         return recorded
 
-    monkeypatch.setattr(merging, "_pair_factors", spy)
+    monkeypatch.setattr(merging, "_quad_factors", spy)
     return blocks
 
 
@@ -73,13 +73,14 @@ def spy_draws(monkeypatch):
 
 def test_block_length_follows_the_byte_budget():
     assert merging._block_strides(10, 17, True) == 1
-    assert merging._block_strides(3, 33, True) == 3
+    assert merging._block_strides(3, 33, True) == 2
+    assert merging._block_strides(2, 33, True) == 4
     assert merging._block_strides(1, 65, True) == merging._PASSAGE_BLOCK == 4
     assert merging._block_strides(50, 65, False) == merging._PASSAGE_BLOCK
     assert merging._block_strides(10 ** 4, 1025, True) == 1  # at least one stride
     for width, n in [(1, 9), (2, 17), (4, 33), (7, 65), (1, 257)]:
         strides = merging._block_strides(width, n, True)
-        formed = 8 * 12 * (STRIDE // 2) * width * (n + 2) * strides
+        formed = 8 * 28 * (STRIDE // 4) * width * n * strides
         assert formed <= merging._BLOCK_BYTES or strides == 1
 
 
@@ -131,7 +132,7 @@ def test_slices_leave_mid_block_and_n_max_ends_inside_a_block(monkeypatch, metri
     assert any(t is None for t, _, _ in loop)  # walked to n_max
     assert len({(t - 1) // STRIDE for t in hits}) >= 2
     assert any(width < 6 for width, _ in blocks)
-    # every block lies inside one window; within each stack (the pair stack,
+    # every block lies inside one window; within each stack (the four-kernel stack,
     # then the dense one) every window's steps are drawn exactly once, in
     # blocks that start at the window start or at the previous block's end,
     # and a slice leaving inside a window starts no block
@@ -351,10 +352,10 @@ def test_each_window_is_multiplied_once_a_slice(monkeypatch, metric, epsilon):
     last_window = (n_max - 1) // WINDOW * WINDOW
     assert sum(start < last_window for _, start in replays) >= 2
 
-    def factors(t, paired):
+    def factors(t, quads):
         end = min(-(-t // WINDOW) * WINDOW, n_max)
         strides = [min(start + STRIDE, end) - start for start in range(0, end, STRIDE)]
-        return sum((s + 1) // 2 if paired else s for s in strides)
+        return sum((s + 3) // 4 if quads else s for s in strides)
 
     dense = 3  # the one sequence of dense kernels, which steps a kernel at a time
     assert sum(products) == sum(factors(n_max if t is None else t, r != dense)

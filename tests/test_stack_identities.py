@@ -4,15 +4,18 @@
 promises each the bits of its walk alone. That holds only while numpy and
 the BLAS give a stacked operation the bits of the same operation on each
 slice: the product (one ``np.matmul`` at the sizes in ``SIZES``, blocks of
-columns or rows at those in ``BLOCK_SIZES``), the row sums and the
-division. If a numpy or BLAS release breaks one of these identities, the
-test named after it fails here, instead of scenario rows moving silently.
+columns or rows at those in ``BLOCK_SIZES``), the row sums, the division,
+and the ``np.einsum`` that forms the diagonals of the four-kernel factors
+(``merging._band_product``). If a numpy or BLAS release breaks one of
+these identities, the test named after it fails here, instead of scenario
+rows moving silently.
 """
 
 import numpy as np
 import pytest
 
 from mclab.chain_core import _BAND_BLOCK, kernel_matmul, renormalized_step
+from mclab.merging import _band_product
 
 SIZES = [9, 17, 33, 65]
 BLOCK_SIZES = [129, 257]
@@ -110,3 +113,32 @@ def test_renormalized_step_on_a_stack_is_the_walk_step(rng, n, order):
         one, one_sums = renormalized_step(p[r], k[r], n, order)
         assert same_bits(one, q[r]) and same_bits(one_sums, sums[r])
     assert p.tobytes() == p_bits and k.tobytes() == k_bits  # neither operand is written
+
+
+def banded(rng, half, n):
+    """The ``2·half + 1`` diagonals of ``WIDTH`` random banded matrices, one after another.
+
+    Laid out as ``merging._band_product`` reads them: row ``s`` holds
+    diagonal ``s − half`` at the position of each matrix row, zero where
+    its column falls outside the matrix.
+    """
+    rows = np.arange(n) + np.arange(-half, half + 1)[:, None]
+    inside = (rows >= 0) & (rows < n)
+    diagonals = rng.uniform(0.0, 1.0, (2 * half + 1, WIDTH, n)) * inside[:, None]
+    return diagonals.reshape(2 * half + 1, -1)
+
+
+@pytest.mark.parametrize("half", [1, 2])
+@pytest.mark.parametrize("n", SIZES)
+def test_banded_product_of_a_stack_is_per_slice(rng, n, half):
+    # the pairs (half 1) and the four-kernel factors (half 2) of a stack,
+    # against each slice's alone: every entry must be the same sum
+    a = banded(rng, half, n)
+    b = np.zeros((6 * half + 1, WIDTH * n))  # 2·half zero diagonals on each side
+    b[2 * half:-2 * half] = banded(rng, half, n)
+    stacked = np.empty((4 * half + 1, WIDTH * n))
+    _band_product(a, b, stacked)
+    for r in range(WIDTH):
+        alone = np.empty((4 * half + 1, n))
+        _band_product(a[:, r * n:(r + 1) * n], np.ascontiguousarray(b[:, r * n:(r + 1) * n]), alone)
+        assert same_bits(stacked[:, r * n:(r + 1) * n], alone)
