@@ -43,6 +43,7 @@ from .chain_core import (
     dump_json,
     forward_matmul,
     matmul_band,
+    number,
     product,
     tv_between_rows,
     walk,
@@ -53,9 +54,8 @@ from .chain_core import (
 _PASSAGE_STRIDE = 16    # first_passage renormalizes and evaluates its metric every this many steps
 _PASSAGE_TINY = 1e-290  # relsup entries below this void the relative rounding bound
 _DIVERGENCE_THRESHOLD = 50.0  # an epsilon sum above this stands in for an infinite one
-_BATCH_BYTES = 1 << 20  # kernels plus stacks of one first_passages batch
-_PASSAGE_BLOCK = 4      # most strides whose kernel positions and factors first_passages forms at once
-_BLOCK_BYTES = 1 << 18  # most bytes of the arrays formed for one block of strides
+_BATCH_BYTES = 1 << 20  # kernels, stacks and window arrays of one first_passages batch
+_PASSAGE_BLOCK = 4      # strides in a first_passages window, walked once and measured at its end
 
 
 def relsup_between_rows(matrix: np.ndarray) -> float:
@@ -105,41 +105,31 @@ def first_passage(seq: KernelSequence, epsilon: float, metric: str,
     **Walk.** Between checkpoints (every ``_PASSAGE_STRIDE`` steps and
     ``n_max``) the matrix is only multiplied, by one
     :func:`~mclab.chain_core.kernel_matmul` a factor; at a checkpoint
-    each row is divided by its sum. When every
-    kernel of the sequence is tridiagonal (bandwidth at most 1, as every
-    birth-death kernel is), a factor is the product ``K_a K_b K_c K_d`` of
-    four consecutive kernels, formed from their diagonals in ``O(N)``
-    elementwise work, with band 4; a stride whose length is not a multiple
-    of four ends with the product of its last one to three kernels.
-    Otherwise a factor is one kernel, with
-    the largest :func:`~mclab.chain_core.matmul_band` of the sequence's
-    kernels as its band. Below, a threshold
-    ``ε ± kδ`` means ``ε ± kδ·(1 + ε)`` for relative-sup. The metric is
-    measured once per window of ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` = 64
-    steps, the windows aligned to multiples of 64 from step 0, so which
-    checkpoints are measured depends on ``n_max`` and the sequence's own
-    values alone, not on a stack it walks in. At the end of a
-    window before ``n_max`` the walk goes on when every kernel of the
-    window passed the drift screen (below), a relative-sup checkpoint
-    holds no positive entry below ``_PASSAGE_TINY``, and the value (for
-    TV, half the largest L1 distance from row 0 to another row, a lower
-    bound on it) lies above ``ε + 2δ``: such a value rules out every step
-    since the previous measured checkpoint. Otherwise each checkpoint of
-    the window, kept from the one walk through it, is measured in order,
-    as those of the window holding ``n_max`` are; if nothing ends the walk
-    there, it goes on from the window's end. At a measured
-    checkpoint, a value above ``ε + 2δ`` rules out its stride. Otherwise
-    :func:`_replay` walks that stride again through ``walk``
-    from the previous checkpoint and measures its steps in order: a value
-    below ``ε - δ`` is a hit and one above ``ε + δ`` is not, because the
-    stepwise walk's value lies within ``δ`` of it. A value within ``δ`` of
-    ``ε`` cannot be decided, so the sequence takes the stepwise route:
-    :func:`_stepwise` walks it again from step 0 and measures every step
-    from that one on, to its hit or ``n_max``. Steps ruled out before are
-    not measured again. The stepwise route is also taken from the first
-    step of a stride that uses a kernel failing the drift screen, and of
-    the stride whose measured checkpoint first holds a positive entry
-    below ``_PASSAGE_TINY`` in a relative-sup walk.
+    each row is divided by its sum. When every kernel is tridiagonal (as
+    every birth-death kernel is), a factor is the product
+    ``K_a K_b K_c K_d`` of four consecutive kernels, with band 4, and a
+    stride of a length not a multiple of four ends with the product of its
+    last one to three kernels; otherwise a factor is one kernel. Each
+    window of ``_PASSAGE_BLOCK`` strides, aligned to multiples of 64 steps,
+    is walked once and its checkpoints kept. Below, ``ε ± kδ`` means
+    ``ε ± kδ·(1 + ε)`` for relative-sup. A checkpoint passes the screen
+    when every kernel since the previous checkpoint (since the window's
+    start, at a window's end) passed the drift screen (below), it holds no
+    positive entry below ``_PASSAGE_TINY`` in a relative-sup walk, and its
+    value (for TV, half the largest L1 distance from row 0 to another row,
+    a lower bound on it) lies above ``ε + 2δ``, which rules out every step
+    since the previous measured checkpoint. The walk goes on from a
+    window's end before ``n_max`` that passes. Otherwise, and in the
+    window holding ``n_max``, the kept checkpoints are screened in order.
+    A failed drift or tiny-entry test sends the sequence on the stepwise
+    route from its stride's first step: it is walked again from the
+    identity and measured at every step from there, to its hit or
+    ``n_max``. A full value above ``ε + 2δ`` rules out the stride. Else the
+    stride is walked again from the previous checkpoint and measured step
+    by step: a value below ``ε - δ`` is a hit and one above ``ε + δ`` is
+    not, as the stepwise walk's value lies within ``δ`` of it; one within
+    ``δ`` of ``ε`` takes the stepwise route from its step.
+    :meth:`_StackWalk.rewalk` makes both walks.
 
     **Rounding bound.** With ``u = 2^-53`` and ``γ_N = N·u / (1 - N·u)``, a
     product of non-negative matrices is exact up to a factor ``1 ± γ_N`` on
@@ -229,108 +219,69 @@ def first_passages(seqs, epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
     """:func:`first_passage` of each sequence, walked together as a stack.
 
-    The sequences are walked in batches of consecutive sequences with one
-    state count and one band (the largest
-    :func:`~mclab.chain_core.matmul_band` of a sequence's kernels). In a
-    batch, the sequences whose kernels are all tridiagonal walk as one
-    ``(R, N, N)`` stack, advanced one :func:`~mclab.chain_core.kernel_matmul`
-    by the product of four kernels at a time, and the others as another,
-    advanced a kernel at a time; each stack is renormalized once per
-    stride, so the per-step call overhead is paid once for the stack
-    rather than once per sequence. A stack walks each window of
-    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps once, keeps its rows at
-    every checkpoint of the window, and is measured at the window's end;
-    only the slices that fail there are judged stride by stride, from the
-    rows it kept. A
-    stack draws its kernel positions, and forms the factors it steps by,
-    once per block of strides (:func:`_block_strides`) inside a window,
-    not once per stride. A relative-sup checkpoint measures the whole
-    stack in one pass (:func:`_relsup_stack`). The stacks a window needs,
-    the rows at its start, one for each of its checkpoints and a spare,
-    are allocated once per stack. A batch takes
-    sequences while their kernels and stacks (:func:`_passage_bytes` each)
-    fit in ``_BATCH_BYTES``, and always at least one. Every slice of a
-    stacked step, and of its renormalization, has the bits of the same step
-    walked alone, the one-pass measure has the bits of
-    :func:`relsup_between_rows` on each slice, and each sequence is
-    screened, measured and judged exactly as :func:`first_passage` does it
-    (the identity at time 0 is measured once per batch), so each result
-    equals its :func:`first_passage` bit for bit. A sequence leaves the
-    stack at the end of the window it finishes in. ``seqs`` is read
-    lazily, and a batch is walked and dropped as soon as not even a
-    one-kernel sequence of its state count would fit, so a sequence waits
-    outside a stack only when it has another state count or band, or the
-    stack had room for a one-kernel sequence but not for it. When walks
-    fail, the error raised is the one of the first failing sequence, the
-    one a loop over :func:`first_passage` raises; when reading ``seqs``
-    fails, the batch read so far is walked first. A NaN or negative
-    ``epsilon``, or a negative ``n_max``, raises ``ValueError`` before
-    anything is read or walked.
+    ``seqs`` is read lazily into batches of consecutive sequences of one
+    state count, taken while their :func:`_passage_bytes` fit in
+    ``_BATCH_BYTES`` (at least one), and walked as soon as not even a
+    one-kernel sequence would fit. A batch's tridiagonal sequences walk
+    as one ``(R, N, N)`` stack, which pays the per-step call overhead once,
+    and every other sequence alone. A stacked step, renormalization or
+    relative-sup measure gives each slice the bits it has alone, so each
+    result equals its :func:`first_passage` bit for bit, and the error
+    raised is the first failing sequence's; when reading ``seqs`` fails,
+    the batch read so far is walked first. A NaN or negative ``epsilon``,
+    or an ``n_max`` that is not a whole number ``>= 0``, raises
+    ``ValueError`` before anything is read or walked.
     """
     if metric not in ("tv", "relsup"):
         raise ValueError(f"unknown metric {metric!r}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
+    n_max = number(n_max, "n_max", integer=True)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     results = []
     batch: list[KernelSequence] = []
-    batch_key = None  # (state count, band) of the sequences in batch
     used = 0
 
     def walk_batch():
         nonlocal batch, used
         walking, batch, used = batch, [], 0  # emptied first: a walk's own error is not walked again
-        results.extend(_passage_batch(walking, epsilon, metric, n_max))
+        if walking:
+            results.extend(_passage_batch(walking, epsilon, metric, n_max))
 
     try:
         for seq in seqs:
             n = seq.space.size
             cost = _passage_bytes(seq)
-            key = (n, _stack_band(seq))
-            if batch and (used + cost > _BATCH_BYTES or key != batch_key):
+            if batch and (used + cost > _BATCH_BYTES or n != batch[0].space.size):
                 walk_batch()
             batch.append(seq)
-            batch_key = key
             used += cost
             del seq  # held by the batch alone, and dropped with it
             # the least a one-kernel sequence adds (_passage_bytes)
             if used + 8 * n * ((_PASSAGE_BLOCK + 4) * n + 8) > _BATCH_BYTES:
                 walk_batch()
     except Exception:
-        if batch:  # reading failed; the sequences read before it come first
-            walk_batch()
+        walk_batch()  # reading failed; the sequences read before it come first
         raise
-    if batch:
-        walk_batch()
+    walk_batch()
     return results
 
 
 def _passage_bytes(seq: KernelSequence) -> int:
     """Bytes one sequence adds to a :func:`first_passages` batch.
 
-    Its kernels, which the batch reads where the sequence holds them, plus
-    its slice of the ``_PASSAGE_BLOCK + 3`` stacks a batch allocates once:
-    the rows at a window's start, the rows at each of the window's
-    checkpoints, a spare the products alternate with, and the factor of a
-    step, which is either the concatenated kernels or the product of four
-    kernels with its eight columns of padding (``N × (N + 8)``). A
-    sequence that steps by four kernels also adds its kernels' three
-    diagonals of ``N`` each. Not counted: the arrays formed for a block of
-    strides, which :func:`_block_strides` keeps within ``_BLOCK_BYTES``
-    for the whole stack; the ``O(N)`` numbers a kernel or a step that the
-    drift screen, a window's kernel positions, a checkpoint's row sums and
-    the relative-sup column extremes take; and the copy of a checkpoint's
-    judged slices that :meth:`_StackWalk.judge` measures.
+    Its kernels and its slice of the ``_PASSAGE_BLOCK + 3`` stacks a walk
+    allocates (a window's start, its checkpoints, a spare, and a factor
+    padded to ``N × (N + 8)``). A tridiagonal sequence also adds its
+    kernels' three diagonals and the 28 numbers a row that
+    :func:`_quad_factors` forms for each of a window's 16 factors. Arrays
+    of ``O(N)`` numbers, and the copy of the slices a checkpoint judges,
+    are not counted.
     """
     n, m = seq.space.size, len(seq.kernels)
-    diagonals = 3 * n * m if _tridiagonal(seq) else 0
-    return 8 * (n * (n * (m + _PASSAGE_BLOCK + 3) + 8) + diagonals)
-
-
-def _stack_band(seq: KernelSequence) -> int:
-    """The band of a stacked product by ``seq``'s kernels: their largest ``matmul_band``."""
-    return max(map(matmul_band, seq.kernels))
+    quads = n * (3 * m + 28 * _PASSAGE_BLOCK * _PASSAGE_STRIDE // 4) if _tridiagonal(seq) else 0
+    return 8 * (n * (n * (m + _PASSAGE_BLOCK + 3) + 8) + quads)
 
 
 def _tridiagonal(seq: KernelSequence) -> bool:
@@ -349,30 +300,10 @@ def _passage_bound(t: int, n: int) -> float:
 
 def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
                    n_max: int) -> list[tuple[int | None, float, float]]:
-    """:func:`first_passages` of one batch, walked as one stack per step kind.
+    """:func:`first_passages` of one batch: its tridiagonal sequences as one stack, any other alone.
 
-    The sequences whose kernels are all tridiagonal form one stack that
-    steps four kernels at a time (:func:`_quad_factors`); the others
-    form one that steps a kernel at a time (:func:`_kernel_factors`). A
-    stack only multiplies, by :func:`~mclab.chain_core.kernel_matmul` with
-    the band of its factors, and at each checkpoint divides every row by
-    its sum in one pass. It is walked once through each window of
-    ``_PASSAGE_BLOCK · _PASSAGE_STRIDE`` steps aligned to multiples of
-    that length, by :class:`_StackWalk`, which keeps the rows at every
-    checkpoint of the window: a window ending before ``n_max`` is measured
-    at its end only, and its failing slices are measured at each kept
-    checkpoint; the window holding ``n_max`` is measured at each
-    checkpoint. The kernel positions, the drift screen of each stride and
-    the factors are formed once per block of strides
-    (:func:`_block_strides`) inside a window, for every live slice, by the
-    factor generators, which take kernel positions of any length. At a
-    relative-sup checkpoint, :func:`_relsup_stack` measures
-    every slice in one pass, with the bits of :func:`relsup_between_rows`.
-    At a TV checkpoint a slice's TV is first bounded from below by
-    :func:`_tv_pivot`, one ``O(N²)`` pass: a non-final checkpoint whose
-    bound already lies above the band needs no full scan. Any TV value
-    that is reported, or compared with ``epsilon`` to decide a hit, is the
-    full :func:`~mclab.chain_core.tv_between_rows`.
+    The identity at time 0 is measured once for the batch; each stack is
+    walked by :class:`_StackWalk`.
     """
     measure = tv_between_rows if metric == "tv" else relsup_between_rows
     n = seqs[0].space.size
@@ -382,10 +313,9 @@ def _passage_batch(seqs: list[KernelSequence], epsilon: float, metric: str,
         return [_passage_result(metric, 0 if value <= epsilon else None, eye, value)] * len(seqs)
     walker = _StackWalk(seqs, epsilon, metric, n_max)
     tridiagonal = [_tridiagonal(seq) for seq in seqs]
-    for quads in (True, False):
-        live = [r for r, t in enumerate(tridiagonal) if t == quads]  # the sequence in each slice
-        if live:
-            walker.walk(live, quads)
+    quads = [r for r, t in enumerate(tridiagonal) if t]
+    for live in [quads] * bool(quads) + [[r] for r, t in enumerate(tridiagonal) if not t]:
+        walker.walk(live)
     if walker.errors:
         raise walker.errors[min(walker.errors)]
     return walker.results
@@ -401,17 +331,18 @@ def _passage_result(metric: str, hit, matrix: np.ndarray, value: float):
 def _tv_pivot(p: np.ndarray) -> np.ndarray:
     """Half the largest L1 distance from row 0 to another row, capped at 1, per slice of ``p``.
 
-    A lower bound on each slice's worst-pair TV, in one ``O(N²)`` pass.
+    A lower bound on each slice's worst-pair TV, in one ``O(N²)`` pass. A
+    TV value that is reported, or compared with ``epsilon`` to decide a
+    hit, is the full :func:`~mclab.chain_core.tv_between_rows`.
     """
     return np.minimum(0.5 * np.add.reduce(np.abs(p[:, :1] - p[:, 1:]), axis=-1).max(axis=-1), 1.0)
 
 
 class _StackWalk:
-    """The stacks of one :func:`_passage_batch`, walked window by window.
+    """The stacks of one :func:`_passage_batch`, walked as :func:`first_passage` says.
 
     Holds what the batch's stacks share: every kernel's drift screen (a
-    sequence's kernels from ``offsets[r]`` on), the results and the errors
-    of the sequences, in batch order.
+    sequence's kernels from ``offsets[r]`` on), the results and the errors.
     """
 
     def __init__(self, seqs, epsilon, metric, n_max):
@@ -420,20 +351,21 @@ class _StackWalk:
         self.scale = 1.0 if metric == "tv" else 1.0 + epsilon  # δ is relative to 1 + value for relsup
         n = self.n = seqs[0].space.size
         limit = min(2 * (n + 1) * UNIT_ROUNDOFF, DRIFT_ATOL - 4 * (n + 1) * UNIT_ROUNDOFF)
-        self.screened = np.concatenate([_drift_screen(seq, limit) for seq in seqs])
+        self.screened = np.array([np.abs(np.add.reduce(k.entries, axis=1) - 1.0).max()
+                                  for seq in seqs for k in seq.kernels]) <= limit
         self.offsets = np.cumsum([0] + [len(seq.kernels) for seq in seqs[:-1]])
         self.results: list = [None] * len(seqs)
         self.errors: dict[int, ArithmeticError] = {}
 
-    def walk(self, live: list[int], quads: bool) -> None:
-        """Walk the sequences ``live`` as one stack, stepping four kernels or one at a time."""
-        n = self.n
-        self.quads = quads
-        if quads:
+    def walk(self, live: list[int]) -> None:
+        """Walk the sequences ``live`` as one stack: four kernels a factor if tridiagonal, else one."""
+        n, seq = self.n, self.seqs[live[0]]
+        self.quads = _tridiagonal(seq)
+        if self.quads:
             self.multiply, self.factors = forward_matmul(n, 4), _quad_factors(self.seqs, live, n)
         else:
-            self.multiply = forward_matmul(n, max(_stack_band(self.seqs[r]) for r in live))
-            self.factors = _kernel_factors(self.seqs, live, n)
+            self.multiply = forward_matmul(n, max(map(matmul_band, seq.kernels)))
+            self.factors = _kernel_factors(seq)
         # the rows at the window start, one slot for each checkpoint of a
         # window, and a spare the products alternate with
         stacks = [np.repeat(np.eye(n)[None], len(live), axis=0)]
@@ -448,55 +380,45 @@ class _StackWalk:
         """``ε + 2δ(t)``: a value above it rules out every step since the last measured checkpoint."""
         return self.epsilon + 2.0 * _passage_bound(t, self.n) * self.scale
 
-    def draw(self, live: list[int], start: int, stop: int):
-        """The kernel positions of steps ``start + 1`` to ``stop`` of each slice, and their drift screens."""
-        indices = [self.seqs[r].indices(start + 1, stop + 1) for r in live]
-        return indices, self.screened[np.add(indices, self.offsets[live][:, None])]
+    def screen(self, p: np.ndarray, passed: np.ndarray, t: int):
+        """The screen of :func:`first_passage` on the stack ``p`` at step ``t``.
+
+        ``passed`` holds each slice's drift screen. Returns, per slice,
+        whether it takes the stepwise route, whether its value (for TV,
+        :func:`_tv_pivot`) lies above the band, and the relative-sup values.
+        """
+        if self.metric == "relsup":
+            values, tiny = _relsup_stack(p)
+            return ~passed | tiny, values > self.band(t), values.tolist()
+        return ~passed, _tv_pivot(p) > self.band(t), None
 
     def window(self, live: list[int], stacks: list, start: int, end: int) -> list[int]:
         """Walk a window ``(start, end]`` once and return the slices that walk on.
 
         The rows at ``start`` are the first of ``stacks[0]``. The stride
         ending at the window's ``k``-th checkpoint multiplies from
-        ``stacks[k - 1]``, alternating with the spare ``stacks[-1]`` so
-        that its last product lands in ``stacks[k]``, which is then divided
-        by its row sums in place; every checkpoint keeps its bits. At an
-        ``end`` before ``n_max`` a slice walks on when every kernel of its
-        window passed the drift screen, and its value at ``end`` (for TV,
-        :func:`_tv_pivot`) lies above the band with, for relative-sup, no
-        positive entry below ``_PASSAGE_TINY``; every other slice, and
-        every slice of the window holding ``n_max``, is judged from the
-        stored checkpoints by :meth:`judge`. On return the rows of the
-        slices that walk on are the first of ``stacks[0]``, in order.
+        ``stacks[k - 1]``, alternating with the spare ``stacks[-1]``, into
+        ``stacks[k]``. The slices failing the screen at an ``end`` before
+        ``n_max``, and all at ``n_max``, go to :meth:`judge`. On return the
+        rows of the slices that walk on lead ``stacks[0]``, in order.
         """
         width = len(live)
         marks = [*range(start, end, _PASSAGE_STRIDE), end]  # the start, then each checkpoint
-        screens, k, first = [], 0, start
-        while first < end:  # a block of strides; only the last one's factors are held
-            stop = min(first + _block_strides(width, self.n, self.quads) * _PASSAGE_STRIDE, end)
-            indices, passed = self.draw(live, first, stop)
-            screens.append(passed)
-            steps = self.factors(live, indices)
-            while marks[k] < stop:  # a stride
-                k += 1
-                length = marks[k] - marks[k - 1]
-                count = (length + 3) // 4 if self.quads else length
-                p = stacks[k - 1][:width]
-                for j, factor in enumerate(islice(steps, count)):
-                    p = self.multiply(p, factor, out=stacks[k if (count - j) % 2 else -1][:width])
-                np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
-            first = stop
-        passed = np.concatenate(screens, axis=1)
+        indices = [self.seqs[r].indices(start + 1, end + 1) for r in live]
+        passed = self.screened[np.add(indices, self.offsets[live][:, None])]
+        steps = self.factors(live, indices)
+        for k in range(1, len(marks)):  # a stride
+            length = marks[k] - marks[k - 1]
+            count = (length + 3) // 4 if self.quads else length
+            p = stacks[k - 1][:width]
+            for j, factor in enumerate(islice(steps, count)):
+                p = self.multiply(p, factor, out=stacks[k if (count - j) % 2 else -1][:width])
+            np.divide(p, np.add.reduce(p, axis=-1)[..., None], out=p)
         if end == self.n_max:
             judged = list(range(width))
         else:
-            band = self.band(end)
-            if self.metric == "relsup":
-                values, tiny = _relsup_stack(p)
-                fails = ~passed.all(axis=1) | tiny | ~(values > band)
-            else:
-                fails = ~passed.all(axis=1) | ~(_tv_pivot(p) > band)
-            judged = np.flatnonzero(fails).tolist()
+            stepwise, walks_on, _ = self.screen(p, passed.all(axis=1), end)
+            judged = np.flatnonzero(stepwise | ~walks_on).tolist()
         finished = self.judge(live, judged, stacks, marks, passed)
         # the rows at end become the window start
         stacks[0], stacks[k] = stacks[k], stacks[0]
@@ -507,16 +429,10 @@ class _StackWalk:
         return [live[s] for s in keep]
 
     def judge(self, live, judged, stacks, marks, passed) -> set[int]:
-        """Measure the slices ``judged`` at the window's checkpoints in order; return those that finish.
+        """Screen the slices ``judged`` at the window's checkpoints in order; return those that finish.
 
-        A slice whose stride used a kernel failing the drift screen
-        (``passed``, by step of the window), or whose relative-sup
-        checkpoint holds a positive entry below ``_PASSAGE_TINY``, is
-        finished by :func:`_stepwise`; a checkpoint inside the band is
-        walked again by :func:`_replay` from the previous checkpoint's
-        slot. A slice that finishes is measured no further, and at
-        ``n_max`` every slice finishes; the error of a slice that fails is
-        kept in :attr:`errors`.
+        ``passed`` holds each slice's drift screens by step of the window.
+        The error of a slice that fails is kept in :attr:`errors`.
         """
         n_max, epsilon, metric = self.n_max, self.epsilon, self.metric
         finished: set[int] = set()
@@ -527,78 +443,60 @@ class _StackWalk:
             if not judged:
                 break
             p = stacks[k][judged]
-            band = self.band(stop)
-            stepwise = ~passed[judged, first - marks[0]:stop - marks[0]].all(axis=1)
-            if metric == "relsup":
-                values, tiny = _relsup_stack(p)
-                stepwise |= tiny
-                walks_on = values > band
-                values = values.tolist()
-            elif stop < n_max:
-                walks_on = _tv_pivot(p) > band
-            if stop == n_max:  # every slice finishes here
-                walks_on = np.zeros(len(judged), dtype=bool)
+            ok = passed[judged, first - marks[0]:stop - marks[0]].all(axis=1)
+            stepwise, walks_on, values = self.screen(p, ok, stop)
+            walks_on &= stop < n_max  # every slice finishes at n_max
             for i in np.flatnonzero(stepwise | ~walks_on).tolist():
                 s = judged[i]
-                r = live[s]
+                seq = self.seqs[live[s]]
                 try:
                     if stepwise[i]:
-                        step = _stepwise(self.seqs[r], first + 1, n_max, self.measure, epsilon)
+                        step = self.rewalk(seq, 0, None, first + 1, n_max)
                     else:
-                        value = values[i] if metric == "relsup" else self.measure(p[i])
-                        step = (stop, p[i], value) if value > band else \
-                            _replay(self.seqs[r], stacks[k - 1][s], first, stop, self.measure,
-                                    epsilon, self.scale, n_max)
+                        value = self.measure(p[i]) if values is None else values[i]
+                        step = (stop, p[i], value) if value > self.band(stop) else \
+                            self.rewalk(seq, first, stacks[k - 1][s], first + 1, stop)
                 except ArithmeticError as exc:
-                    self.errors[r] = exc
+                    self.errors[live[s]] = exc
                     finished.add(s)
                     continue
                 if step[2] <= epsilon or step[0] == n_max:
                     t, matrix, value = step
-                    self.results[r] = _passage_result(metric, t if value <= epsilon else None,
-                                                      matrix, value)
+                    self.results[live[s]] = _passage_result(metric, t if value <= epsilon else None,
+                                                            matrix, value)
                     finished.add(s)
         return finished
 
+    def rewalk(self, seq: KernelSequence, start: int, matrix, first: int, stop: int):
+        """``(i, P_i, value)`` at the first ``first <= i <= stop`` with value <= ε, else at ``stop``.
 
-def _drift_screen(seq: KernelSequence, limit: float) -> np.ndarray:
-    """Whether each kernel's row sums lie within ``limit`` of 1 (see :func:`first_passage`)."""
-    sums = np.array([np.add.reduce(k.entries, axis=1) for k in seq.kernels])
-    return np.abs(sums - 1.0).max(axis=1) <= limit
-
-
-def _block_strides(width: int, n: int, quads: bool) -> int:
-    """Strides in a block of a stack of ``width`` slices of ``n`` states, inside one window.
-
-    ``_PASSAGE_BLOCK``, or, in a stack stepping four kernels at a time,
-    fewer, so that the arrays :func:`_quad_factors` forms for a block's
-    factors fit in ``_BLOCK_BYTES``; at least one. They hold 28 numbers per
-    factor, slice and row: the five diagonals of each of the factor's two
-    pairs with eight zero diagonals, the three diagonals of each kernel of
-    one of its pairs with four zero diagonals, and the factor's own nine
-    in the place of those. A stack stepping a kernel at a time forms
-    nothing ahead: its kernels are joined step by step.
-    """
-    if not quads:
-        return _PASSAGE_BLOCK
-    stride = 8 * 28 * (_PASSAGE_STRIDE // 4) * width * n
-    return max(1, min(_PASSAGE_BLOCK, _BLOCK_BYTES // stride))
+        Walks ``seq`` again by :func:`~mclab.chain_core.walk` from
+        ``matrix``, its product at step ``start``, and measures no step
+        before ``first``. From a product, a value within ``δ(i, N)`` of ε
+        does not tell whether the stepwise walk hits at ``i``, so the
+        result is then the stepwise route's: the walk from the identity
+        (``matrix`` None) at step 0, measured from ``i`` to ``n_max``.
+        """
+        for i, p, _ in walk(seq, range(start + 1, stop + 1), start=matrix):
+            if i >= first:
+                value = self.measure(p)
+                if matrix is not None and \
+                        abs(value - self.epsilon) <= _passage_bound(i, self.n) * self.scale:
+                    return self.rewalk(seq, 0, None, i, self.n_max)
+                if value <= self.epsilon:
+                    break
+        return i, p, value
 
 
 def _relsup_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`relsup_between_rows` of each slice of an ``(R, N, N)`` stack, in one pass.
 
-    Returns the values and whether each slice holds a positive entry below
-    ``_PASSAGE_TINY``. Every column's max and min are taken over the whole
-    stack at once; as max and min are exact, and a quotient and the final
-    subtraction are rounded as in :func:`relsup_between_rows`, each value
-    has its bits. An all-zero column counts as a quotient of 1, below every
-    other (``max ≥ min > 0`` gives a quotient of at least 1), so it adds
-    nothing and a stack of such columns reads 0; a column with zero and
-    positive entries divides by zero and reads ``+inf``. When no column of
-    the stack holds a zero, every entry is at least its column's minimum,
-    so the minima alone tell whether a positive entry lies below
-    ``_PASSAGE_TINY``; otherwise every entry is compared.
+    Returns the values, with the bits of :func:`relsup_between_rows` (max
+    and min are exact, the quotients and the subtraction rounded alike),
+    and whether each slice holds a positive entry below ``_PASSAGE_TINY``.
+    An all-zero column counts as a quotient of 1, which adds nothing; a
+    column with zero and positive entries reads ``+inf``. Without a zero
+    in the stack, the column minima alone tell whether an entry is tiny.
     """
     hi = np.maximum.reduce(p, axis=1)
     lo = np.minimum.reduce(p, axis=1)
@@ -611,47 +509,31 @@ def _relsup_stack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, ((p > 0) & (p < _PASSAGE_TINY)).any(axis=(1, 2))
 
 
-def _kernel_factors(seqs: list[KernelSequence], members: list[int], n: int):
-    """The factors of a block's steps for the sequences ``members``: a kernel a step.
+def _kernel_factors(seq: KernelSequence):
+    """The factors of a sequence walked alone a kernel a step: ``(1, N, N)`` views of its kernels.
 
-    Returns ``factors(live, indices)``, a generator of the steps of the
-    sequences ``live`` (a subset of ``members``, in order): for each step,
-    one stack of the kernels those sequences take at that step;
-    ``indices[s]`` holds the kernel positions of slice ``s``. A lone
-    sequence's kernel is a ``(1, N, N)`` view; kernels of several
-    sequences are concatenated into one buffer allocated once.
+    Returns ``factors(live, indices)``, as :func:`_quad_factors` does.
     """
-    stacks_of_one = {r: [k.entries[None] for k in seqs[r].kernels] for r in members}
-    out = np.empty((len(members), n, n)) if len(members) > 1 else None
-
-    def factors(live, indices):
-        columns = [[stacks_of_one[r][k] for k in idx.tolist()] for r, idx in zip(live, indices)]
-        if len(columns) == 1:
-            yield from columns[0]
-        else:
-            for step in zip(*columns):
-                yield np.concatenate(step, out=out[:len(columns)])
-    return factors
+    kernels = [k.entries[None] for k in seq.kernels]
+    return lambda live, indices: (kernels[k] for k in indices[0].tolist())
 
 
 def _quad_factors(seqs: list[KernelSequence], members: list[int], n: int):
-    """The factors of a block's steps for tridiagonal sequences: four kernels a step.
+    """The factors of a window's steps for tridiagonal sequences: four kernels a step.
 
-    Returns ``factors(live, indices)`` as :func:`_kernel_factors` does, but
-    each factor is the product ``K_a K_b K_c K_d`` of four consecutive
-    kernels of a slice, and a block whose length is not a multiple of four
-    ends with its last one to three kernels followed by the identity, which
-    gives their product exactly. The product of two tridiagonal kernels is
-    pentadiagonal, and that of two such pairs has band 4. For every factor
-    of the block and every live slice, :func:`_band_product` forms the
-    first pairs' five diagonals from their kernels' three, then the second
-    pairs', then the factors' nine from the pairs'. Each factor is written
-    over the same nine diagonals of one ``(R, N, N)`` buffer, zero
-    elsewhere. Its rows carry four columns of padding on each side, so the
-    band is one strided view: row ``i`` of diagonal ``c − 4`` lies
-    ``i(N + 9) + c`` elements into a slice, and a write never wraps into
-    another row. The arrays a block forms (:func:`_block_strides`) are
-    allocated once, for the largest block, and reused.
+    Returns ``factors(live, indices)``, a generator of the window's
+    factors for the sequences ``live`` (a subset of ``members``, in
+    order), each a stack of one factor a slice; ``indices[s]`` holds the
+    kernel positions of slice ``s``. A factor is the product
+    ``K_a K_b K_c K_d`` of four consecutive kernels of a slice; a window
+    of a length not a multiple of four ends with its last one to three
+    kernels and the identity. :func:`_band_product` forms the five
+    diagonals of every first and second pair of the window, then the
+    factors' nine, with the rounding bounded in :func:`first_passage`.
+    Each factor is written over the nine diagonals of one ``(R, N, N)``
+    buffer whose rows carry four columns of zero padding on each side, so
+    the band is one strided view: row ``i`` of diagonal ``c − 4`` lies
+    ``i(N + 9) + c`` elements into a slice.
     """
     first = np.zeros(len(seqs), dtype=np.intp)  # each member's first row of table
     count = 0
@@ -670,9 +552,7 @@ def _quad_factors(seqs: list[KernelSequence], members: list[int], n: int):
     item = padded.itemsize
     band = np.lib.stride_tricks.as_strided(padded, (len(members), 9, n),
                                            (padded.strides[0], item, (n + 9) * item), writeable=True)
-    # positions of the largest block: a row of every factor and slice
-    size = n * (_PASSAGE_STRIDE // 4) * max(w * _block_strides(w, n, True)
-                                            for w in range(1, len(members) + 1))
+    size = n * (_PASSAGE_BLOCK * _PASSAGE_STRIDE // 4) * len(members)  # a row of every factor and slice
     # the first and the second kernels of a half of the pairs (3 diagonals,
     # then 3 between two zero diagonals on each side), then the factors' nine
     work = np.empty(10 * size)
@@ -690,7 +570,7 @@ def _quad_factors(seqs: list[KernelSequence], members: list[int], n: int):
         positions = h * width * n
         a = work[:3 * positions].reshape(3, positions)
         b = work[3 * positions:10 * positions].reshape(7, positions)
-        b[:2] = b[5:] = 0.0  # the factors of the previous block overlap them
+        b[:2] = b[5:] = 0.0  # the factors of the previous window overlap them
         for q in range(2):  # mode="clip" takes into out unbuffered; every row is in range
             np.take(table, rows[0, q], axis=1, mode="clip", out=a.reshape(3, h, width, n))
             np.take(table, rows[1, q], axis=1, mode="clip", out=b[2:5].reshape(3, h, width, n))
@@ -714,57 +594,18 @@ def _band_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     matrix. ``b`` holds the ``w`` diagonals of ``B`` on the same positions,
     between ``2h`` zero diagonals on each side, as one C-contiguous array
     whose rows are at least ``F`` long; ``out`` receives the ``2h + w``
-    diagonals of ``A B``. Term ``s`` of row ``i``, ``A(i, i + s − h)``
-    times row ``i + s − h`` of ``B``, lies ``s − h`` positions away and
-    adds each diagonal ``c`` of ``B`` to diagonal ``s + c`` of the
-    product. One strided view of ``b`` gives every ``(s, s + c)`` its
-    row, and a zero row where ``c`` falls outside ``B``; the view stays
-    inside ``b``. So each entry is a sum of ``2h + 1`` non-negative
-    products, of which at most ``min(2h + 1, N)`` are nonzero: a term
-    whose column of ``A`` falls outside the matrix multiplies what it reads
-    of ``b``, a finite number, by an exact zero, and so does one that reads
-    across the end of a row of ``B`` into the next.
+    diagonals of ``A B``. Term ``s`` of row ``i`` adds each diagonal ``c``
+    of ``B``, ``s − h`` positions away, to diagonal ``s + c`` of the
+    product, through one strided view of ``b``. So each entry sums
+    ``2h + 1`` non-negative products, at most ``min(2h + 1, N)`` of them
+    nonzero: a term reading past the matrix multiplies a finite number by
+    an exact zero.
     """
     span, h, rows = len(a), len(a) // 2, b.strides[0]
     # skewed[s, e, f] = b[e − s + 2h, f + s − h], built from the s = 2h end
     skewed = np.ndarray((span, len(out), a.shape[1]), b.dtype, b, offset=h * b.itemsize,
                         strides=(rows - b.itemsize, rows, b.itemsize))[::-1]
     np.einsum("sf,sef->ef", a, skewed, out=out)
-
-
-def _replay(seq: KernelSequence, matrix: np.ndarray, start: int, stop: int, measure, epsilon,
-            scale, n_max):
-    """``(i, P_i, value)`` at the first ``start < i <= stop`` with value <= epsilon, else at ``stop``.
-
-    The steps are walked again by :func:`~mclab.chain_core.walk` from
-    ``matrix``, the product at ``start``, and measured in order up to the
-    first hit. A value within ``δ(i, N)·scale`` of ``epsilon`` does not
-    tell whether the stepwise walk hits at ``i``, so from there the result
-    is that of :func:`_stepwise`.
-    """
-    n = matrix.shape[0]
-    for i, matrix, _ in walk(seq, range(start + 1, stop + 1), start=matrix):
-        value = measure(matrix)
-        if abs(value - epsilon) <= _passage_bound(i, n) * scale:
-            return _stepwise(seq, i, n_max, measure, epsilon)
-        if value <= epsilon:
-            break
-    return i, matrix, value
-
-
-def _stepwise(seq: KernelSequence, first: int, n_max: int, measure, epsilon):
-    """``(i, P_i, value)`` of the stepwise walk at its first hit from step ``first`` on, else at ``n_max``.
-
-    The walk starts again from the identity and measures no step before
-    ``first``; :func:`~mclab.chain_core.walk` raises at the first step that
-    drifts.
-    """
-    for i, matrix, _ in walk(seq, range(1, n_max + 1)):
-        if i >= first:
-            value = measure(matrix)
-            if value <= epsilon:
-                break
-    return i, matrix, value
 
 
 @dataclass(frozen=True)
@@ -834,6 +675,7 @@ def merging_time(seq: KernelSequence, epsilon: float, metric: str = "tv",
         raise ValueError("tv epsilon must lie in (0, 1)")
     if metric == "relsup" and not epsilon > 0:
         raise ValueError("relsup epsilon must be positive")
+    n_max = number(n_max, "n_max", integer=True)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     block_traj = _block_trajectory(seq, n_max, block)  # validates block before the walk

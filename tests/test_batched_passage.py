@@ -98,10 +98,20 @@ def test_nan_or_negative_epsilon_is_rejected_before_the_walk(metric, epsilon):
         first_passage(bd_sequences()[0], epsilon, metric, 100)
 
 
+N_MAX_ERRORS = {
+    -1: "n_max must be >= 0",
+    -100: "n_max must be >= 0",
+    math.inf: "not an integer in n_max: inf",  # a sequence that never merges was walked forever
+    2.5: "not an integer in n_max: 2.5",  # range() raised a TypeError
+    math.nan: "not an integer in n_max: nan",
+    True: "not a number in n_max: a boolean",  # walked one step
+}
+
+
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
-@pytest.mark.parametrize("n_max", [-1, -100])
+@pytest.mark.parametrize("n_max", list(N_MAX_ERRORS))
 def test_negative_n_max_is_rejected_before_the_walk(metric, n_max):
-    # a walk would report the identity's values, where merging_time raises
+    # a negative n_max would report the identity's values, where merging_time raises
     read = []
 
     def sequences():
@@ -109,13 +119,19 @@ def test_negative_n_max_is_rejected_before_the_walk(metric, n_max):
             read.append(seq)
             yield seq
 
-    with pytest.raises(ValueError, match="n_max must be >= 0"):
+    message = N_MAX_ERRORS[n_max]
+    with pytest.raises(ValueError, match=message):
         first_passages(sequences(), 0.25, metric, n_max)
     assert read == []
-    with pytest.raises(ValueError, match="n_max must be >= 0"):
-        first_passage(bd_sequences()[0], 0.25, metric, n_max)
-    # n_max = 0 still measures the identity
+    stuck = KernelSequence.constant(StochasticKernel.identity(StateSpace(3)))
+    with pytest.raises(ValueError, match=message):
+        first_passage(stuck, 0.25, metric, n_max)
+    with pytest.raises(ValueError, match=message if n_max not in (-1, -100) else "n_max must be >= 1"):
+        merging.merging_time(stuck, 0.25, metric, n_max)
+    # n_max = 0 still measures the identity, and a whole float counts as its integer
     assert first_passage(bd_sequences()[0], 0.25, metric, 0) == (None, 1.0, math.inf)
+    assert first_passage(bd_sequences()[0], 0.25, metric, 40.0) == \
+        first_passage(bd_sequences()[0], 0.25, metric, 40)
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
@@ -252,23 +268,21 @@ def test_stride_buffers_keep_every_checkpoint(monkeypatch):
     expected = [stepwise(seq, epsilon, "relsup", n_max) for seq in seqs]
 
     widths, replays, stepwise_from = [], [], []
-    batch, replay, walk_stepwise = merging._passage_batch, merging._replay, merging._stepwise
+    batch, rewalk = merging._passage_batch, merging._StackWalk.rewalk
 
     def batch_spy(batch_seqs, *args):
         widths.append(len(batch_seqs))
         return batch(batch_seqs, *args)
 
-    def replay_spy(seq, matrix, start, *args):
-        replays.append((seqs.index(seq), start))
-        return replay(seq, matrix, start, *args)
-
-    def stepwise_spy(seq, first, *args):
-        stepwise_from.append((seqs.index(seq), first))
-        return walk_stepwise(seq, first, *args)
+    def rewalk_spy(self, seq, start, matrix, first, stop):
+        if matrix is None:  # the stepwise route, from the identity
+            stepwise_from.append((seqs.index(seq), first))
+        else:  # a stride walked again from its checkpoint
+            replays.append((seqs.index(seq), start))
+        return rewalk(self, seq, start, matrix, first, stop)
 
     monkeypatch.setattr(merging, "_passage_batch", batch_spy)
-    monkeypatch.setattr(merging, "_replay", replay_spy)
-    monkeypatch.setattr(merging, "_stepwise", stepwise_spy)
+    monkeypatch.setattr(merging._StackWalk, "rewalk", rewalk_spy)
     got = first_passages(seqs, epsilon, "relsup", n_max)
     assert [t for t, _, _ in got] == [t for t, _, _ in expected]
     for (t, tv, relsup), (_, tv_ref, relsup_ref) in zip(got, expected):
@@ -410,6 +424,55 @@ def test_random_dense_kernels(rng):
     for metric in ("tv", "relsup"):
         for epsilon in (0.5, 1e-3, 1e-9):
             assert_batch_is_loop(seqs, epsilon, metric, 120)
+
+
+def banded_kernel(rng, n, width):
+    """A random kernel on ``n`` states, zero beyond ``width`` diagonals from the main one."""
+    rows, cols = np.indices((n, n))
+    m = np.where(np.abs(rows - cols) <= width, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    return StochasticKernel(StateSpace(n), m / m.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", [9, 33, 65])
+@pytest.mark.parametrize("metric", ["tv", "relsup"])
+def test_a_batch_mixing_dense_and_tridiagonal_sequences_is_the_loop(monkeypatch, metric, n):
+    # one batch of one state count: the tridiagonal sequences walk as one
+    # stack, by four kernels a product, and each other sequence alone, a
+    # kernel a product with the band of its own kernels
+    rng = np.random.default_rng(n)
+    dense = [KernelSequence.iid([banded_kernel(rng, n, w) for w in (2, 5)], seed=1),
+             KernelSequence.iid([random_kernel(rng, n, zero_prob=0.3) for _ in range(3)], seed=2),
+             KernelSequence.cyclic([banded_kernel(rng, n, 2), banded_kernel(rng, n, 3)])]
+    tridiagonal = bd_sequences(n - 1)
+    seqs = [tridiagonal[0], dense[0], dense[1], *tridiagonal[1:3], dense[2], *tridiagonal[3:]]
+    epsilon = 0.3 if metric == "tv" else 2.0
+    loop = [first_passage(seq, epsilon, metric, 400) for seq in seqs]
+    assert any(t is not None for t, _, _ in loop)
+    widths, bands, products = [], [], []
+    batch, forward_matmul = merging._passage_batch, merging.forward_matmul
+
+    def batch_spy(batch_seqs, *args):
+        widths.append(len(batch_seqs))
+        return batch(batch_seqs, *args)
+
+    def matmul_spy(size, band):  # once a stack
+        multiply, stack = forward_matmul(size, band), len(bands)
+        bands.append(band)
+
+        def counted(p, k, out=None):
+            products.append((stack, p.shape[0]))
+            return multiply(p, k, out=out)
+        return counted
+
+    monkeypatch.setattr(merging, "_BATCH_BYTES", 1 << 23)  # every sequence in one batch
+    monkeypatch.setattr(merging, "_passage_batch", batch_spy)
+    monkeypatch.setattr(merging, "forward_matmul", matmul_spy)
+    assert first_passages(seqs, epsilon, metric, 400) == loop
+    assert widths == [len(seqs)]
+    assert bands == [4] + [n if n < 64 else max(k.bandwidth for k in seq.kernels)
+                           for seq in dense]
+    assert products[0] == (0, len(tridiagonal))
+    assert {width for stack, width in products if stack > 0} == {1}
 
 
 class TestIndices:

@@ -356,16 +356,17 @@ def test_a_threshold_near_1e9_walks_no_stride_again_before_the_crossing(monkeypa
         calls.append(1)
         return relsup_stack(stack)
 
-    relsup_stack, replay = merging._relsup_stack, merging._replay
+    relsup_stack, rewalk = merging._relsup_stack, merging._StackWalk.rewalk
     replayed = []
 
-    def replay_spy(seq, matrix, start, *args):
-        replayed.append(start)
-        return replay(seq, matrix, start, *args)
+    def rewalk_spy(self, seq, start, matrix, *args):
+        if matrix is not None:  # a stride walked again from its checkpoint
+            replayed.append(start)
+        return rewalk(self, seq, start, matrix, *args)
 
     monkeypatch.setattr(merging, "relsup_between_rows", counted)
     monkeypatch.setattr(merging, "_relsup_stack", counted_stack)
-    monkeypatch.setattr(merging, "_replay", replay_spy)
+    monkeypatch.setattr(merging._StackWalk, "rewalk", rewalk_spy)
     got = first_passage(seq, epsilon, "relsup", n_max)
     assert_within_passage_bound(got, expected, 9, 390)
     # time 0; the ends of the six windows before the hit's, steps 64 to 384,

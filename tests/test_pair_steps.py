@@ -147,7 +147,7 @@ def test_hit_times(kind, metric, n, odd):
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
 def test_stacked_quads_equal_each_sequence_alone(metric, n, monkeypatch):
     # tridiagonal sequences of both rules with one dense sequence in the same
-    # batch: the dense one walks a kernel a step in a stack of its own
+    # batch: the dense one walks a kernel a step, alone
     seqs = [sequence(kind, n, seed) for seed in range(3) for kind in ("iid", "cyclic")]
     seqs.insert(2, KernelSequence.iid([random_kernel(np.random.default_rng(n), n)
                                        for _ in range(2)], seed=5))
@@ -168,7 +168,7 @@ def test_stacked_quads_equal_each_sequence_alone(metric, n, monkeypatch):
     monkeypatch.setattr(merging, "_passage_batch", batch_spy)
     monkeypatch.setattr(merging, "_quad_factors", quad_spy)
     assert first_passages(seqs, epsilon, metric, n_max) == alone
-    if n < 64:  # from 64 states the bands differ, and the byte cap splits the batch
+    if n < 33:  # from 33 states the window arrays of six sequences pass the byte cap
         assert widths == [len(seqs)] and quads == [[0, 1, 3, 4, 5, 6]]
     assert any(t is not None for t, _, _ in alone)
 

@@ -1,12 +1,14 @@
-"""Windows and blocks of strides in the first-passage stack, its one-pass
-relative-sup measure, and birth-death kernel sets built as one stack.
+"""Windows of strides in the first-passage stack, its byte budget, its
+one-pass relative-sup measure, and birth-death kernel sets built as one
+stack.
 
 ``merging._passage_batch`` walks a stack in windows of
 ``_PASSAGE_BLOCK * _PASSAGE_STRIDE`` steps, each multiplied once and
 measured at its end; a slice that fails its window is judged stride by
 stride from the checkpoints the walk kept, and walks on from the window's
-end when it does not finish. Inside a window, kernel positions are drawn
-and factors formed once per block of strides. Every result must
+end when it does not finish. A window's kernel positions are drawn, and
+its factors formed, once. A batch's stacks and window arrays fit in
+``merging._BATCH_BYTES``. Every result must
 still equal a loop of ``first_passage`` bit for bit, with the hit time of
 the stepwise walk. ``merging._relsup_stack`` must give the bits of
 ``relsup_between_rows`` on every slice. ``zoo.constant_rate_bd_set`` must
@@ -15,6 +17,7 @@ give the kernels, and the errors, of a loop of ``constant_rate_bd``.
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,70 +44,112 @@ def stepwise_values(seq, metric, n_max):
     return [MEASURE[metric](p) for _, p, _ in walk(seq, range(1, n_max + 1))]
 
 
-def spy_blocks(monkeypatch):
-    """Record ``(width, steps)`` of every block the four-kernel stacks form factors for."""
-    blocks = []
+def spy_formed(monkeypatch):
+    """Record ``(width, steps)`` of every window the four-kernel stacks form factors for."""
+    formed = []
     quad_factors = merging._quad_factors
 
     def spy(seqs, members, n):
         factors = quad_factors(seqs, members, n)
 
         def recorded(live, indices):
-            blocks.append((len(live), len(indices[0])))
+            formed.append((len(live), len(indices[0])))
             return factors(live, indices)
         return recorded
 
     monkeypatch.setattr(merging, "_quad_factors", spy)
-    return blocks
+    return formed
 
 
-def spy_draws(monkeypatch):
-    """Record ``(width, start, stop)`` of every block of strides a stack draws kernel positions for."""
-    draws = []
-    draw = merging._StackWalk.draw
+def spy_windows(monkeypatch):
+    """Record ``(width, start, end)`` of every window a stack walks."""
+    windows = []
+    window = merging._StackWalk.window
 
-    def spy(self, live, start, stop):
-        draws.append((len(live), start, stop))
-        return draw(self, live, start, stop)
+    def spy(self, live, stacks, start, end):
+        windows.append((len(live), start, end))
+        return window(self, live, stacks, start, end)
 
-    monkeypatch.setattr(merging._StackWalk, "draw", spy)
-    return draws
+    monkeypatch.setattr(merging._StackWalk, "window", spy)
+    return windows
 
 
-def test_block_length_follows_the_byte_budget():
-    assert merging._block_strides(10, 17, True) == 1
-    assert merging._block_strides(3, 33, True) == 2
-    assert merging._block_strides(2, 33, True) == 4
-    assert merging._block_strides(1, 65, True) == merging._PASSAGE_BLOCK == 4
-    assert merging._block_strides(50, 65, False) == merging._PASSAGE_BLOCK
-    assert merging._block_strides(10 ** 4, 1025, True) == 1  # at least one stride
-    for width, n in [(1, 9), (2, 17), (4, 33), (7, 65), (1, 257)]:
-        strides = merging._block_strides(width, n, True)
-        formed = 8 * 28 * (STRIDE // 4) * width * n * strides
-        assert formed <= merging._BLOCK_BYTES or strides == 1
+def walked_bytes(monkeypatch):
+    """Record ``(sequences, budgeted bytes, most array bytes held)`` of every batch walked.
+
+    The bytes held are those of the numpy arrays allocated since the batch
+    began, at the start of each window a stack walks: its stacks, its
+    window arrays, and nothing of the temporaries a screen or a walk again
+    takes.
+    """
+    batches, held = [], []
+    batch, window = merging._passage_batch, merging._StackWalk.window
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def batch_spy(seqs, *args):
+        held.clear()
+        tracemalloc.start()
+        try:
+            return batch(seqs, *args)
+        finally:
+            tracemalloc.stop()
+            batches.append((len(seqs), sum(map(merging._passage_bytes, seqs)), max(held)))
+
+    def window_spy(self, *args):
+        snapshot = tracemalloc.take_snapshot().filter_traces([arrays])
+        held.append(sum(trace.size for trace in snapshot.traces))
+        return window(self, *args)
+
+    monkeypatch.setattr(merging, "_passage_batch", batch_spy)
+    monkeypatch.setattr(merging._StackWalk, "window", window_spy)
+    return batches
+
+
+@pytest.mark.parametrize("n, count", [(9, 60), (17, 40), (33, 12), (65, 4), (129, 2)])
+def test_a_batch_and_its_window_arrays_fit_the_byte_budget(monkeypatch, n, count):
+    # tridiagonal sequences of 2 to 5 kernels with a dense one among them;
+    # the kernels are counted in the budget but held before the batch walks
+    rng = np.random.default_rng(n)
+    seqs = [KernelSequence.iid([bd(n - 1, *rng.uniform(0.1, 0.4, 2)) for _ in range(2 + s % 4)],
+                               seed=s) for s in range(count)]
+    seqs[count // 2] = KernelSequence.iid([random_kernel(rng, n) for _ in range(3)], seed=7)
+    loop = [first_passage(seq, 0.1, "tv", 200) for seq in seqs]  # draws each kernel position
+    batches = walked_bytes(monkeypatch)
+    assert first_passages(seqs, 0.1, "tv", 200) == loop
+    assert sum(width for width, _, _ in batches) == count
+    for width, budgeted, held in batches:
+        assert budgeted <= merging._BATCH_BYTES or width == 1
+        assert held <= budgeted
+    if n <= 33:
+        assert any(width > 1 for width, _, _ in batches)
+    # a window's arrays are 28 numbers a row of each of its 16 factors, counted per tridiagonal sequence
+    tridiagonal, dense = seqs[0], seqs[count // 2]
+    # the stacks: a window's start, its checkpoints, a spare, and a factor padded to N × (N + 8)
+    kernels, stacks = 8 * n * n * 2, 8 * ((merging._PASSAGE_BLOCK + 2) * n * n + n * (n + 8))
+    assert merging._passage_bytes(tridiagonal) == kernels + stacks + 8 * (3 * 2 * n + 28 * 16 * n)
+    assert merging._passage_bytes(dense) == 8 * n * n * 3 + stacks
 
 
 @pytest.mark.parametrize("metric", ["tv", "relsup"])
-@pytest.mark.parametrize("hit", [4 * STRIDE - 7, 4 * STRIDE + 6])
-def test_hits_in_the_last_stride_of_a_block_and_the_first_of_the_next(monkeypatch, metric, hit):
-    # a lone 9-state stack takes blocks of four strides: steps 1-64, then 65-128
+@pytest.mark.parametrize("hit", [WINDOW - 7, WINDOW + 6])
+def test_hits_in_the_last_stride_of_a_window_and_the_first_of_the_next(monkeypatch, metric, hit):
+    # a lone 9-state stack forms the factors of a whole window at once: steps 1-64, then 65-128
     seq = KernelSequence.iid([bd(8, 0.3, 0.2), bd(8, 0.2, 0.35), bd(8, 0.25, 0.25)], seed=4)
-    assert merging._block_strides(1, 9, True) == 4
     values = stepwise_values(seq, metric, hit)
     assert values[-2] > values[-1] > 1e-6
     epsilon = 0.5 * (values[-2] + values[-1])
-    blocks = spy_blocks(monkeypatch)
+    formed = spy_formed(monkeypatch)
     got = first_passage(seq, epsilon, metric, 200)
     assert got[0] == hit
     *_, (_, p, _) = walk(seq, range(1, hit + 1))
     delta = merging._passage_bound(hit, 9)
     assert abs(got[1] - tv_between_rows(p)) <= delta
     assert abs(got[2] - relsup_between_rows(p)) <= delta * (1 + relsup_between_rows(p))
-    assert blocks[0] == (1, 4 * STRIDE)
-    assert len(blocks) == 1 + (hit > 4 * STRIDE)
+    assert formed[0] == (1, WINDOW)
+    assert len(formed) == 1 + (hit > WINDOW)
 
 
-def block_sequences(n=8):
+def window_sequences(n=8):
     """Tridiagonal sequences that merge at different speeds, and one dense sequence."""
     rng = np.random.default_rng(9)
     return [
@@ -120,33 +165,34 @@ def block_sequences(n=8):
 
 @pytest.mark.parametrize("metric, epsilon", [("tv", 0.1), ("relsup", 0.25)])
 @pytest.mark.parametrize("n_max", [4 * STRIDE + 2 * STRIDE + 5, 4 * STRIDE + 7, 301])
-def test_slices_leave_mid_block_and_n_max_ends_inside_a_block(monkeypatch, metric, epsilon, n_max):
-    seqs = block_sequences()
+def test_slices_leave_mid_window_and_n_max_ends_inside_a_window(monkeypatch, metric, epsilon,
+                                                                 n_max):
+    seqs = window_sequences()
     loop = [first_passage(seq, epsilon, metric, n_max) for seq in seqs]
-    blocks = spy_blocks(monkeypatch)
-    draws = spy_draws(monkeypatch)
+    formed = spy_formed(monkeypatch)
+    windows = spy_windows(monkeypatch)
     assert first_passages(seqs, epsilon, metric, n_max) == loop
-    # six tridiagonal slices of 9 states: blocks of four strides, a whole window, while all six walk
-    assert blocks[0] == (6, min(WINDOW, n_max))
+    # six tridiagonal slices of 9 states: the factors of a whole window, while all six walk
+    assert formed[0] == (6, min(WINDOW, n_max))
     hits = [t for t, _, _ in loop if t is not None]
     assert any(t is None for t, _, _ in loop)  # walked to n_max
     assert len({(t - 1) // STRIDE for t in hits}) >= 2
-    assert any(width < 6 for width, _ in blocks)
-    # every block lies inside one window; within each stack (the four-kernel stack,
-    # then the dense one) every window's steps are drawn exactly once, in
-    # blocks that start at the window start or at the previous block's end,
-    # and a slice leaving inside a window starts no block
-    assert draws[0][1:] == (0, min(WINDOW, n_max))
-    assert sum(start == 0 for _, start, _ in draws) == 2
-    for (width, start, stop), (before, _, end) in zip(draws[1:], draws):
-        assert start // WINDOW == (stop - 1) // WINDOW
-        assert stop == min((start // WINDOW + 1) * WINDOW, n_max)
-        assert start in (0, end) and (start % WINDOW == 0 or width == before)
-    # the last block ends at n_max, inside the window holding it, with an odd length
-    assert blocks[-1][1] % 2 == 1 and blocks[-1][1] < WINDOW
+    assert any(width < 6 for width, _ in formed)
+    # within each stack (the four-kernel stack, then the dense one alone)
+    # every window is walked once, from the previous one's end, and its
+    # factors are formed once, for the slices that walk it
+    assert windows[0] == (6, 0, min(WINDOW, n_max))
+    assert [width for width, start, _ in windows if start == 0] == [6, 1]
+    for (width, start, end), (before, _, last) in zip(windows[1:], windows):
+        assert end == min(start + WINDOW, n_max)
+        if start:  # the same stack walks on
+            assert start == last and width <= before
+    assert formed == [(width, end - start) for width, start, end in windows[:len(formed)]]
+    # the last window ends at n_max with an odd length
+    assert formed[-1][1] % 2 == 1 and formed[-1][1] < WINDOW
 
 
-def test_a_failing_slice_leaves_mid_block_with_the_loops_error():
+def test_a_failing_slice_leaves_mid_window_with_the_loops_error():
     n = 8
     drifting = StochasticKernel._unchecked(StateSpace(n + 1), bd(n, 0.3, 0.3).entries * (1 + 1e-9))
     seqs = [KernelSequence.iid([bd(n, 0.45, 0.35), bd(n, 0.35, 0.45)], seed=1),
@@ -164,10 +210,10 @@ def test_a_failing_slice_leaves_mid_block_with_the_loops_error():
     assert outcome(lambda: first_passages(seqs, 0.25, "relsup", 300)) == loop
 
 
-def test_a_kernel_failing_the_drift_screen_mid_block_sends_its_stride_stepwise():
+def test_a_kernel_failing_the_drift_screen_mid_window_sends_its_stride_stepwise():
     # row sums 1e-13 from 1 fail the screen but never the walk's drift check;
     # from the stride holding step 41 (steps 33-48, the third of the first
-    # block) on, the sequence takes the stepwise route, whose values are the
+    # window) on, the sequence takes the stepwise route, whose values are the
     # stepwise walk's bit for bit
     n, k = 8, bd(8, 0.45, 0.35)
     off = StochasticKernel._unchecked(StateSpace(n + 1), k.entries * (1 + 1e-13))
@@ -184,31 +230,31 @@ def test_a_kernel_failing_the_drift_screen_mid_block_sends_its_stride_stepwise()
 
 
 def spy_walks(monkeypatch):
-    """Record the width of every one-pass measure, and ``(sequence, start)`` of every replay and stepwise route."""
+    """Record the width of every one-pass measure, ``(sequence, start)`` of every
+    stride walked again from a checkpoint, and ``(sequence, first measured step)``
+    of every stepwise route."""
     widths, replays, stepwise_from = [], [], []
-    measure, replay, stepwise = merging._relsup_stack, merging._replay, merging._stepwise
+    measure, rewalk = merging._relsup_stack, merging._StackWalk.rewalk
 
     def measure_spy(stack):
         widths.append(stack.shape[0])
         return measure(stack)
 
-    def replay_spy(seq, matrix, start, *args):
-        replays.append((seq, start))
-        return replay(seq, matrix, start, *args)
-
-    def stepwise_spy(seq, first, *args):
-        stepwise_from.append((seq, first))
-        return stepwise(seq, first, *args)
+    def rewalk_spy(self, seq, start, matrix, first, stop):
+        if matrix is None:  # from the identity
+            stepwise_from.append((seq, first))
+        else:
+            replays.append((seq, start))
+        return rewalk(self, seq, start, matrix, first, stop)
 
     monkeypatch.setattr(merging, "_relsup_stack", measure_spy)
-    monkeypatch.setattr(merging, "_replay", replay_spy)
-    monkeypatch.setattr(merging, "_stepwise", stepwise_spy)
+    monkeypatch.setattr(merging._StackWalk, "rewalk", rewalk_spy)
     return widths, replays, stepwise_from
 
 
 def test_only_the_slice_failing_its_window_is_measured_per_stride(monkeypatch):
     # four 9-state slices; at 128 only the fast one (hit 99) lies below the band
-    seqs = [block_sequences()[r] for r in (1, 2, 5, 6)]
+    seqs = [window_sequences()[r] for r in (1, 2, 5, 6)]
     n_max = 301
     loop = [first_passage(seq, 0.25, "relsup", n_max) for seq in seqs]
     mates = first_passages(seqs[:3], 0.25, "relsup", n_max)
@@ -343,7 +389,7 @@ def test_each_window_is_multiplied_once_a_slice(monkeypatch, metric, epsilon):
     # slices fail windows before n_max, finishing there or walking on; each
     # slice takes the products of every window up to the one it finishes
     # in, once, and the whole window holding n_max
-    seqs, n_max = block_sequences(), 301
+    seqs, n_max = window_sequences(), 301
     loop = [first_passage(seq, epsilon, metric, n_max) for seq in seqs]
     products = spy_products(monkeypatch)
     _, replays, stepwise_from = spy_walks(monkeypatch)

@@ -1,14 +1,27 @@
 """Bit identities the stacked first passage relies on.
 
-``first_passages`` walks several sequences as one ``(R, N, N)`` stack and
+``first_passages`` walks a batch's tridiagonal sequences as one
+``(R, N, N)`` stack, and every other sequence as a stack of one, and
 promises each the bits of its walk alone. That holds only while numpy and
-the BLAS give a stacked operation the bits of the same operation on each
-slice: the product (one ``np.matmul`` at the sizes in ``SIZES``, blocks of
-columns or rows at those in ``BLOCK_SIZES``), the row sums, the division,
-and the ``np.einsum`` that forms the diagonals of the four-kernel factors
-(``merging._band_product``). If a numpy or BLAS release breaks one of
-these identities, the test named after it fails here, instead of scenario
-rows moving silently.
+the BLAS give each stacked operation the bits of the same operation on
+each slice, or on the matrix itself for a stack of one:
+
+- the forward product, one ``np.matmul`` at the sizes in ``SIZES`` and
+  blocks of columns at those in ``BLOCK_SIZES``
+  (``test_stacked_matmul_is_per_slice_matmul``,
+  ``test_stack_of_one_is_the_matrix``,
+  ``test_stacked_block_product_is_per_slice_block_product``);
+- the row sums (``test_add_reduce_is_sum``);
+- the division in place (``test_in_place_divide_is_divide``);
+- the ``np.einsum`` that forms the diagonals of the pairs and of the
+  four-kernel factors (``merging._band_product``,
+  ``test_banded_product_of_a_stack_is_per_slice``).
+
+If a numpy or BLAS release breaks one of these identities, the test named
+after it fails here, instead of scenario rows moving silently. The
+backward products, and ``renormalized_step`` on a stack
+(``test_renormalized_step_on_a_stack_is_the_walk_step``), check what
+``chain_core`` documents for stacks; no first-passage stack uses them.
 """
 
 import numpy as np
